@@ -56,11 +56,9 @@ from maddm.results import RunResult
 from maddm.review import DecisionHistory, ReviewConfig, ReviewOutcome, review_update
 from maddm.selection import (
     AdvisorOffer,
-    AnswerMemo,
     DecisionValue,
     SelectionOutcome,
     marginal_contribution,
-    sample_answer,
     select_advisors,
 )
 from maddm.stats import mann_whitney_u

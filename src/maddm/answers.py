@@ -1,9 +1,11 @@
-"""Partition of consulted advisors by the binary answer they gave."""
+"""Answer sets: who said yes and who said no, singly and as a flat log."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 
 def _coerce_ids(ids: Iterable) -> frozenset[int]:
@@ -62,3 +64,76 @@ class AnswerSet:
 
     def __len__(self) -> int:
         return len(self.positives) + len(self.negatives)
+
+
+def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
+    """``buffer`` itself if it holds ``needed`` entries, else a larger copy."""
+    if needed <= buffer.size:
+        return buffer
+    out = np.empty(max(needed, 2 * buffer.size), dtype=buffer.dtype)
+    out[: buffer.size] = buffer
+    return out
+
+
+class AnswerLog:
+    """Append-only flat log of answer sets, one segment per set.
+
+    Member ids and vote signs (+1 yes, -1 no) live in growable arrays, id
+    sorted inside each segment, so whole-history passes run as array
+    operations instead of walking Python sets. The id-sorted layout keeps
+    the likelihood sums order-identical when every answer is flipped.
+    """
+
+    def __init__(self) -> None:
+        self._ids = np.empty(64, dtype=np.intp)
+        self._signs = np.empty(64, dtype=np.int8)
+        self._starts = np.zeros(64, dtype=np.intp)
+        self._size = 0  # members logged
+        self._count = 0  # segments logged
+        self.max_advisor_id = -1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> AnswerSet:
+        if not 0 <= index < self._count:
+            raise IndexError(f"segment {index} outside the log of {self._count}")
+        span = slice(self._starts[index], self._starts[index + 1])
+        ids, signs = self._ids[span], self._signs[span]
+        return AnswerSet(frozenset(ids[signs > 0].tolist()), frozenset(ids[signs < 0].tolist()))
+
+    def append(self, answers: AnswerSet) -> None:
+        if answers.is_empty:
+            raise ValueError("cannot log an empty answer set")
+        members = sorted(answers.members)
+        end = self._size + len(members)
+        self._ids = _grown(self._ids, end)
+        self._signs = _grown(self._signs, end)
+        self._starts = _grown(self._starts, self._count + 2)
+        self._ids[self._size : end] = members
+        self._signs[self._size : end] = [1 if m in answers.positives else -1 for m in members]
+        self._size = end
+        self._count += 1
+        self._starts[self._count] = end
+        self.max_advisor_id = max(self.max_advisor_id, members[-1])
+
+    def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(member ids, vote signs, segment starts incl. end sentinel)."""
+        return self._ids[: self._size], self._signs[: self._size], self._starts[: self._count + 1]
+
+
+def segment_log_likelihoods(
+    member_p: np.ndarray, positive: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment log-likelihoods of the answers yes and no, prior excluded.
+
+    ``member_p`` is each logged member's probability of answering
+    correctly and ``positive`` its yes-vote mask, both in log order;
+    ``starts`` are the segment starts with the end sentinel.
+    """
+    log_p = np.log(member_p)
+    log_q = np.log1p(-member_p)
+    seg = starts[:-1]
+    log_plus = np.add.reduceat(np.where(positive, log_p, log_q), seg)
+    log_minus = np.add.reduceat(np.where(positive, log_q, log_p), seg)
+    return log_plus, log_minus

@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
 from maddm.environment import Environment
-from maddm.results import RunResult
+from maddm.results import RunLedger, RunResult
 from maddm.selection import AdvisorOffer
 from maddm.trust import TrustVector, apply_confidence_update
 
@@ -230,27 +230,20 @@ class EmAggregator:
         self.tol = tol
         self.max_iterations = max_iterations
         self.accuracies = np.full(n_advisors, float(init_accuracy))
-        self._flat_ids: list[int] = []
-        self._flat_signs: list[int] = []
-        self._starts: list[int] = [0]
+        self._log = AnswerLog()
         self.posterior_plus = np.empty(0)
         self.posterior_minus = np.empty(0)
 
     @property
     def n_decisions(self) -> int:
-        return len(self._starts) - 1
+        return len(self._log)
 
     def observe(self, answers: AnswerSet) -> None:
         if answers.is_empty:
             raise ValueError("cannot observe an empty answer set")
-        # id-sorted layout keeps the likelihood sums order-identical under
-        # a label flip, which makes the flip symmetry bit-exact
-        members = sorted(answers.members)
-        if members[-1] >= self.n_advisors:
+        if max(answers.members) >= self.n_advisors:
             raise ValueError("answer set references advisors outside the pool")
-        self._flat_ids.extend(members)
-        self._flat_signs.extend(1 if m in answers.positives else -1 for m in members)
-        self._starts.append(len(self._flat_ids))
+        self._log.append(answers)
 
     def infer(self, track_objective: bool = False) -> list[float]:
         """Run EM to convergence; returns the tracked objective if asked.
@@ -259,12 +252,9 @@ class EmAggregator:
         log likelihood, which every full EM cycle is guaranteed not to
         decrease.
         """
-        if not self._flat_ids:
+        if not len(self._log):
             raise ValueError("nothing observed yet")
-        ids = np.asarray(self._flat_ids, dtype=np.intp)
-        signs = np.asarray(self._flat_signs, dtype=np.int8)
-        starts = np.asarray(self._starts, dtype=np.intp)
-        seg = starts[:-1]
+        ids, signs, starts = self._log.flat_arrays()
         positive = signs > 0
         counts = np.bincount(ids, minlength=self.n_advisors)
         consulted = counts > 0
@@ -274,13 +264,9 @@ class EmAggregator:
         q_plus = q_minus = None
         objective: list[float] = []
         for _ in range(self.max_iterations):
-            member_acc = acc[ids]
-            log_acc = np.log(member_acc)
-            log_err = np.log1p(-member_acc)
-            like_plus = np.where(positive, log_acc, log_err)
-            like_minus = np.where(positive, log_err, log_acc)
-            log_plus = np.add.reduceat(like_plus, seg) + log_half
-            log_minus = np.add.reduceat(like_minus, seg) + log_half
+            log_plus, log_minus = segment_log_likelihoods(acc[ids], positive, starts)
+            log_plus += log_half
+            log_minus += log_half
             shift = np.maximum(log_plus, log_minus)
             e_plus = np.exp(log_plus - shift)
             e_minus = np.exp(log_minus - shift)
@@ -327,7 +313,14 @@ def em_aggregate(
     """One-shot EM over a batch of answer sets."""
     aggregator = EmAggregator(n_advisors, tol=tol, max_iterations=max_iterations)
     if init is not None:
-        aggregator.accuracies = np.asarray(init.accuracies, dtype=np.float64).copy()
+        accuracies = np.array(init.accuracies, dtype=np.float64)
+        if accuracies.shape != (n_advisors,):
+            raise ValueError(
+                f"init needs one accuracy per advisor ({n_advisors}), got shape {accuracies.shape}"
+            )
+        if not np.all((accuracies > 0.0) & (accuracies < 1.0)):
+            raise ValueError("init accuracies must lie strictly inside (0, 1)")
+        aggregator.accuracies = accuracies
     observed = 0
     for answers in answer_sets:
         if not answers.is_empty:
@@ -357,24 +350,11 @@ def run_baseline(
     decisions = environment.decisions
     n_advisors = environment.n_advisors
 
+    ledger = RunLedger(trace)
     if config.method == "bu":
-        profits = [d.value.profit for d in decisions]
-        rows = None
-        if trace:
-            rows = [
-                {"decision_id": d.id, "rounds": 0, "hired": [], "advisors_polled": 0,
-                 "total_cost": 0.0, "p_positive": 1.0, "answer": d.truth,
-                 "confidence": 1.0, "correct": True}
-                for d in decisions
-            ]
-        return RunResult(
-            method="bu",
-            utility=math.fsum(profits),
-            correct_count=len(decisions),
-            total_cost=0.0,
-            n_decisions=len(decisions),
-            trace=rows,
-        )
+        for decision in decisions:
+            ledger.record(decision, decision.truth, 0.0, (), 0, 1.0, 1.0)
+        return ledger.result("bu")
 
     offers = environment.offers()
     all_ids = list(range(n_advisors))
@@ -383,10 +363,6 @@ def run_baseline(
 
     trust = TrustVector.fresh(n_advisors)
     aggregator = EmAggregator(n_advisors)
-    values: list[float] = []
-    fees: list[float] = []
-    correct_count = 0
-    rows: list[dict] | None = [] if trace else None
 
     for index, decision in enumerate(decisions):
         if index < ef_rounds:
@@ -426,23 +402,6 @@ def run_baseline(
             p_positive = q_plus
             trust = apply_confidence_update(trust, answers, answer, confidence)
 
-        correct = answer == decision.truth
-        correct_count += int(correct)
-        values.append(decision.value.profit if correct else -decision.value.loss)
-        fees.append(paid)
-        if rows is not None:
-            rows.append(
-                {"decision_id": decision.id, "rounds": 1, "hired": list(chosen),
-                 "advisors_polled": len(chosen), "total_cost": paid,
-                 "p_positive": p_positive, "answer": answer,
-                 "confidence": confidence, "correct": correct}
-            )
+        ledger.record(decision, answer, paid, chosen, 1, p_positive, confidence)
 
-    return RunResult(
-        method=config.method,
-        utility=math.fsum(values) - math.fsum(fees),
-        correct_count=correct_count,
-        total_cost=math.fsum(fees),
-        n_decisions=len(decisions),
-        trace=rows,
-    )
+    return ledger.result(config.method)

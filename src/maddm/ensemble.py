@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from maddm.answers import AnswerSet
 from maddm.trust import TrustVector, apply_confidence_update, clamp_trust
 
@@ -50,19 +52,96 @@ class EnsembleOutcome:
     confidence: float
 
 
-def _require_members(answers: AnswerSet, op: str) -> None:
+def p_side(log_side, log_other, mass_side, mass_other, theta_bar):
+    """Ensemble probability of one answer from the sufficient statistics.
+
+    ``log_side`` and ``log_other`` are the log prior plus the summed
+    log-likelihoods of this answer and of the other one; ``mass_side`` and
+    ``mass_other`` are the summed trust of the two camps; ``theta_bar`` is
+    the vote's mixing weight. The posterior is normalized with the usual
+    max-shift so that thirty near-0 or near-1 factors cannot underflow.
+    Broadcasts over numpy arrays. The other answer's probability is the
+    same call with both pairs swapped, which is bit-exact because ``max``
+    and ``+`` commute.
+    """
+    # same value either way; np.maximum costs about a microsecond on floats
+    if isinstance(log_side, np.ndarray):
+        shift = np.maximum(log_side, log_other)
+    else:
+        shift = max(log_side, log_other)
+    e_side = np.exp(log_side - shift)
+    e_other = np.exp(log_other - shift)
+    bayes = e_side / (e_side + e_other)
+    vote = mass_side / (mass_side + mass_other)
+    return (1.0 - theta_bar) * bayes + theta_bar * vote
+
+
+class EnsembleSums:
+    """Running sufficient statistics of an answer set's ensemble.
+
+    Keeps the log-likelihood sums (prior not included), the trust mass of
+    each camp and the summed uncertainty, so adding an advisor is O(1).
+    Likelihood factors use the clamped trust, vote masses the stored one.
+    """
+
+    __slots__ = ("log_pos", "log_neg", "tau_pos", "tau_neg", "theta", "count")
+
+    def __init__(self) -> None:
+        self.log_pos = 0.0  # sum of log-likelihood factors given answer yes
+        self.log_neg = 0.0  # ... given answer no
+        self.tau_pos = 0.0
+        self.tau_neg = 0.0
+        self.theta = 0.0
+        self.count = 0
+
+    @classmethod
+    def of(cls, answers: AnswerSet, trust: TrustVector) -> "EnsembleSums":
+        """Statistics of a whole answer set, summed in advisor-id order."""
+        trust.check_covers(answers)
+        sums = cls()
+        alpha, beta = trust.alpha.tolist(), trust.beta.tolist()
+        for i in sorted(answers.members):
+            total = alpha[i] + beta[i]
+            sums.add(alpha[i] / total, 2.0 / total, 1 if i in answers.positives else -1)
+        return sums
+
+    def add(self, tau: float, theta: float, answer: int) -> None:
+        clamped = clamp_trust(tau)
+        if answer == 1:
+            self.log_pos += math.log(clamped)
+            self.log_neg += math.log1p(-clamped)
+            self.tau_pos += tau
+        else:
+            self.log_pos += math.log1p(-clamped)
+            self.log_neg += math.log(clamped)
+            self.tau_neg += tau
+        self.theta += theta
+        self.count += 1
+
+    def log_joint(self, prior: PriorOdds) -> tuple[float, float]:
+        """(log prior + log-likelihood) of the answers yes and no."""
+        return math.log(prior.p_plus) + self.log_pos, math.log(prior.p_minus) + self.log_neg
+
+    def probabilities(self, prior: PriorOdds, theta_bar: float | None = None) -> tuple[float, float]:
+        """Ensemble (p_yes, p_no); (0.5, 0.5) for an empty set.
+
+        ``theta_bar`` defaults to the average uncertainty; 0 gives the
+        pure posterior and 1 the pure vote, both exactly.
+        """
+        if self.count == 0:
+            return 0.5, 0.5
+        if theta_bar is None:
+            theta_bar = self.theta / self.count
+        log_plus, log_minus = self.log_joint(prior)
+        p_plus = p_side(log_plus, log_minus, self.tau_pos, self.tau_neg, theta_bar)
+        p_minus = p_side(log_minus, log_plus, self.tau_neg, self.tau_pos, theta_bar)
+        return float(p_plus), float(p_minus)
+
+
+def _sums(answers: AnswerSet, trust: TrustVector, op: str) -> EnsembleSums:
     if answers.is_empty:
         raise ValueError(f"{op} requires a non-empty answer set")
-
-
-def _check_coverage(answers: AnswerSet, trust: TrustVector) -> None:
-    n = len(trust)
-    unknown = [i for i in answers.members if i >= n]
-    if unknown:
-        raise ValueError(
-            f"answer set references unknown advisor ids {sorted(unknown)}; "
-            f"trust vector covers [0, {n})"
-        )
+    return EnsembleSums.of(answers, trust)
 
 
 def bayesian_probabilities(
@@ -73,28 +152,9 @@ def bayesian_probabilities(
     """Posterior (p_yes, p_no) from independent per-advisor likelihoods.
 
     The yes-likelihood multiplies tau over the yes camp and (1 - tau)
-    over the no camp; the no-likelihood mirrors it. Products are carried
-    in log space and normalized with the usual max-shift so that thirty
-    near-0 or near-1 factors cannot underflow.
+    over the no camp; the no-likelihood mirrors it.
     """
-    _require_members(answers, "bayesian_probabilities")
-    _check_coverage(answers, trust)
-    log_plus = math.log(prior.p_plus)
-    log_minus = math.log(prior.p_minus)
-    alpha, beta = trust.alpha, trust.beta
-    for i in sorted(answers.positives):
-        tau = clamp_trust(float(alpha[i]) / float(alpha[i] + beta[i]))
-        log_plus += math.log(tau)
-        log_minus += math.log1p(-tau)
-    for j in sorted(answers.negatives):
-        tau = clamp_trust(float(alpha[j]) / float(alpha[j] + beta[j]))
-        log_plus += math.log1p(-tau)
-        log_minus += math.log(tau)
-    shift = max(log_plus, log_minus)
-    e_plus = math.exp(log_plus - shift)
-    e_minus = math.exp(log_minus - shift)
-    total = e_plus + e_minus
-    return e_plus / total, e_minus / total
+    return _sums(answers, trust, "bayesian_probabilities").probabilities(prior, theta_bar=0.0)
 
 
 def weighted_voting_probabilities(
@@ -102,28 +162,14 @@ def weighted_voting_probabilities(
     trust: TrustVector,
 ) -> tuple[float, float]:
     """(p_yes, p_no) as each camp's share of the summed trustworthiness."""
-    _require_members(answers, "weighted_voting_probabilities")
-    _check_coverage(answers, trust)
-    alpha, beta = trust.alpha, trust.beta
-    sum_pos = 0.0
-    sum_neg = 0.0
-    for i in sorted(answers.positives):
-        sum_pos += float(alpha[i]) / float(alpha[i] + beta[i])
-    for j in sorted(answers.negatives):
-        sum_neg += float(alpha[j]) / float(alpha[j] + beta[j])
-    total = sum_pos + sum_neg
-    return sum_pos / total, sum_neg / total
+    sums = _sums(answers, trust, "weighted_voting_probabilities")
+    return sums.probabilities(UNIFORM_PRIOR, theta_bar=1.0)
 
 
 def average_uncertainty(answers: AnswerSet, trust: TrustVector) -> float:
     """Mean epistemic uncertainty over the consulted advisors."""
-    _require_members(answers, "average_uncertainty")
-    _check_coverage(answers, trust)
-    alpha, beta = trust.alpha, trust.beta
-    total = 0.0
-    for i in sorted(answers.members):
-        total += 2.0 / float(alpha[i] + beta[i])
-    return total / len(answers)
+    sums = _sums(answers, trust, "average_uncertainty")
+    return sums.theta / sums.count
 
 
 def ensemble_decide(
@@ -137,12 +183,7 @@ def ensemble_decide(
     gets that weight, the posterior the remainder. A tie resolves to the
     negative answer with zero confidence.
     """
-    _require_members(answers, "ensemble_decide")
-    bayes_plus, bayes_minus = bayesian_probabilities(answers, trust, prior)
-    vote_plus, vote_minus = weighted_voting_probabilities(answers, trust)
-    theta_bar = average_uncertainty(answers, trust)
-    p_plus = (1.0 - theta_bar) * bayes_plus + theta_bar * vote_plus
-    p_minus = (1.0 - theta_bar) * bayes_minus + theta_bar * vote_minus
+    p_plus, p_minus = _sums(answers, trust, "ensemble_decide").probabilities(prior)
     answer = 1 if p_plus > p_minus else -1
     return EnsembleOutcome(
         p_positive=p_plus,

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
 from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, decide_and_update
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams
-from maddm.results import RunResult
+from maddm.results import RunLedger, RunResult
 from maddm.review import DecisionHistory, ReviewConfig, review_update
 from maddm.selection import select_advisors
 from maddm.stats import mann_whitney_u, mean_confidence_interval
@@ -90,10 +90,7 @@ def run_maddm(
 
     trust = TrustVector.fresh(n_advisors)
     history = DecisionHistory()
-    values: list[float] = []
-    fees: list[float] = []
-    correct_count = 0
-    rows: list[dict] | None = [] if trace else None
+    ledger = RunLedger(trace)
 
     for index, decision in enumerate(environment.decisions):
         if index < ef_rounds:
@@ -121,26 +118,9 @@ def run_maddm(
         if len(history) and (index + 1) % config.review.frequency == 0:
             trust = review_update(history, trust, config.review, config.prior).trust
 
-        correct = answer == decision.truth
-        correct_count += int(correct)
-        values.append(decision.value.profit if correct else -decision.value.loss)
-        fees.append(paid)
-        if rows is not None:
-            rows.append(
-                {"decision_id": decision.id, "rounds": rounds, "hired": list(hired),
-                 "advisors_polled": len(hired), "total_cost": paid,
-                 "p_positive": p_positive, "answer": answer,
-                 "confidence": confidence, "correct": correct}
-            )
+        ledger.record(decision, answer, paid, hired, rounds, p_positive, confidence)
 
-    return RunResult(
-        method="maddm",
-        utility=math.fsum(values) - math.fsum(fees),
-        correct_count=correct_count,
-        total_cost=math.fsum(fees),
-        n_decisions=environment.n_decisions,
-        trace=rows,
-    )
+    return ledger.result("maddm")
 
 
 @dataclass(frozen=True)
@@ -498,32 +478,16 @@ def _cell_path(out_dir: Path, env_idx: int, grid_idx: int, rep: int) -> Path:
     return out_dir / "cells" / f"cell_{env_idx}_{grid_idx}_{rep}.json"
 
 
+#: RunResult fields a cell file stores: all but the per-decision trace.
+_CACHED_FIELDS = tuple(f.name for f in fields(RunResult) if f.name != "trace")
+
+
 def _result_to_dict(r: RunResult) -> dict:
-    return {
-        "method": r.method,
-        "variant": r.variant,
-        "environment": r.environment,
-        "accuracy_mean": r.accuracy_mean,
-        "repetition": r.repetition,
-        "utility": r.utility,
-        "correct_count": r.correct_count,
-        "total_cost": r.total_cost,
-        "n_decisions": r.n_decisions,
-    }
+    return {name: getattr(r, name) for name in _CACHED_FIELDS}
 
 
 def _result_from_dict(d: dict) -> RunResult:
-    return RunResult(
-        method=d["method"],
-        utility=d["utility"],
-        correct_count=d["correct_count"],
-        total_cost=d["total_cost"],
-        n_decisions=d["n_decisions"],
-        variant=d["variant"],
-        environment=d["environment"],
-        accuracy_mean=d["accuracy_mean"],
-        repetition=d["repetition"],
-    )
+    return RunResult(**{name: d[name] for name in _CACHED_FIELDS})
 
 
 def _load_cell(path: Path, labels: Sequence[str]) -> list[RunResult] | None:
@@ -646,7 +610,6 @@ def _method_to_dict(spec: MethodSpec) -> dict:
             "threshold": spec.maddm.review.threshold,
             "max_passes": spec.maddm.review.max_passes,
             "frequency": spec.maddm.review.frequency,
-            "mode": spec.maddm.review.mode,
         }
         d["exploration_first_rounds"] = spec.maddm.exploration_first_rounds
     return d
@@ -680,12 +643,15 @@ def _method_from_dict(entry: dict) -> MethodSpec:
     maddm_cfg = MaddmConfig()
     if method == "maddm":
         review_cfg = entry.get("review", {})
+        # older plan files carry the one remaining review mode explicitly
+        mode = review_cfg.get("mode", "rebuild")
+        if mode != "rebuild":
+            raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
         maddm_cfg = MaddmConfig(
             review=ReviewConfig(
                 threshold=review_cfg.get("threshold", 1e-3),
                 max_passes=review_cfg.get("max_passes", 100),
                 frequency=review_cfg.get("frequency", 1),
-                mode=review_cfg.get("mode", "rebuild"),
             ),
             exploration_first_rounds=entry.get("exploration_first_rounds", 10),
         )

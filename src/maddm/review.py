@@ -6,100 +6,54 @@ current trustworthiness yields better confidence weights, and better
 weights yield better trust. The review loop iterates that feedback until
 the trust vector stops moving.
 
-Two pass semantics are provided:
-
-* ``rebuild`` (default): every pass re-decides the whole history with
-  the trust vector as of the pass start and rebuilds each record as
-  prior + that pass's evidence. Evidence mass stays proportional to the
-  history length, so the loop contracts to a fixed point.
-* ``accumulate``: every pass keeps stacking new evidence on top of the
-  existing records, updating the trust vector decision by decision
-  within the pass. Kept for comparison; total evidence grows with every
-  pass.
+Every pass re-decides the whole history with the trust vector as of the
+pass start, through the same ensemble rule as a live decision, and
+rebuilds each record as prior + that pass's evidence. Evidence mass
+stays proportional to the history length, so the loop contracts to a
+fixed point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
-from maddm.answers import AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, PriorOdds
+from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, p_side
 from maddm.trust import TAU_EPS, TrustVector
 
 
 class DecisionHistory:
     """Append-only log of (decision id, answer set) pairs.
 
-    Flattened copies of the member ids and vote signs are kept in
-    growable arrays so a review pass can score the entire history with
-    array operations instead of walking Python sets.
+    The answer sets live in an :class:`AnswerLog`, so a review pass can
+    score the entire history with array operations.
     """
 
     def __init__(self) -> None:
-        self._ids: list[int] = []
-        self._sets: list[AnswerSet] = []
-        self._seen: set[int] = set()
-        self._flat_ids = np.empty(64, dtype=np.intp)
-        self._flat_signs = np.empty(64, dtype=np.int8)
-        self._flat_len = 0
-        self._starts: list[int] = [0]
-        self._max_advisor = -1
+        self._log = AnswerLog()
+        self._ids: dict[int, None] = {}  # decision ids in append order
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __iter__(self) -> Iterator[tuple[int, AnswerSet]]:
-        return iter(self.entries())
-
     def entries(self) -> tuple[tuple[int, AnswerSet], ...]:
-        return tuple(zip(self._ids, self._sets))
+        return tuple((decision_id, self._log[k]) for k, decision_id in enumerate(self._ids))
 
     @property
     def max_advisor_id(self) -> int:
-        return self._max_advisor
+        return self._log.max_advisor_id
 
     def append(self, decision_id: int, answers: AnswerSet) -> None:
-        if decision_id in self._seen:
+        if decision_id in self._ids:
             raise ValueError(f"decision {decision_id} already recorded")
-        if answers.is_empty:
-            raise ValueError("cannot record an empty answer set")
-        members = sorted(answers.members)
-        signs = [1 if m in answers.positives else -1 for m in members]
-        self._reserve(len(members))
-        end = self._flat_len + len(members)
-        self._flat_ids[self._flat_len : end] = members
-        self._flat_signs[self._flat_len : end] = signs
-        self._flat_len = end
-        self._starts.append(end)
-        self._ids.append(decision_id)
-        self._sets.append(answers)
-        self._seen.add(decision_id)
-        self._max_advisor = max(self._max_advisor, max(members))
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._flat_len + extra
-        if needed <= self._flat_ids.size:
-            return
-        capacity = self._flat_ids.size
-        while capacity < needed:
-            capacity *= 2
-        ids = np.empty(capacity, dtype=np.intp)
-        signs = np.empty(capacity, dtype=np.int8)
-        ids[: self._flat_len] = self._flat_ids[: self._flat_len]
-        signs[: self._flat_len] = self._flat_signs[: self._flat_len]
-        self._flat_ids = ids
-        self._flat_signs = signs
+        self._log.append(answers)
+        self._ids[decision_id] = None
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel)."""
-        ids = self._flat_ids[: self._flat_len]
-        signs = self._flat_signs[: self._flat_len]
-        starts = np.asarray(self._starts, dtype=np.intp)
-        return ids, signs, starts
+        return self._log.flat_arrays()
 
 
 @dataclass(frozen=True)
@@ -114,7 +68,6 @@ class ReviewConfig:
     threshold: float = 1e-3
     max_passes: int = 100
     frequency: int = 1
-    mode: str = "rebuild"
 
     def __post_init__(self) -> None:
         if not (self.threshold > 0.0):
@@ -123,8 +76,6 @@ class ReviewConfig:
             raise ValueError("max_passes must be at least 1")
         if self.frequency < 1:
             raise ValueError("frequency must be at least 1")
-        if self.mode not in ("rebuild", "accumulate"):
-            raise ValueError(f"mode must be 'rebuild' or 'accumulate', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +102,8 @@ def _decide_all(
     """Vectorized ensemble decision over every stored answer set.
 
     Returns the per-decision answers and confidences under the given
-    evidence arrays. Mirrors the scalar path in maddm.ensemble.
+    evidence arrays, from the same statistics and rule as
+    maddm.ensemble.EnsembleSums.
     """
     totals = alpha + beta
     tau = alpha / totals
@@ -159,31 +111,16 @@ def _decide_all(
     clamped = np.clip(tau, TAU_EPS, 1.0 - TAU_EPS)
 
     member_tau = tau[ids]
-    member_clamped = clamped[ids]
-    member_theta = theta[ids]
     positive = signs > 0
-    log_tau = np.log(member_clamped)
-    log_one_minus = np.log1p(-member_clamped)
-    like_plus = np.where(positive, log_tau, log_one_minus)
-    like_minus = np.where(positive, log_one_minus, log_tau)
-
     seg = starts[:-1]
-    sizes = np.diff(starts)
-    log_plus = np.add.reduceat(like_plus, seg) + math.log(prior.p_plus)
-    log_minus = np.add.reduceat(like_minus, seg) + math.log(prior.p_minus)
-    shift = np.maximum(log_plus, log_minus)
-    e_plus = np.exp(log_plus - shift)
-    e_minus = np.exp(log_minus - shift)
-    total = e_plus + e_minus
-    bayes_plus = e_plus / total
-    bayes_minus = e_minus / total
-
-    theta_bar = np.add.reduceat(member_theta, seg) / sizes
+    log_plus, log_minus = segment_log_likelihoods(clamped[ids], positive, starts)
+    log_plus += math.log(prior.p_plus)
+    log_minus += math.log(prior.p_minus)
+    theta_bar = np.add.reduceat(theta[ids], seg) / np.diff(starts)
     mass_plus = np.add.reduceat(np.where(positive, member_tau, 0.0), seg)
     mass_minus = np.add.reduceat(np.where(positive, 0.0, member_tau), seg)
-    mass = mass_plus + mass_minus
-    p_plus = (1.0 - theta_bar) * bayes_plus + theta_bar * (mass_plus / mass)
-    p_minus = (1.0 - theta_bar) * bayes_minus + theta_bar * (mass_minus / mass)
+    p_plus = p_side(log_plus, log_minus, mass_plus, mass_minus, theta_bar)
+    p_minus = p_side(log_minus, log_plus, mass_minus, mass_plus, theta_bar)
 
     answers = np.where(p_plus > p_minus, 1, -1).astype(np.int8)
     confidence = np.abs(p_plus - p_minus)
@@ -198,7 +135,7 @@ def _rebuild_pass(
     beta: np.ndarray,
     prior: PriorOdds,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One rebuild pass: prior + evidence from re-deciding the history."""
+    """One pass: prior + evidence from re-deciding the history."""
     answers, confidence = _decide_all(ids, signs, starts, alpha, beta, prior)
     sizes = np.diff(starts)
     per_member_answer = np.repeat(answers, sizes)
@@ -208,25 +145,6 @@ def _rebuild_pass(
     new_alpha = 1.0 + np.bincount(ids[agree], weights=per_member_conf[agree], minlength=n)
     new_beta = 1.0 + np.bincount(ids[~agree], weights=per_member_conf[~agree], minlength=n)
     return new_alpha, new_beta
-
-
-def _accumulate_pass(
-    history: DecisionHistory,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    prior: PriorOdds,
-) -> None:
-    """One literal pass: update the records in place after each decision."""
-    ids, signs, starts = history.flat_arrays()
-    for k in range(len(history)):
-        seg_ids = ids[starts[k] : starts[k + 1]]
-        seg_signs = signs[starts[k] : starts[k + 1]]
-        answers, confidence = _decide_all(
-            seg_ids, seg_signs, np.array([0, seg_ids.size], dtype=np.intp), alpha, beta, prior
-        )
-        agree = seg_signs == answers[0]
-        np.add.at(alpha, seg_ids[agree], confidence[0])
-        np.add.at(beta, seg_ids[~agree], confidence[0])
 
 
 def review_update(
@@ -257,10 +175,7 @@ def review_update(
     delta = math.inf
     while passes < config.max_passes:
         tau_before = alpha / (alpha + beta)
-        if config.mode == "rebuild":
-            alpha, beta = _rebuild_pass(ids, signs, starts, alpha, beta, prior)
-        else:
-            _accumulate_pass(history, alpha, beta, prior)
+        alpha, beta = _rebuild_pass(ids, signs, starts, alpha, beta, prior)
         passes += 1
         tau_after = alpha / (alpha + beta)
         delta = float(np.abs(tau_after - tau_before).sum())

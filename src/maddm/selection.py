@@ -12,7 +12,11 @@ sides: once as if it joined the yes camp and once the no camp, each
 weighted by the prior odds of that answer. Inside the hypothetical the
 candidate contributes its sampled accuracy while already-hired advisors
 contribute their stored trustworthiness; real decisions after hiring
-always use stored trustworthiness only.
+always use stored trustworthiness only. Both the running probabilities
+and the hypotheticals go through the ensemble rule of maddm.ensemble.
+
+A hired advisor's answer comes from a per-decision oracle; the
+simulated environment realises every answer up front and serves it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from maddm.answers import AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, PriorOdds
-from maddm.trust import TAU_EPS, TrustVector, clamp_trust, uncertainty
+from maddm.ensemble import UNIFORM_PRIOR, EnsembleSums, PriorOdds, p_side
+from maddm.trust import TAU_EPS, TrustVector, uncertainty
 
 # Per-decision oracle: advisor id -> answer in {-1, 1}. The answer is only
 # requested once the advisor has been hired.
@@ -79,59 +83,10 @@ class SelectionOutcome:
     hired: tuple[int, ...]
 
 
-class _EnsembleSums:
-    """Running sufficient statistics of the hired set's ensemble.
-
-    Keeps the log-likelihood sums, trust-mass sums and uncertainty mass
-    of the current answer set so both the real probabilities and the
-    per-candidate hypotheticals are O(1) per advisor.
-    """
-
-    __slots__ = ("log_pos", "log_neg", "tau_pos", "tau_neg", "theta", "count")
-
-    def __init__(self) -> None:
-        self.log_pos = 0.0  # sum of log-likelihood factors given answer yes
-        self.log_neg = 0.0  # ... given answer no
-        self.tau_pos = 0.0
-        self.tau_neg = 0.0
-        self.theta = 0.0
-        self.count = 0
-
-    def add(self, tau: float, theta: float, answer: int) -> None:
-        clamped = clamp_trust(tau)
-        if answer == 1:
-            self.log_pos += math.log(clamped)
-            self.log_neg += math.log1p(-clamped)
-            self.tau_pos += tau
-        else:
-            self.log_pos += math.log1p(-clamped)
-            self.log_neg += math.log(clamped)
-            self.tau_neg += tau
-        self.theta += theta
-        self.count += 1
-
-    def probabilities(self, prior: PriorOdds) -> tuple[float, float]:
-        """Current ensemble (p_yes, p_no); (0.5, 0.5) for an empty set."""
-        if self.count == 0:
-            return 0.5, 0.5
-        log_plus = math.log(prior.p_plus) + self.log_pos
-        log_minus = math.log(prior.p_minus) + self.log_neg
-        shift = max(log_plus, log_minus)
-        e_plus = math.exp(log_plus - shift)
-        e_minus = math.exp(log_minus - shift)
-        bayes_plus = e_plus / (e_plus + e_minus)
-        bayes_minus = e_minus / (e_plus + e_minus)
-        mass = self.tau_pos + self.tau_neg
-        theta_bar = self.theta / self.count
-        p_plus = (1.0 - theta_bar) * bayes_plus + theta_bar * (self.tau_pos / mass)
-        p_minus = (1.0 - theta_bar) * bayes_minus + theta_bar * (self.tau_neg / mass)
-        return p_plus, p_minus
-
-
 def _hypothetical_gain(
     sampled_trust,
     candidate_theta,
-    sums: _EnsembleSums,
+    sums: EnsembleSums,
     pe_plus: float,
     pe_minus: float,
     value: DecisionValue,
@@ -149,48 +104,24 @@ def _hypothetical_gain(
     clamped = np.clip(tau, TAU_EPS, 1.0 - TAU_EPS)
     log_tau = np.log(clamped)
     log_one_minus = np.log1p(-clamped)
-
     theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
-    bayes_weight = 1.0 - theta_bar
-    log_plus_base = math.log(prior.p_plus) + sums.log_pos
-    log_minus_base = math.log(prior.p_minus) + sums.log_neg
-    vote_mass = sums.tau_pos + sums.tau_neg + clamped
+    log_plus, log_minus = sums.log_joint(prior)
 
     # Candidate joins the yes camp.
-    lp = log_plus_base + log_tau
-    lm = log_minus_base + log_one_minus
-    shift = np.maximum(lp, lm)
-    e_plus = np.exp(lp - shift)
-    e_minus = np.exp(lm - shift)
-    bayes_plus = e_plus / (e_plus + e_minus)
-    vote_plus = (sums.tau_pos + clamped) / vote_mass
-    hyp_plus = bayes_weight * bayes_plus + theta_bar * vote_plus
+    hyp_plus = p_side(
+        log_plus + log_tau, log_minus + log_one_minus,
+        sums.tau_pos + clamped, sums.tau_neg, theta_bar,
+    )
     gain_plus = prior.p_plus * np.abs(hyp_plus - pe_plus) * value.total
 
     # Candidate joins the no camp.
-    lp = log_plus_base + log_one_minus
-    lm = log_minus_base + log_tau
-    shift = np.maximum(lp, lm)
-    e_plus = np.exp(lp - shift)
-    e_minus = np.exp(lm - shift)
-    bayes_minus = e_minus / (e_plus + e_minus)
-    vote_minus = (sums.tau_neg + clamped) / vote_mass
-    hyp_minus = bayes_weight * bayes_minus + theta_bar * vote_minus
+    hyp_minus = p_side(
+        log_minus + log_tau, log_plus + log_one_minus,
+        sums.tau_neg + clamped, sums.tau_pos, theta_bar,
+    )
     gain_minus = prior.p_minus * np.abs(hyp_minus - pe_minus) * value.total
 
     return (2.0 * tau - 1.0) * (gain_plus + gain_minus)
-
-
-def _sums_from_answer_set(answers: AnswerSet, trust: TrustVector) -> _EnsembleSums:
-    sums = _EnsembleSums()
-    alpha, beta = trust.alpha, trust.beta
-    for i in sorted(answers.positives):
-        total = float(alpha[i] + beta[i])
-        sums.add(float(alpha[i]) / total, 2.0 / total, 1)
-    for j in sorted(answers.negatives):
-        total = float(alpha[j] + beta[j])
-        sums.add(float(alpha[j]) / total, 2.0 / total, -1)
-    return sums
 
 
 def marginal_contribution(
@@ -212,7 +143,7 @@ def marginal_contribution(
         raise ValueError(f"advisor {candidate.id} is already part of the answer set")
     if candidate.id >= len(trust):
         raise ValueError(f"advisor {candidate.id} is not covered by the trust vector")
-    sums = _sums_from_answer_set(current, trust)
+    sums = EnsembleSums.of(current, trust)
     pe_plus, pe_minus = sums.probabilities(prior)
     theta_cand = uncertainty(trust[candidate.id])
     return float(
@@ -271,7 +202,7 @@ def select_advisors(
     theta = 2.0 / totals
 
     remaining = list(range(len(offers)))
-    sums = _EnsembleSums()
+    sums = EnsembleSums()
     pe_plus, pe_minus = 0.5, 0.5
     positives: list[int] = []
     negatives: list[int] = []
@@ -307,41 +238,3 @@ def select_advisors(
         rounds=rounds,
         hired=tuple(hired),
     )
-
-
-def sample_answer(hidden_accuracy: float, truth: int, rng: np.random.Generator) -> int:
-    """Simulate one advisor answer: the truth with the given probability."""
-    if not (0.0 <= hidden_accuracy <= 1.0):
-        raise ValueError("hidden accuracy must lie in [0, 1]")
-    if truth not in (-1, 1):
-        raise ValueError("truth must be -1 or 1")
-    return truth if rng.random() < hidden_accuracy else -truth
-
-
-class AnswerMemo:
-    """Caches simulated answers so repeated queries agree.
-
-    One advisor asked twice about the same decision must give the same
-    answer; the memo draws lazily on first query and replays thereafter.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple[int, int], int] = {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def query(
-        self,
-        advisor: int,
-        decision: int,
-        hidden_accuracy: float,
-        truth: int,
-        rng: np.random.Generator,
-    ) -> int:
-        key = (advisor, decision)
-        answer = self._cache.get(key)
-        if answer is None:
-            answer = sample_answer(hidden_accuracy, truth, rng)
-            self._cache[key] = answer
-        return answer

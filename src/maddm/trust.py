@@ -134,6 +134,16 @@ class TrustVector:
         """Per-advisor epistemic uncertainty."""
         return 2.0 / (self.alpha + self.beta)
 
+    def check_covers(self, answers: AnswerSet) -> None:
+        """Raise ValueError unless every advisor in ``answers`` has a record."""
+        n = len(self)
+        unknown = [i for i in answers.members if i >= n]
+        if unknown:
+            raise ValueError(
+                f"answer set references unknown advisor ids {sorted(unknown)}; "
+                f"trust vector covers [0, {n})"
+            )
+
     def copy(self) -> "TrustVector":
         return TrustVector(self.alpha.copy(), self.beta.copy())
 
@@ -165,13 +175,7 @@ def apply_confidence_update(
         raise ValueError(f"answer must be -1 or 1, got {answer!r}")
     if not (0.0 <= confidence <= 1.0):
         raise ValueError(f"confidence must lie in [0, 1], got {confidence!r}")
-    n = len(trust)
-    unknown = [i for i in answers.members if i >= n]
-    if unknown:
-        raise ValueError(
-            f"answer set references unknown advisor ids {sorted(unknown)}; "
-            f"trust vector covers [0, {n})"
-        )
+    trust.check_covers(answers)
     alpha = trust.alpha.copy()
     beta = trust.beta.copy()
     pos = sorted(answers.positives)

@@ -201,6 +201,13 @@ class TestEmAggregate:
         state = em_aggregate([AnswerSet({0}, {1})], n_advisors=2, init=init)
         assert state.posteriors[0] == pytest.approx(0.5, abs=1e-9)
 
+    def test_invalid_init_state_rejected(self):
+        sets = [AnswerSet({0}, {1})]
+        for accuracies in ([1.0, 0.7], [0.0, 0.7], [0.7], [0.7, 0.7, 0.7], [np.nan, 0.7]):
+            init = EmState(accuracies=np.array(accuracies), posteriors=np.empty(0))
+            with pytest.raises(ValueError, match="init"):
+                em_aggregate(sets, n_advisors=2, init=init)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             em_aggregate([], n_advisors=3)

@@ -283,6 +283,22 @@ class TestExecutePlan:
         report = execute_plan(richer, tmp_path / "out")
         assert {r.method for r in report.results} == {"maddm", "fna", "rv", "bu"}
 
+    def test_cell_file_in_earlier_format_is_served(self, tmp_path):
+        plan = tiny_plan(out_methods=(MethodSpec(method="bu"),))
+        stored = {
+            "method": "bu", "variant": "standard", "environment": "env1",
+            "accuracy_mean": 0.8, "repetition": 0, "utility": 1234.5,
+            "correct_count": 40, "total_cost": 0.0, "n_decisions": 40,
+        }
+        (tmp_path / "cells").mkdir()
+        for rep in (0, 1):
+            payload = {"runs": [{"label": "bu:standard", "result": dict(stored, repetition=rep)}]}
+            (tmp_path / "cells" / f"cell_0_0_{rep}.json").write_text(json.dumps(payload))
+        report = execute_plan(plan, tmp_path)
+        assert report.results == [
+            RunResult(**dict(stored, repetition=rep)) for rep in (0, 1)
+        ]
+
     def test_parallel_execution_matches_serial(self, tmp_path):
         plan = tiny_plan()
         execute_plan(plan, tmp_path / "serial", jobs=1)
@@ -311,7 +327,7 @@ class TestPlanSerialization:
             "accuracy_means": [0.6, 0.9],
             "methods": [
                 {"method": "maddm", "variant": "exploration_first",
-                 "review": {"frequency": 5, "mode": "accumulate"}},
+                 "review": {"frequency": 5, "mode": "rebuild"}},
                 {"method": "fna", "fna_k": 7,
                  "strategy": {"kind": "ucb", "criterion": "trustworthiness"}},
                 {"method": "bc", "bc_budget_fraction": 0.25},
@@ -320,11 +336,19 @@ class TestPlanSerialization:
         plan = plan_from_dict(data)
         assert plan.environments[1] == EnvironmentTemplate("mid", 250.0, 250.0)
         assert plan.methods[0].maddm.review.frequency == 5
-        assert plan.methods[0].maddm.review.mode == "accumulate"
         assert plan.methods[1].baseline.fna_k == 7
         assert plan.methods[1].strategy.kind == "ucb"
         assert plan.methods[2].baseline.bc_budget_fraction == 0.25
         assert json.dumps(plan_to_dict(plan))  # serializable
+        assert plan_to_dict(plan)["methods"][0]["review"] == {
+            "threshold": 1e-3, "max_passes": 100, "frequency": 5,
+        }
+
+    def test_unsupported_review_mode_rejected_at_load(self):
+        data = plan_to_dict(tiny_plan())
+        data["methods"][0]["review"]["mode"] = "accumulate"
+        with pytest.raises(ValueError, match="review mode"):
+            plan_from_dict(data)
 
     def test_duplicate_methods_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -12,9 +12,7 @@ from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
 from maddm.selection import (
     AdvisorOffer,
-    AnswerMemo,
     DecisionValue,
-    sample_answer,
     marginal_contribution,
     select_advisors,
 )
@@ -185,34 +183,6 @@ class TestSelectAdvisors:
                 DecisionValue(1, 1), pool, TrustVector.fresh(1), UNIFORM_PRIOR,
                 self.oracle_always(1), rng,
             )
-
-
-class TestAnswerOracle:
-    def test_degenerate_accuracies(self, rng):
-        assert all(sample_answer(1.0, 1, rng) == 1 for _ in range(100))
-        assert all(sample_answer(0.0, 1, rng) == -1 for _ in range(100))
-        assert all(sample_answer(1.0, -1, rng) == -1 for _ in range(100))
-
-    def test_answer_frequency_matches_accuracy(self, rng):
-        n = 100_000
-        correct = sum(sample_answer(0.8, 1, rng) == 1 for _ in range(n))
-        # binomial 3-sigma band around 0.8
-        assert abs(correct / n - 0.8) < 3.0 * math.sqrt(0.8 * 0.2 / n) + 1e-9
-
-    def test_memo_freezes_first_draw(self, rng):
-        memo = AnswerMemo()
-        first = memo.query(3, 17, 0.5, 1, rng)
-        repeats = [memo.query(3, 17, 0.5, 1, rng) for _ in range(10)]
-        assert all(r == first for r in repeats)
-        assert len(memo) == 1
-        memo.query(4, 17, 0.5, 1, rng)
-        assert len(memo) == 2
-
-    def test_invalid_arguments(self, rng):
-        with pytest.raises(ValueError):
-            sample_answer(1.5, 1, rng)
-        with pytest.raises(ValueError):
-            sample_answer(0.5, 0, rng)
 
 
 class TestPoolSizeTracksStakes:
