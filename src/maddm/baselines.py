@@ -255,6 +255,7 @@ class EmAggregator:
         if not len(self._log):
             raise ValueError("nothing observed yet")
         ids, signs, starts = self._log.flat_arrays()
+        sizes = np.diff(starts)
         positive = signs > 0
         counts = np.bincount(ids, minlength=self.n_advisors)
         consulted = counts > 0
@@ -287,7 +288,6 @@ class EmAggregator:
                     break
             q_plus, q_minus = new_q_plus, new_q_minus
 
-            sizes = np.diff(starts)
             member_credit = np.where(
                 positive, np.repeat(q_plus, sizes), np.repeat(q_minus, sizes)
             )

@@ -14,7 +14,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from maddm.harness import (
     default_plan,
     execute_plan,
     plan_from_dict,
+    read_results_csv,
     run_method,
     significance_tests,
     summarize,
@@ -33,7 +33,6 @@ from maddm.harness import (
     write_summary_csv,
     _method_rng,
 )
-from maddm.results import RunResult
 
 
 def _load_plan(path: str | None) -> ExperimentPlan:
@@ -67,22 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    results = []
-    with Path(args.results).open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            results.append(
-                RunResult(
-                    method=row["method"],
-                    utility=float(row["utility"]),
-                    correct_count=int(row["correct_count"]),
-                    total_cost=float(row["total_cost"]),
-                    n_decisions=int(row["n_decisions"]),
-                    variant=row["variant"],
-                    environment=row["environment"],
-                    accuracy_mean=float(row["accuracy_mean"]),
-                    repetition=int(row["repetition"]),
-                )
-            )
+    results = read_results_csv(args.results)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", summarize(results))

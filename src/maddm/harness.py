@@ -14,13 +14,17 @@ cells and regenerates byte-identical CSVs.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Hashable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -133,8 +137,9 @@ class EnvironmentTemplate:
 
     @classmethod
     def named(cls, name: str) -> "EnvironmentTemplate":
-        mean, std = ENV_TEMPLATES[name]
-        return cls(name, mean, std)
+        if name not in ENV_TEMPLATES:
+            raise ValueError(f"unknown environment template {name!r}; choose from {list(ENV_TEMPLATES)}")
+        return cls(name, *ENV_TEMPLATES[name])
 
 
 @dataclass(frozen=True)
@@ -165,10 +170,6 @@ class MethodSpec:
     def label(self) -> str:
         return f"{self.method}:{self.variant}"
 
-    def baseline_config(self) -> BaselineConfig:
-        assert self.baseline is not None
-        return self.baseline
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -189,6 +190,13 @@ class ExperimentPlan:
             raise ValueError("repetitions must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
+        if self.n_decisions < 1 or self.n_advisors < 1:
+            raise ValueError("n_decisions and n_advisors must be at least 1")
+        for spec in self.methods:
+            # the advisor count each method hires per decision, where fixed
+            knob = {"fna": "fna_k", "rv": "rv_k"}.get(spec.method)
+            if knob and getattr(spec.baseline, knob) > self.n_advisors:
+                raise ValueError(f"{spec.label}: {knob} exceeds n_advisors={self.n_advisors}")
         labels = [spec.label for spec in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate method/variant entries in plan")
@@ -246,7 +254,7 @@ def run_method(
     if spec.method == "maddm":
         return run_maddm(environment, spec.maddm, rng, exploration_first=exploration_first, trace=trace)
     result = run_baseline(
-        spec.baseline_config(), spec.strategy, environment, rng,
+        spec.baseline, spec.strategy, environment, rng,
         exploration_first=exploration_first, trace=trace,
     )
     return replace(result, variant=spec.variant)
@@ -311,48 +319,38 @@ class ComparisonReport:
     tests: list[SignificanceRow]
 
     def utilities(self, environment: str, accuracy_mean: float, method: str, variant: str) -> list[float]:
-        return [
-            r.utility
-            for r in self.results
-            if r.environment == environment
-            and r.accuracy_mean == accuracy_mean
-            and r.method == method
-            and r.variant == variant
-        ]
+        key = (environment, accuracy_mean, method, variant)
+        return [r.utility for r in self.results if _summary_key(r) == key]
 
     def summary(self, environment: str, accuracy_mean: float, method: str, variant: str) -> SummaryRow:
+        key = (environment, accuracy_mean, method, variant)
         for row in self.summaries:
-            if (
-                row.environment == environment
-                and row.accuracy_mean == accuracy_mean
-                and row.method == method
-                and row.variant == variant
-            ):
+            if _summary_key(row) == key:
                 return row
-        raise KeyError((environment, accuracy_mean, method, variant))
+        raise KeyError(key)
+
+
+def _summary_key(row) -> tuple:
+    """What a summary row aggregates over; also its leading fields."""
+    return (row.environment, row.accuracy_mean, row.method, row.variant)
+
+
+def _group_by(items: Sequence, key: Callable[[object], Hashable]) -> dict[Hashable, list]:
+    """Items grouped by ``key``, groups in order of first appearance."""
+    groups: dict[Hashable, list] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def summarize(results: Sequence[RunResult]) -> list[SummaryRow]:
     """Per (environment, grid point, method, variant) moments and CIs."""
-    groups: dict[tuple, list[RunResult]] = {}
-    order: list[tuple] = []
-    for r in results:
-        key = (r.environment, r.accuracy_mean, r.method, r.variant)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
     rows = []
-    for key in order:
-        batch = groups[key]
-        utilities = [r.utility for r in batch]
-        mean, std, low, high = mean_confidence_interval(utilities)
+    for key, batch in _group_by(results, _summary_key).items():
+        mean, std, low, high = mean_confidence_interval([r.utility for r in batch])
         rows.append(
             SummaryRow(
-                environment=key[0],
-                accuracy_mean=key[1],
-                method=key[2],
-                variant=key[3],
+                *key,
                 runs=len(batch),
                 utility_mean=mean,
                 utility_std=std,
@@ -376,36 +374,25 @@ def significance_tests(
     One test per (environment, grid point, variant) where both sides are
     present; significance uses the familywise-corrected threshold.
     """
-    samples: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    for r in results:
-        key = (r.environment, r.accuracy_mean, r.variant, r.method)
-        if key not in samples:
-            samples[key] = []
-            order.append(key)
-        samples[key].append(r.utility)
     rows = []
-    seen_groups: list[tuple] = []
-    for key in order:
-        group = key[:3]
-        if group not in seen_groups:
-            seen_groups.append(group)
-    for group in seen_groups:
-        ref_key = (*group, reference)
-        if ref_key not in samples:
+    # the group key is the row's leading fields
+    groups = _group_by(results, lambda r: (r.environment, r.accuracy_mean, r.variant))
+    for key, batch in groups.items():
+        samples = {
+            method: [r.utility for r in runs]
+            for method, runs in _group_by(batch, lambda r: r.method).items()
+        }
+        ref = samples.get(reference)
+        if ref is None:
             continue
-        ref = samples[ref_key]
         for other in comparators:
-            other_key = (*group, other)
-            if other_key not in samples:
+            sample_b = samples.get(other)
+            if sample_b is None:
                 continue
-            sample_b = samples[other_key]
             u, p = mann_whitney_u(ref, sample_b)
             rows.append(
                 SignificanceRow(
-                    environment=group[0],
-                    accuracy_mean=group[1],
-                    variant=group[2],
+                    *key,
                     method_a=reference,
                     method_b=other,
                     n_a=len(ref),
@@ -426,92 +413,76 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_rows(path: Path, columns: Sequence[str], rows: Sequence) -> None:
+    """One CSV line per row, taking each column's value by attribute name."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(getattr(row, name)) for name in columns])
 
 
 def write_results_csv(path: Path, results: Sequence[RunResult]) -> None:
-    _write_csv(
-        path,
-        RESULT_COLUMNS,
-        [
-            (r.environment, r.accuracy_mean, r.repetition, r.method, r.variant,
-             r.utility, r.correct_count, r.total_cost, r.n_decisions)
-            for r in results
-        ],
-    )
+    _write_rows(path, RESULT_COLUMNS, results)
 
 
 def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:
-    _write_csv(
-        path,
-        ("environment", "accuracy_mean", "method", "variant", "runs",
-         "utility_mean", "utility_std", "utility_ci95_low", "utility_ci95_high",
-         "correct_mean", "cost_mean"),
-        [
-            (r.environment, r.accuracy_mean, r.method, r.variant, r.runs,
-             r.utility_mean, r.utility_std, r.utility_ci95_low, r.utility_ci95_high,
-             r.correct_mean, r.cost_mean)
-            for r in rows
-        ],
-    )
+    _write_rows(path, [f.name for f in fields(SummaryRow)], rows)
 
 
 def write_significance_csv(path: Path, rows: Sequence[SignificanceRow]) -> None:
-    _write_csv(
-        path,
-        ("environment", "accuracy_mean", "variant", "method_a", "method_b",
-         "n_a", "n_b", "u_statistic", "p_value", "significant"),
-        [
-            (r.environment, r.accuracy_mean, r.variant, r.method_a, r.method_b,
-             r.n_a, r.n_b, r.u_statistic, r.p_value, r.significant)
-            for r in rows
-        ],
-    )
+    _write_rows(path, [f.name for f in fields(SignificanceRow)], rows)
+
+
+def read_results_csv(path: str | Path) -> list[RunResult]:
+    """The runs of a results.csv, each column parsed as its RunResult field's type."""
+    with Path(path).open(newline="") as handle:
+        return [_load(RunResult, row) for row in csv.DictReader(handle)]
 
 
 def _cell_path(out_dir: Path, env_idx: int, grid_idx: int, rep: int) -> Path:
     return out_dir / "cells" / f"cell_{env_idx}_{grid_idx}_{rep}.json"
 
 
-#: RunResult fields a cell file stores: all but the per-decision trace.
-_CACHED_FIELDS = tuple(f.name for f in fields(RunResult) if f.name != "trace")
+def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
+    """The stamp of every cell: a hash of the plan and the cell's coordinates.
+
+    The plan enters with every field, the ones a plan file cannot set (the
+    maddm prior) included, but without its repetition count, which changes
+    no cell's world or streams: extending a plan keeps its cached cells.
+    """
+    text = json.dumps(_to_dict(plan, skip=("repetitions",)), sort_keys=True)
+    return {
+        cell: hashlib.sha256(f"{text}{list(cell)}".encode("utf-8")).hexdigest()
+        for cell in plan.cells()
+    }
 
 
-def _result_to_dict(r: RunResult) -> dict:
-    return {name: getattr(r, name) for name in _CACHED_FIELDS}
-
-
-def _result_from_dict(d: dict) -> RunResult:
-    return RunResult(**{name: d[name] for name in _CACHED_FIELDS})
-
-
-def _load_cell(path: Path, labels: Sequence[str]) -> list[RunResult] | None:
-    if not path.exists():
-        return None
+def _load_cell(path: Path, stamp: str) -> list[RunResult] | None:
+    """The cached results of a cell, if its file was written for this stamp."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    stored = {entry["label"]: entry["result"] for entry in payload.get("runs", [])}
-    if set(stored) != set(labels):
+    if payload.get("stamp") != stamp:
         return None
-    return [_result_from_dict(stored[label]) for label in labels]
+    return [_load(RunResult, entry["result"]) for entry in payload["runs"]]
 
 
-def _store_cell(path: Path, labels: Sequence[str], results: Sequence[RunResult]) -> None:
+def _store_cell(path: Path, stamp: str, labels: Sequence[str], results: Sequence[RunResult]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
+        "stamp": stamp,
         "runs": [
-            {"label": label, "result": _result_to_dict(result)}
+            # every field but the per-decision trace
+            {"label": label, "result": _to_dict(result, skip=("trace",))}
             for label, result in zip(labels, results)
-        ]
+        ],
     }
-    path.write_text(json.dumps(payload))
+    # replaced whole, so an interrupted write never leaves half a cell file
+    with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp", delete=False) as handle:
+        handle.write(json.dumps(payload))
+    os.replace(handle.name, path)
 
 
 def execute_plan(
@@ -531,41 +502,20 @@ def execute_plan(
     out.mkdir(parents=True, exist_ok=True)
     labels = [spec.label for spec in plan.methods]
     cells = plan.cells()
+    stamps = _cell_stamps(plan)
 
-    cached: dict[tuple[int, int, int], list[RunResult]] = {}
-    missing: list[tuple[int, int, int]] = []
-    for cell in cells:
-        loaded = None if force else _load_cell(_cell_path(out, *cell), labels)
-        if loaded is None:
-            missing.append(cell)
-        else:
-            cached[cell] = loaded
+    cached = {} if force else {cell: _load_cell(_cell_path(out, *cell), stamps[cell]) for cell in cells}
+    missing = [cell for cell in cells if cached.get(cell) is None]
 
-    if missing:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(run_cell, plan, *cell): cell for cell in missing
-                }
-                for future, cell in futures.items():
-                    try:
-                        results = future.result()
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"cell env={cell[0]} grid={cell[1]} rep={cell[2]} failed"
-                        ) from exc
-                    _store_cell(_cell_path(out, *cell), labels, results)
-                    cached[cell] = results
-        else:
-            for cell in missing:
-                try:
-                    results = run_cell(plan, *cell)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"cell env={cell[0]} grid={cell[1]} rep={cell[2]} failed"
-                    ) from exc
-                _store_cell(_cell_path(out, *cell), labels, results)
-                cached[cell] = results
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        futures = {cell: pool.submit(run_cell, plan, *cell) for cell in missing} if pool else {}
+        for cell in missing:
+            try:
+                results = futures[cell].result() if pool else run_cell(plan, *cell)
+            except Exception as exc:
+                raise RuntimeError(f"cell env={cell[0]} grid={cell[1]} rep={cell[2]} failed") from exc
+            _store_cell(_cell_path(out, *cell), stamps[cell], labels, results)
+            cached[cell] = results
 
     results = [r for cell in cells for r in cached[cell]]
     summaries = summarize(results)
@@ -576,105 +526,87 @@ def execute_plan(
     return ComparisonReport(results=results, summaries=summaries, tests=tests)
 
 
+def _to_dict(obj, skip: Sequence[str] = ()):
+    """A dataclass's fields, but ``skip``, as JSON values; tuples become lists."""
+    if isinstance(obj, tuple):
+        return [_to_dict(item) for item in obj]
+    if not is_dataclass(obj):
+        return obj
+    return {f.name: _to_dict(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+
+
+def _load(cls, data: dict, **given):
+    """``cls`` from a dict of its fields: a plan section, a cached result or a CSV row.
+
+    ``given`` holds the fields the caller parsed itself; they are not keys
+    of ``data``. A value of an int or float field is converted to that type.
+    A missing key takes the dataclass default; an unknown key, or a missing
+    one without a default, raises ValueError.
+    """
+    types = _field_types(cls)
+    try:
+        # numbers arrive loosely typed: 1000.0 in JSON for an int, text in a CSV
+        values = {k: types[k](v) if types.get(k) in (int, float) else v for k, v in data.items()}
+        return cls(**values, **given)
+    except TypeError as exc:  # the constructor names the offending key
+        raise ValueError(f"bad {cls.__name__} section: {exc}") from exc
+
+
+_field_types = functools.cache(get_type_hints)
+
+
 def plan_to_dict(plan: ExperimentPlan) -> dict:
+    """The plan in the declarative format :func:`plan_from_dict` reads."""
     return {
-        "base_seed": plan.base_seed,
-        "repetitions": plan.repetitions,
-        "n_decisions": plan.n_decisions,
-        "n_advisors": plan.n_advisors,
-        "environments": [
-            {"name": t.name, "value_mean": t.value_mean, "value_std": t.value_std}
-            for t in plan.environments
-        ],
-        "accuracy_means": list(plan.accuracy_means),
+        **_to_dict(plan, skip=("methods",)),
         "methods": [_method_to_dict(spec) for spec in plan.methods],
     }
 
 
 def _method_to_dict(spec: MethodSpec) -> dict:
-    d: dict = {"method": spec.method, "variant": spec.variant}
-    d["strategy"] = {
-        "kind": spec.strategy.kind,
-        "epsilon": spec.strategy.epsilon,
-        "criterion": spec.strategy.criterion,
-    }
-    if spec.baseline is not None:
-        d.update(
-            fna_k=spec.baseline.fna_k,
-            bc_budget_fraction=spec.baseline.bc_budget_fraction,
-            rv_k=spec.baseline.rv_k,
-            exploration_first_rounds=spec.baseline.exploration_first_rounds,
-        )
+    # a method entry is flat: its method config's knobs sit beside its name
     if spec.method == "maddm":
-        d["review"] = {
-            "threshold": spec.maddm.review.threshold,
-            "max_passes": spec.maddm.review.max_passes,
-            "frequency": spec.maddm.review.frequency,
-        }
-        d["exploration_first_rounds"] = spec.maddm.exploration_first_rounds
-    return d
+        knobs = _to_dict(spec.maddm, skip=("prior",))
+    else:
+        knobs = _to_dict(spec.baseline, skip=("method",))
+    return {**_to_dict(spec, skip=("baseline", "maddm")), **knobs}
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
-    if isinstance(entry, str):
-        return EnvironmentTemplate.named(entry)
-    if "value_mean" in entry:
-        return EnvironmentTemplate(entry["name"], entry["value_mean"], entry["value_std"])
-    return EnvironmentTemplate.named(entry["name"])
+    entry = {"name": entry} if isinstance(entry, str) else entry
+    if entry.keys() == {"name"}:
+        return EnvironmentTemplate.named(entry["name"])
+    return _load(EnvironmentTemplate, entry)
 
 
 def _method_from_dict(entry: dict) -> MethodSpec:
-    method = entry["method"]
-    strategy_cfg = entry.get("strategy", {})
-    strategy = StrategyConfig(
-        kind=strategy_cfg.get("kind", "epsilon_greedy"),
-        epsilon=strategy_cfg.get("epsilon", 0.1),
-        criterion=strategy_cfg.get("criterion", "cost_effectiveness"),
+    knobs = dict(entry)
+    spec = _load(
+        MethodSpec,
+        {key: knobs.pop(key) for key in ("method", "variant") if key in knobs},
+        strategy=_load(StrategyConfig, knobs.pop("strategy", {})),
     )
-    baseline = None
-    if method in ("fna", "bc", "rv", "bu"):
-        baseline = BaselineConfig(
-            method=method,
-            fna_k=entry.get("fna_k", 5),
-            bc_budget_fraction=entry.get("bc_budget_fraction", 0.10),
-            rv_k=entry.get("rv_k", 3),
-            exploration_first_rounds=entry.get("exploration_first_rounds", 10),
-        )
-    maddm_cfg = MaddmConfig()
-    if method == "maddm":
-        review_cfg = entry.get("review", {})
-        # older plan files carry the one remaining review mode explicitly
-        mode = review_cfg.get("mode", "rebuild")
-        if mode != "rebuild":
-            raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-        maddm_cfg = MaddmConfig(
-            review=ReviewConfig(
-                threshold=review_cfg.get("threshold", 1e-3),
-                max_passes=review_cfg.get("max_passes", 100),
-                frequency=review_cfg.get("frequency", 1),
-            ),
-            exploration_first_rounds=entry.get("exploration_first_rounds", 10),
-        )
-    return MethodSpec(
-        method=method,
-        variant=entry.get("variant", "standard"),
-        strategy=strategy,
-        baseline=baseline,
-        maddm=maddm_cfg,
-    )
+    if spec.method != "maddm":
+        return replace(spec, baseline=_load(BaselineConfig, knobs, method=spec.method))
+    review = dict(knobs.pop("review", {}))
+    # older plan files carry the one remaining review mode explicitly
+    mode = review.pop("mode", "rebuild")
+    if mode != "rebuild":
+        raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
+    # the prior is not part of the plan format: it keeps its default
+    maddm = _load(MaddmConfig, knobs, prior=MaddmConfig.prior, review=_load(ReviewConfig, review))
+    return replace(spec, maddm=maddm)
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Parse the declarative plan format used by config files."""
-    return ExperimentPlan(
-        environments=tuple(_template_from_entry(e) for e in data["environments"]),
-        accuracy_means=tuple(float(a) for a in data["accuracy_means"]),
-        methods=tuple(_method_from_dict(m) for m in data["methods"]),
-        repetitions=int(data.get("repetitions", 20)),
-        base_seed=int(data.get("base_seed", 0)),
-        n_decisions=int(data.get("n_decisions", 1000)),
-        n_advisors=int(data.get("n_advisors", 30)),
-    )
+    parsers = {
+        "environments": _template_from_entry,
+        "accuracy_means": float,
+        "methods": _method_from_dict,
+    }
+    given = {key: tuple(map(parse, data[key])) for key, parse in parsers.items() if key in data}
+    return _load(ExperimentPlan, {k: v for k, v in data.items() if k not in parsers}, **given)
 
 
 #: Grid used by the paper-scale sweep (50 points) and the desk default (10).
@@ -693,6 +625,4 @@ def default_plan() -> ExperimentPlan:
         environments=(EnvironmentTemplate.named("env1"), EnvironmentTemplate.named("env2")),
         accuracy_means=DESK_GRID,
         methods=tuple(methods),
-        repetitions=20,
-        base_seed=0,
     )

@@ -95,6 +95,7 @@ def _decide_all(
     ids: np.ndarray,
     signs: np.ndarray,
     starts: np.ndarray,
+    sizes: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
     prior: PriorOdds,
@@ -103,7 +104,7 @@ def _decide_all(
 
     Returns the per-decision answers and confidences under the given
     evidence arrays, from the same statistics and rule as
-    maddm.ensemble.EnsembleSums.
+    maddm.ensemble.EnsembleSums. ``sizes`` is ``np.diff(starts)``.
     """
     totals = alpha + beta
     tau = alpha / totals
@@ -116,7 +117,7 @@ def _decide_all(
     log_plus, log_minus = segment_log_likelihoods(clamped[ids], positive, starts)
     log_plus += math.log(prior.p_plus)
     log_minus += math.log(prior.p_minus)
-    theta_bar = np.add.reduceat(theta[ids], seg) / np.diff(starts)
+    theta_bar = np.add.reduceat(theta[ids], seg) / sizes
     mass_plus = np.add.reduceat(np.where(positive, member_tau, 0.0), seg)
     mass_minus = np.add.reduceat(np.where(positive, 0.0, member_tau), seg)
     p_plus = p_side(log_plus, log_minus, mass_plus, mass_minus, theta_bar)
@@ -131,13 +132,13 @@ def _rebuild_pass(
     ids: np.ndarray,
     signs: np.ndarray,
     starts: np.ndarray,
+    sizes: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
     prior: PriorOdds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass: prior + evidence from re-deciding the history."""
-    answers, confidence = _decide_all(ids, signs, starts, alpha, beta, prior)
-    sizes = np.diff(starts)
+    answers, confidence = _decide_all(ids, signs, starts, sizes, alpha, beta, prior)
     per_member_answer = np.repeat(answers, sizes)
     per_member_conf = np.repeat(confidence, sizes)
     agree = signs == per_member_answer
@@ -169,16 +170,18 @@ def review_update(
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
 
     ids, signs, starts = history.flat_arrays()
+    sizes = np.diff(starts)
     alpha = trust.alpha.copy()
     beta = trust.beta.copy()
+    tau_before = alpha / (alpha + beta)
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        tau_before = alpha / (alpha + beta)
-        alpha, beta = _rebuild_pass(ids, signs, starts, alpha, beta, prior)
+        alpha, beta = _rebuild_pass(ids, signs, starts, sizes, alpha, beta, prior)
         passes += 1
         tau_after = alpha / (alpha + beta)
         delta = float(np.abs(tau_after - tau_before).sum())
         if delta <= config.threshold:
             break
+        tau_before = tau_after
     return ReviewOutcome(trust=TrustVector(alpha, beta), passes=passes, delta_tau=delta)

@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from maddm.baselines import BaselineConfig
+from maddm.ensemble import PriorOdds
 from maddm.environment import Environment, EnvironmentConfig, ErgdParams, env_config
 from maddm.harness import (
     EnvironmentTemplate,
@@ -284,20 +291,68 @@ class TestExecutePlan:
         assert {r.method for r in report.results} == {"maddm", "fna", "rv", "bu"}
 
     def test_cell_file_in_earlier_format_is_served(self, tmp_path):
+        # result dicts in the earlier key order, under the stamp the plan's own run wrote
         plan = tiny_plan(out_methods=(MethodSpec(method="bu"),))
+        execute_plan(plan, tmp_path)
         stored = {
             "method": "bu", "variant": "standard", "environment": "env1",
             "accuracy_mean": 0.8, "repetition": 0, "utility": 1234.5,
             "correct_count": 40, "total_cost": 0.0, "n_decisions": 40,
         }
-        (tmp_path / "cells").mkdir()
         for rep in (0, 1):
-            payload = {"runs": [{"label": "bu:standard", "result": dict(stored, repetition=rep)}]}
-            (tmp_path / "cells" / f"cell_0_0_{rep}.json").write_text(json.dumps(payload))
+            path = tmp_path / "cells" / f"cell_0_0_{rep}.json"
+            stamp = json.loads(path.read_text())["stamp"]
+            payload = {"stamp": stamp,
+                       "runs": [{"label": "bu:standard", "result": dict(stored, repetition=rep)}]}
+            path.write_text(json.dumps(payload))
         report = execute_plan(plan, tmp_path)
         assert report.results == [
             RunResult(**dict(stored, repetition=rep)) for rep in (0, 1)
         ]
+
+    def test_unstamped_cell_file_is_recomputed(self, tmp_path):
+        plan = tiny_plan(out_methods=(MethodSpec(method="bu"),))
+        reference = execute_plan(plan, tmp_path / "fresh").results
+        (tmp_path / "out" / "cells").mkdir(parents=True)
+        for rep in (0, 1):
+            result = dict(vars(reference[rep]), utility=1234.5)
+            del result["trace"]
+            payload = {"runs": [{"label": "bu:standard", "result": result}]}
+            (tmp_path / "out" / "cells" / f"cell_0_0_{rep}.json").write_text(json.dumps(payload))
+        assert execute_plan(plan, tmp_path / "out").results == reference
+
+    def test_cache_is_not_served_for_another_seed(self, tmp_path):
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="maddm"),)), repetitions=1)
+        execute_plan(replace(plan, base_seed=0), tmp_path / "out")
+        rerun = execute_plan(replace(plan, base_seed=7), tmp_path / "out")
+        fresh = execute_plan(replace(plan, base_seed=7), tmp_path / "fresh")
+        assert [r.utility for r in rerun.results] == [r.utility for r in fresh.results]
+
+    @pytest.mark.parametrize("first, second", [
+        (MethodSpec(method="fna"),
+         MethodSpec(method="fna", baseline=BaselineConfig(method="fna", fna_k=2))),
+        (MethodSpec(method="maddm"),
+         MethodSpec(method="maddm", maddm=MaddmConfig(prior=PriorOdds(0.7, 0.3)))),
+    ])
+    def test_cache_is_not_served_for_another_knob(self, tmp_path, first, second):
+        execute_plan(tiny_plan(out_methods=(first,)), tmp_path / "out")
+        rerun = execute_plan(tiny_plan(out_methods=(second,)), tmp_path / "out")
+        assert rerun.results == execute_plan(tiny_plan(out_methods=(second,)), tmp_path / "fresh").results
+
+    def test_more_repetitions_recompute_only_new_cells(self, tmp_path):
+        plan = tiny_plan()
+        execute_plan(plan, tmp_path / "out")
+        cells = tmp_path / "out" / "cells"
+        before = {path.name: path.stat().st_mtime_ns for path in cells.glob("*.json")}
+        extended = replace(plan, repetitions=3)
+        execute_plan(extended, tmp_path / "out")
+        after = {path.name: path.stat().st_mtime_ns for path in cells.glob("*.json")}
+        assert {name: after[name] for name in before} == before
+        assert set(after) - set(before) == {"cell_0_0_2.json"}
+        execute_plan(extended, tmp_path / "fresh")
+        assert (tmp_path / "out" / "results.csv").read_bytes() == (
+            tmp_path / "fresh" / "results.csv"
+        ).read_bytes()
 
     def test_parallel_execution_matches_serial(self, tmp_path):
         plan = tiny_plan()
@@ -349,6 +404,60 @@ class TestPlanSerialization:
         data["methods"][0]["review"]["mode"] = "accumulate"
         with pytest.raises(ValueError, match="review mode"):
             plan_from_dict(data)
+
+    @pytest.mark.parametrize("method, knob", [("fna", "fna_k"), ("rv", "rv_k")])
+    def test_advisor_count_beyond_pool_rejected_at_load(self, method, knob):
+        data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method=method),)))
+        data["n_advisors"] = 3
+        data["methods"][0][knob] = 4
+        with pytest.raises(ValueError, match=knob):
+            plan_from_dict(data)
+
+    def test_unknown_template_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown environment template"):
+            EnvironmentTemplate.named("env3")
+
+    def test_readme_plan_loads_and_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+        plan = plan_from_dict(json.loads(block.group(1)))
+        assert plan_from_dict(plan_to_dict(plan)) == plan
+
+    @given(
+        data=st.data(),
+        n_advisors=st.integers(0, 6),
+        fna_k=st.integers(0, 7),
+        rv_k=st.integers(0, 7),
+    )
+    def test_plan_either_fails_at_load_or_runs(self, data, n_advisors, fna_k, rv_k):
+        plan = {
+            "base_seed": 1, "repetitions": 1, "n_decisions": 5, "n_advisors": n_advisors,
+            "environments": ["env1"], "accuracy_means": [0.8],
+            "methods": [
+                {"method": "maddm", "strategy": {}, "review": {"frequency": 2}},
+                {"method": "fna", "strategy": {"kind": "ucb"}, "fna_k": fna_k},
+                {"method": "rv", "rv_k": rv_k},
+            ],
+        }
+        sections = {
+            "top": plan,
+            "method": plan["methods"][1],
+            "strategy": plan["methods"][0]["strategy"],
+            "review": plan["methods"][0]["review"],
+        }
+        unknown = data.draw(st.lists(st.sampled_from(sorted(sections)), unique=True))
+        for name in unknown:
+            sections[name]["x_" + data.draw(st.text("abK_", min_size=1, max_size=4))] = 1
+        bad = bool(unknown) or not (1 <= fna_k <= n_advisors and 1 <= rv_k <= n_advisors)
+        try:
+            loaded = plan_from_dict(plan)
+        except ValueError:
+            assert bad
+            return
+        assert not bad
+        with tempfile.TemporaryDirectory() as out_dir:
+            report = execute_plan(loaded, out_dir)
+        assert len(report.results) == 3
 
     def test_duplicate_methods_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -159,7 +159,7 @@ class TestVectorizedDecisionsMatchScalar:
             expected.append((outcome.answer, outcome.confidence))
         ids, signs, starts = history.flat_arrays()
         answers_vec, confidence_vec = _decide_all(
-            ids, signs, starts, trust.alpha, trust.beta, UNIFORM_PRIOR
+            ids, signs, starts, np.diff(starts), trust.alpha, trust.beta, UNIFORM_PRIOR
         )
         for d in range(40):
             assert answers_vec[d] == expected[d][0]
