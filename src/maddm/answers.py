@@ -75,6 +75,31 @@ def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
     return out
 
 
+class _Segments:
+    """Growable flat arrays of id-sorted segments: member ids, signs, starts."""
+
+    def __init__(self) -> None:
+        self.ids = np.empty(64, dtype=np.intp)
+        self.signs = np.empty(64, dtype=np.int8)
+        self.starts = np.zeros(64, dtype=np.intp)
+        self.size = 0  # members logged
+        self.count = 0  # segments logged
+
+    def append(self, members: list[int], signs: list[int]) -> None:
+        end = self.size + len(members)
+        self.ids = _grown(self.ids, end)
+        self.signs = _grown(self.signs, end)
+        self.starts = _grown(self.starts, self.count + 2)
+        self.ids[self.size : end] = members
+        self.signs[self.size : end] = signs
+        self.size = end
+        self.count += 1
+        self.starts[self.count] = end
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.ids[: self.size], self.signs[: self.size], self.starts[: self.count + 1]
+
+
 class AnswerLog:
     """Append-only flat log of answer sets, one segment per set.
 
@@ -82,44 +107,58 @@ class AnswerLog:
     sorted inside each segment, so whole-history passes run as array
     operations instead of walking Python sets. The id-sorted layout keeps
     the likelihood sums order-identical when every answer is flipped.
+
+    Each set is also interned: a set seen for the first time is appended
+    to a second flat log of distinct sets, and every logged member records
+    the index of its distinct set. Equal sets hold the same ids and signs
+    in the same order, so a per-set result computed once per distinct set
+    is bit-identical to one computed for every logged set.
     """
 
     def __init__(self) -> None:
-        self._ids = np.empty(64, dtype=np.intp)
-        self._signs = np.empty(64, dtype=np.int8)
-        self._starts = np.zeros(64, dtype=np.intp)
-        self._size = 0  # members logged
-        self._count = 0  # segments logged
+        self._log = _Segments()
+        self._distinct = _Segments()
+        self._index: dict[AnswerSet, int] = {}
+        self._member = np.empty(64, dtype=np.intp)  # distinct index per logged member
         self.max_advisor_id = -1
 
     def __len__(self) -> int:
-        return self._count
+        return self._log.count
 
     def __getitem__(self, index: int) -> AnswerSet:
-        if not 0 <= index < self._count:
-            raise IndexError(f"segment {index} outside the log of {self._count}")
-        span = slice(self._starts[index], self._starts[index + 1])
-        ids, signs = self._ids[span], self._signs[span]
+        if not 0 <= index < self._log.count:
+            raise IndexError(f"segment {index} outside the log of {self._log.count}")
+        span = slice(self._log.starts[index], self._log.starts[index + 1])
+        ids, signs = self._log.ids[span], self._log.signs[span]
         return AnswerSet(frozenset(ids[signs > 0].tolist()), frozenset(ids[signs < 0].tolist()))
 
     def append(self, answers: AnswerSet) -> None:
         if answers.is_empty:
             raise ValueError("cannot log an empty answer set")
         members = sorted(answers.members)
-        end = self._size + len(members)
-        self._ids = _grown(self._ids, end)
-        self._signs = _grown(self._signs, end)
-        self._starts = _grown(self._starts, self._count + 2)
-        self._ids[self._size : end] = members
-        self._signs[self._size : end] = [1 if m in answers.positives else -1 for m in members]
-        self._size = end
-        self._count += 1
-        self._starts[self._count] = end
+        signs = [1 if m in answers.positives else -1 for m in members]
+        index = self._index.get(answers)
+        if index is None:
+            index = self._index[answers] = self._distinct.count
+            self._distinct.append(members, signs)
+        start = self._log.size
+        self._log.append(members, signs)
+        self._member = _grown(self._member, self._log.size)
+        self._member[start : self._log.size] = index
         self.max_advisor_id = max(self.max_advisor_id, members[-1])
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel)."""
-        return self._ids[: self._size], self._signs[: self._size], self._starts[: self._count + 1]
+        return self._log.arrays()
+
+    def distinct_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, signs, starts) of the distinct sets, plus the member index.
+
+        The first three are laid out as :meth:`flat_arrays`, one segment
+        per distinct set in order of first appearance; the member index
+        gives, for each member of :meth:`flat_arrays`, its set's segment.
+        """
+        return (*self._distinct.arrays(), self._member[: self._log.size])
 
 
 def segment_log_likelihoods(

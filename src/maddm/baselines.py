@@ -255,8 +255,12 @@ class EmAggregator:
         if not len(self._log):
             raise ValueError("nothing observed yet")
         ids, signs, starts = self._log.flat_arrays()
-        sizes = np.diff(starts)
+        d_ids, d_signs, d_starts, member = self._log.distinct_arrays()
+        # The E-step runs once per distinct answer set (equal sets get equal
+        # posteriors); the M-step credits every logged member in log order.
+        decision_set = member[starts[:-1]]
         positive = signs > 0
+        d_positive = d_signs > 0
         counts = np.bincount(ids, minlength=self.n_advisors)
         consulted = counts > 0
         log_half = math.log(0.5)
@@ -265,7 +269,7 @@ class EmAggregator:
         q_plus = q_minus = None
         objective: list[float] = []
         for _ in range(self.max_iterations):
-            log_plus, log_minus = segment_log_likelihoods(acc[ids], positive, starts)
+            log_plus, log_minus = segment_log_likelihoods(acc[d_ids], d_positive, d_starts)
             log_plus += log_half
             log_minus += log_half
             shift = np.maximum(log_plus, log_minus)
@@ -276,9 +280,11 @@ class EmAggregator:
             new_q_minus = e_minus / total
             if track_objective:
                 penalty = float(np.sum(np.log(acc[consulted]) + np.log1p(-acc[consulted])))
-                objective.append(float(np.sum(shift + np.log(total))) + penalty)
+                log_evidence = (shift + np.log(total))[decision_set]
+                objective.append(float(np.sum(log_evidence)) + penalty)
 
             if q_plus is not None:
+                # a max over the distinct sets is the max over all decisions
                 delta = max(
                     float(np.abs(new_q_plus - q_plus).max()),
                     float(np.abs(new_q_minus - q_minus).max()),
@@ -288,15 +294,13 @@ class EmAggregator:
                     break
             q_plus, q_minus = new_q_plus, new_q_minus
 
-            member_credit = np.where(
-                positive, np.repeat(q_plus, sizes), np.repeat(q_minus, sizes)
-            )
+            member_credit = np.where(positive, q_plus[member], q_minus[member])
             credit = np.bincount(ids, weights=member_credit, minlength=self.n_advisors)
             acc = np.where(consulted, (credit + 1.0) / (counts + 2.0), acc)
 
         self.accuracies = acc
-        self.posterior_plus = q_plus
-        self.posterior_minus = q_minus
+        self.posterior_plus = q_plus[decision_set]
+        self.posterior_minus = q_minus[decision_set]
         return objective
 
     def state(self) -> EmState:

@@ -135,6 +135,10 @@ class EnvironmentTemplate:
     value_mean: float
     value_std: float
 
+    def __post_init__(self) -> None:
+        # raises at load for a value distribution no cell could draw from
+        ErgdParams(self.value_mean, self.value_std, lower=0.0)
+
     @classmethod
     def named(cls, name: str) -> "EnvironmentTemplate":
         if name not in ENV_TEMPLATES:
@@ -192,6 +196,8 @@ class ExperimentPlan:
             raise ValueError("base_seed must be non-negative")
         if self.n_decisions < 1 or self.n_advisors < 1:
             raise ValueError("n_decisions and n_advisors must be at least 1")
+        if not all(math.isfinite(mean) for mean in self.accuracy_means):
+            raise ValueError("accuracy_means must be finite")
         for spec in self.methods:
             # the advisor count each method hires per decision, where fixed
             knob = {"fna": "fna_k", "rv": "rv_k"}.get(spec.method)

@@ -11,6 +11,12 @@ pass start, through the same ensemble rule as a live decision, and
 rebuilds each record as prior + that pass's evidence. Evidence mass
 stays proportional to the history length, so the loop contracts to a
 fixed point.
+
+The same trusted advisors are hired again and again, so a long history
+holds few distinct answer sets. A pass decides each distinct set once and
+reads every logged decision's answer and confidence through the log's
+member index; each advisor's evidence is still summed in log order, so
+the result is bit-identical to deciding every logged set.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ class DecisionHistory:
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel)."""
         return self._log.flat_arrays()
+
+    def distinct_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """See :meth:`maddm.answers.AnswerLog.distinct_arrays`."""
+        return self._log.distinct_arrays()
 
 
 @dataclass(frozen=True)
@@ -131,21 +141,24 @@ def _decide_all(
 def _rebuild_pass(
     ids: np.ndarray,
     signs: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
+    distinct: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     alpha: np.ndarray,
     beta: np.ndarray,
     prior: PriorOdds,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One pass: prior + evidence from re-deciding the history."""
-    answers, confidence = _decide_all(ids, signs, starts, sizes, alpha, beta, prior)
-    per_member_answer = np.repeat(answers, sizes)
-    per_member_conf = np.repeat(confidence, sizes)
-    agree = signs == per_member_answer
+    """One pass: prior + evidence from re-deciding the history.
+
+    ``ids`` and ``signs`` are the logged members; ``distinct`` is the
+    distinct sets' (ids, signs, starts, sizes) plus the member index.
+    """
+    d_ids, d_signs, d_starts, d_sizes, member = distinct
+    answers, confidence = _decide_all(d_ids, d_signs, d_starts, d_sizes, alpha, beta, prior)
     n = alpha.size
-    new_alpha = 1.0 + np.bincount(ids[agree], weights=per_member_conf[agree], minlength=n)
-    new_beta = 1.0 + np.bincount(ids[~agree], weights=per_member_conf[~agree], minlength=n)
-    return new_alpha, new_beta
+    # bin id for agreeing votes, n + id for disagreeing ones; bincount
+    # adds each bin's weights in log order, as two masked bincounts would
+    key = ids + n * (signs != answers[member])
+    evidence = np.bincount(key, weights=confidence[member], minlength=2 * n)
+    return 1.0 + evidence[:n], 1.0 + evidence[n:]
 
 
 def review_update(
@@ -169,19 +182,20 @@ def review_update(
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
 
-    ids, signs, starts = history.flat_arrays()
-    sizes = np.diff(starts)
-    alpha = trust.alpha.copy()
-    beta = trust.beta.copy()
+    ids, signs, _ = history.flat_arrays()
+    d_ids, d_signs, d_starts, member = history.distinct_arrays()
+    distinct = (d_ids, d_signs, d_starts, np.diff(d_starts), member)
+    alpha, beta = trust.alpha, trust.beta  # never written: each pass builds new arrays
     tau_before = alpha / (alpha + beta)
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta = _rebuild_pass(ids, signs, starts, sizes, alpha, beta, prior)
+        alpha, beta = _rebuild_pass(ids, signs, distinct, alpha, beta, prior)
         passes += 1
         tau_after = alpha / (alpha + beta)
         delta = float(np.abs(tau_after - tau_before).sum())
         if delta <= config.threshold:
             break
         tau_before = tau_after
-    return ReviewOutcome(trust=TrustVector(alpha, beta), passes=passes, delta_tau=delta)
+    # both arrays are 1 + bincount of confidences in [0, 1]: valid by construction
+    return ReviewOutcome(trust=TrustVector._of(alpha, beta), passes=passes, delta_tau=delta)

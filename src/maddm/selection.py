@@ -84,7 +84,7 @@ class SelectionOutcome:
 
 
 def _hypothetical_gain(
-    sampled_trust,
+    draws: np.ndarray,
     candidate_theta,
     sums: EnsembleSums,
     pe_plus: float,
@@ -94,34 +94,31 @@ def _hypothetical_gain(
 ):
     """Expected contribution of candidates with the given sampled accuracies.
 
-    Broadcasts over numpy arrays, so one call scores a whole pool sweep.
-    The candidate's sampled accuracy enters both the likelihood and the
-    vote mass; its stored uncertainty enters the mixing weight.
+    ``draws`` is a 1-d array with one sampled accuracy per candidate, and
+    ``candidate_theta`` their stored uncertainties, so one call scores a
+    whole pool sweep. The candidate's sampled accuracy enters both the
+    likelihood and the vote mass; its stored uncertainty enters the mixing
+    weight.
     """
-    tau = np.asarray(sampled_trust, dtype=np.float64)
     # Clamped everywhere it is used so a saturated draw cannot produce
-    # log(0) or an empty 0/0 vote.
-    clamped = np.clip(tau, TAU_EPS, 1.0 - TAU_EPS)
+    # log(0) or an empty 0/0 vote. Draws are finite, so this equals np.clip.
+    clamped = np.minimum(np.maximum(draws, TAU_EPS), 1.0 - TAU_EPS)
     log_tau = np.log(clamped)
     log_one_minus = np.log1p(-clamped)
     theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
     log_plus, log_minus = sums.log_joint(prior)
 
-    # Candidate joins the yes camp.
-    hyp_plus = p_side(
-        log_plus + log_tau, log_minus + log_one_minus,
-        sums.tau_pos + clamped, sums.tau_neg, theta_bar,
+    # Row 0: the candidate joins the yes camp; row 1: the no camp. Each row
+    # takes the same elementwise steps as a separate per-camp call would.
+    camp_log = np.array([[log_plus], [log_minus]])
+    camp_mass = np.array([[sums.tau_pos], [sums.tau_neg]])
+    hyp = p_side(
+        camp_log + log_tau, camp_log[::-1] + log_one_minus,
+        camp_mass + clamped, camp_mass[::-1], theta_bar,
     )
-    gain_plus = prior.p_plus * np.abs(hyp_plus - pe_plus) * value.total
-
-    # Candidate joins the no camp.
-    hyp_minus = p_side(
-        log_minus + log_tau, log_plus + log_one_minus,
-        sums.tau_neg + clamped, sums.tau_pos, theta_bar,
-    )
-    gain_minus = prior.p_minus * np.abs(hyp_minus - pe_minus) * value.total
-
-    return (2.0 * tau - 1.0) * (gain_plus + gain_minus)
+    swing = np.abs(hyp - np.array([[pe_plus], [pe_minus]]))
+    gain = np.array([[prior.p_plus], [prior.p_minus]]) * swing * value.total
+    return (2.0 * draws - 1.0) * (gain[0] + gain[1])
 
 
 def marginal_contribution(
@@ -146,9 +143,8 @@ def marginal_contribution(
     sums = EnsembleSums.of(current, trust)
     pe_plus, pe_minus = sums.probabilities(prior)
     theta_cand = uncertainty(trust[candidate.id])
-    return float(
-        _hypothetical_gain(sampled_trust, theta_cand, sums, pe_plus, pe_minus, value, prior)
-    )
+    draws = np.array([sampled_trust], dtype=np.float64)
+    return float(_hypothetical_gain(draws, theta_cand, sums, pe_plus, pe_minus, value, prior)[0])
 
 
 def select_advisors(

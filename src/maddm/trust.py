@@ -98,6 +98,18 @@ class TrustVector:
         self.beta = b
 
     @classmethod
+    def _of(cls, alpha: np.ndarray, beta: np.ndarray) -> "TrustVector":
+        """Wrap float64 arrays the caller built from valid evidence; no checks.
+
+        Only for arrays derived from a valid vector by adding non-negative
+        weights, or from ``1 + bincount`` of non-negative weights.
+        """
+        vector = cls.__new__(cls)
+        vector.alpha = alpha
+        vector.beta = beta
+        return vector
+
+    @classmethod
     def fresh(cls, n_advisors: int) -> "TrustVector":
         """All-prior vector for a pool of ``n_advisors``."""
         if n_advisors < 0:
@@ -186,4 +198,4 @@ def apply_confidence_update(
     else:
         beta[pos] += confidence
         alpha[neg] += confidence
-    return TrustVector(alpha, beta)
+    return TrustVector._of(alpha, beta)

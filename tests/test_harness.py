@@ -417,6 +417,18 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="unknown environment template"):
             EnvironmentTemplate.named("env3")
 
+    def test_negative_value_std_rejected_at_load(self):
+        data = plan_to_dict(tiny_plan())
+        data["environments"] = [{"name": "env1", "value_mean": 100.0, "value_std": -1.0}]
+        with pytest.raises(ValueError, match="std must be non-negative"):
+            plan_from_dict(data)
+
+    def test_non_finite_accuracy_mean_rejected_at_load(self):
+        data = plan_to_dict(tiny_plan())
+        data["accuracy_means"] = [0.8, float("nan")]
+        with pytest.raises(ValueError, match="accuracy_means must be finite"):
+            plan_from_dict(data)
+
     def test_readme_plan_loads_and_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerLog, AnswerSet
 from maddm.ensemble import UNIFORM_PRIOR, ensemble_decide
 from maddm.review import DecisionHistory, ReviewConfig, review_update, _decide_all
 from maddm.trust import TrustVector
@@ -48,6 +48,50 @@ class TestDecisionHistory:
         assert ids.size == 500
         assert starts.tolist() == list(range(0, 501, 5))
         assert history.entries()[-1] == (99, AnswerSet({0, 1, 2}, {3, 4}))
+
+
+class TestAnswerLogInterning:
+    def test_equal_sets_built_in_different_orders_share_one_index(self):
+        log = AnswerLog()
+        log.append(AnswerSet({3, 1}, {2}))
+        log.append(AnswerSet({0}, set()))
+        log.append(AnswerSet.from_votes([(2, -1), (3, 1), (1, 1)]))
+        ids, signs, starts, member = log.distinct_arrays()
+        assert ids.tolist() == [1, 2, 3, 0]
+        assert signs.tolist() == [1, -1, 1, 1]
+        assert starts.tolist() == [0, 3, 4]
+        assert member.tolist() == [0, 0, 0, 1, 0, 0, 0]
+
+    def test_distinct_count_and_member_index(self, rng):
+        log = AnswerLog()
+        sets = []
+        for _ in range(200):
+            members = rng.permutation(5)[: rng.integers(1, 4)]
+            split = rng.integers(0, members.size + 1)
+            sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
+            log.append(sets[-1])
+        ids, signs, starts, member = log.distinct_arrays()
+        flat_ids, flat_signs, flat_starts = log.flat_arrays()
+        assert starts.size - 1 == len(set(sets))
+        assert member.size == flat_ids.size
+        # every logged member reads its own id and sign through its distinct set
+        offset = np.arange(flat_ids.size) - np.repeat(flat_starts[:-1], np.diff(flat_starts))
+        assert np.array_equal(ids[starts[member] + offset], flat_ids)
+        assert np.array_equal(signs[starts[member] + offset], flat_signs)
+
+    def test_interning_survives_growth_beyond_initial_capacity(self):
+        log = AnswerLog()
+        sets = [AnswerSet(set(range(k % 7)), {7 + k}) for k in range(150)]
+        for answers in sets + sets[::-1]:
+            log.append(answers)
+        ids, signs, starts, member = log.distinct_arrays()
+        assert starts.size - 1 == 150
+        assert member.size == log.flat_arrays()[0].size
+        segment_index = member[log.flat_arrays()[2][:-1]]
+        assert segment_index.tolist() == list(range(150)) + list(range(149, -1, -1))
+        last = slice(starts[149], starts[150])
+        assert ids[last].tolist() == [0, 1, 156]  # sets[149] is ({0, 1}, {156})
+        assert signs[last].tolist() == [1, 1, -1]
 
 
 class TestReviewConfig:
