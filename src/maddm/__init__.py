@@ -6,7 +6,7 @@ recalibration), the comparison methods, a synthetic environment
 generator, and a paired-seed experiment harness with a CLI.
 """
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import (
     BaselineConfig,
     EmAggregator,
@@ -33,7 +33,6 @@ from maddm.environment import (
     Environment,
     EnvironmentConfig,
     ErgdParams,
-    SimulatedAdvisor,
     SimulatedDecision,
     env_config,
     ergd_sample,
@@ -53,9 +52,8 @@ from maddm.harness import (
     run_method,
 )
 from maddm.results import RunResult
-from maddm.review import DecisionHistory, ReviewConfig, ReviewOutcome, review_update
+from maddm.review import ReviewConfig, ReviewOutcome, review_update
 from maddm.selection import (
-    AdvisorOffer,
     DecisionValue,
     SelectionOutcome,
     marginal_contribution,

@@ -27,7 +27,7 @@ import numpy as np
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
 from maddm.environment import Environment
 from maddm.results import RunLedger, RunResult
-from maddm.selection import AdvisorOffer
+from maddm.selection import pool_costs
 from maddm.trust import TrustVector, apply_confidence_update
 
 _STRATEGIES = ("epsilon_greedy", "ucb", "thompson")
@@ -73,70 +73,67 @@ class BaselineConfig:
             raise ValueError("exploration-first round count must be non-negative")
 
 
-def cost_effectiveness(offer: AdvisorOffer, trust_estimate: float) -> float:
-    """Price per unit of above-chance accuracy; lower is better.
+def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """Price per unit of above-chance accuracy, per advisor; lower is better.
 
     An advisor at or below coin-flip accuracy buys nothing, so its score
     is positive infinity (never preferred).
     """
-    if trust_estimate <= 0.5:
-        return math.inf
-    return offer.cost / (trust_estimate - 0.5)
+    estimates = np.asarray(estimates, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(estimates <= 0.5, math.inf, costs / (estimates - 0.5))
 
 
-def _criterion_scores(
-    offers: Sequence[AdvisorOffer],
-    estimates: np.ndarray,
-    criterion: str,
-) -> np.ndarray:
-    """Lower-is-better hire scores for each pool position."""
+def _criterion_scores(costs: np.ndarray, estimates: np.ndarray, criterion: str) -> np.ndarray:
+    """Lower-is-better hire scores, indexed by advisor id."""
     if criterion == "trustworthiness":
-        return -np.asarray(estimates, dtype=np.float64)
-    return np.array(
-        [cost_effectiveness(offer, float(est)) for offer, est in zip(offers, estimates)]
-    )
+        return -estimates
+    return cost_effectiveness(costs, estimates)
 
 
 def _selection_order(
-    offers: Sequence[AdvisorOffer],
+    costs: np.ndarray,
     trust: TrustVector,
     strategy: StrategyConfig,
     rng: np.random.Generator,
     point_estimates: np.ndarray | None,
     decisions_elapsed: int,
 ) -> list[int]:
-    """Pool positions in hire-preference order for one decision.
+    """Advisor ids in hire-preference order for one decision.
 
     epsilon-greedy walks the criterion ranking but replaces each slot
     with a uniform pick at rate epsilon. UCB and Thompson rank once per
     decision, feeding their optimistic index or posterior draw through
     the criterion in place of the point estimate. Score ties break
-    toward the lower advisor id.
+    toward the lower advisor id (a stable sort).
     """
-    ids = np.array([offer.id for offer in offers], dtype=np.intp)
     if point_estimates is None:
-        estimates = trust.trustworthiness()[ids]
+        estimates = trust.trustworthiness()
     else:
-        estimates = np.asarray(point_estimates, dtype=np.float64)[ids]
+        estimates = np.asarray(point_estimates, dtype=np.float64)
+        if estimates.shape != costs.shape:
+            raise ValueError(
+                f"need one point estimate per advisor ({costs.size}), got shape {estimates.shape}"
+            )
 
     if strategy.kind == "ucb":
-        pulls = trust.alpha[ids] + trust.beta[ids] - 2.0
+        pulls = trust.alpha + trust.beta - 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             bonus = np.sqrt(2.0 * math.log(max(decisions_elapsed, 1)) / pulls)
         ranked_estimates = np.where(pulls > 0.0, estimates + bonus, math.inf)
-        scores = _criterion_scores(offers, ranked_estimates, strategy.criterion)
-        return list(np.lexsort((ids, scores)))
+        scores = _criterion_scores(costs, ranked_estimates, strategy.criterion)
+        return np.argsort(scores, kind="stable").tolist()
     if strategy.kind == "thompson":
-        draws = rng.beta(trust.alpha[ids], trust.beta[ids])
-        scores = _criterion_scores(offers, draws, strategy.criterion)
-        return list(np.lexsort((ids, scores)))
+        draws = rng.beta(trust.alpha, trust.beta)
+        scores = _criterion_scores(costs, draws, strategy.criterion)
+        return np.argsort(scores, kind="stable").tolist()
 
     # epsilon-greedy: precompute the greedy queue, then fill slots
-    scores = _criterion_scores(offers, estimates, strategy.criterion)
-    greedy_queue = list(np.lexsort((ids, scores)))
+    scores = _criterion_scores(costs, estimates, strategy.criterion)
+    greedy_queue = np.argsort(scores, kind="stable").tolist()
     remaining = set(greedy_queue)
     order: list[int] = []
-    for _ in range(len(offers)):
+    for _ in range(costs.size):
         if strategy.epsilon > 0.0 and rng.random() < strategy.epsilon:
             pick = sorted(remaining)[rng.integers(len(remaining))]
         else:
@@ -147,7 +144,7 @@ def _selection_order(
 
 
 def select_fixed_number(
-    pool: Sequence[AdvisorOffer],
+    costs: np.ndarray,
     trust: TrustVector,
     strategy: StrategyConfig,
     k: int,
@@ -155,15 +152,19 @@ def select_fixed_number(
     point_estimates: np.ndarray | None = None,
     decisions_elapsed: int = 0,
 ) -> list[int]:
-    """Ids of exactly ``k`` distinct advisors, in hire-preference order."""
-    if k > len(pool):
-        raise ValueError(f"cannot select {k} advisors from a pool of {len(pool)}")
-    order = _selection_order(pool, trust, strategy, rng, point_estimates, decisions_elapsed)
-    return [pool[pos].id for pos in order[:k]]
+    """Ids of exactly ``k`` distinct advisors, in hire-preference order.
+
+    ``costs`` prices each advisor by id, one entry per advisor ``trust``
+    covers.
+    """
+    costs = pool_costs(costs, trust)
+    if k > costs.size:
+        raise ValueError(f"cannot select {k} advisors from a pool of {costs.size}")
+    return _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)[:k]
 
 
 def select_budget_constrained(
-    pool: Sequence[AdvisorOffer],
+    costs: np.ndarray,
     trust: TrustVector,
     strategy: StrategyConfig,
     budget: float,
@@ -174,18 +175,20 @@ def select_budget_constrained(
     """Walk the preference order, hiring while the next pick still fits.
 
     Stops at the first advisor that would overshoot the budget; it does
-    not skip ahead to cheaper, lower-ranked candidates.
+    not skip ahead to cheaper, lower-ranked candidates. ``costs`` is as
+    in :func:`select_fixed_number`.
     """
+    costs = pool_costs(costs, trust)
     if budget < 0.0:
         raise ValueError("budget must be non-negative")
-    order = _selection_order(pool, trust, strategy, rng, point_estimates, decisions_elapsed)
+    order = _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)
     chosen: list[int] = []
     spent = 0.0
-    for pos in order:
-        cost = pool[pos].cost
+    for advisor_id in order:
+        cost = float(costs[advisor_id])
         if spent + cost > budget:
             break
-        chosen.append(pool[pos].id)
+        chosen.append(advisor_id)
         spent += cost
     return chosen
 
@@ -360,9 +363,8 @@ def run_baseline(
             ledger.record(decision, decision.truth, 0.0, (), 0, 1.0, 1.0)
         return ledger.result("bu")
 
-    offers = environment.offers()
+    costs = environment.costs
     all_ids = list(range(n_advisors))
-    costs = np.array([offer.cost for offer in offers])
     ef_rounds = config.exploration_first_rounds if exploration_first else 0
 
     trust = TrustVector.fresh(n_advisors)
@@ -375,13 +377,13 @@ def run_baseline(
             chosen = [int(i) for i in rng.choice(n_advisors, size=config.rv_k, replace=False)]
         elif config.method == "fna":
             chosen = select_fixed_number(
-                offers, trust, strategy, config.fna_k, rng,
+                costs, trust, strategy, config.fna_k, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         else:  # bc
             budget = config.bc_budget_fraction * decision.value.total
             chosen = select_budget_constrained(
-                offers, trust, strategy, budget, rng,
+                costs, trust, strategy, budget, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
 

@@ -4,8 +4,11 @@ A world is a batch of decisions with values drawn from a rectified
 Gaussian, plus an advisor pool whose hidden accuracies come from the
 same family and whose prices correlate with accuracy (better advice
 costs more, which is what makes the selection trade-off interesting).
-Ground truth is fixed to the positive answer for every decision; the
-decision methods never see it, only the scoring ledger does.
+Advisors are the ids ``0..n-1``: the pool is two float arrays indexed
+by id, hidden accuracies and prices, and the prices alone are what a
+decision method sees. Ground truth is fixed to the positive answer for
+every decision; the decision methods never see it, only the scoring
+ledger does.
 
 All randomness flows through one generator, so a seed pins the entire
 world including every advisor's answer to every decision. That is what
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from maddm.answers import AnswerSet
-from maddm.selection import AdvisorOffer, DecisionValue
+from maddm.selection import DecisionValue
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,11 @@ class ErgdParams:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def accuracy_spread(mean: float) -> ErgdParams:
+    """Advisor accuracies spread around ``mean``, clamped into [0, 1]."""
+    return ErgdParams(mean, 0.3, lower=0.0, upper=1.0)
+
+
 def ergd_sample(params: ErgdParams, rng: np.random.Generator, size: int | None = None):
     """Draw from the rectified Gaussian; scalar when ``size`` is None."""
     draws = rng.normal(params.mean, params.std, size)
@@ -68,7 +76,7 @@ class EnvironmentConfig:
     n_decisions: int = 1000
     n_advisors: int = 30
     value_params: ErgdParams = field(default=ErgdParams(100.0, 100.0, lower=0.0))
-    accuracy_params: ErgdParams = field(default=ErgdParams(0.8, 0.3, lower=0.0, upper=1.0))
+    accuracy_params: ErgdParams = field(default=accuracy_spread(0.8))
     cost_mean_factor: float = 20.0
     cost_std: float = 10.0
     seed: int = 0
@@ -102,18 +110,9 @@ def env_config(
         n_decisions=n_decisions,
         n_advisors=n_advisors,
         value_params=ErgdParams(mean, std, lower=0.0),
-        accuracy_params=ErgdParams(accuracy_mean, 0.3, lower=0.0, upper=1.0),
+        accuracy_params=accuracy_spread(accuracy_mean),
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class SimulatedAdvisor:
-    """An advisor with a hidden accuracy and an observable price."""
-
-    id: int
-    hidden_accuracy: float
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,13 @@ class SimulatedDecision:
 def generate_environment(
     config: EnvironmentConfig,
     rng: np.random.Generator | None = None,
-) -> tuple[tuple[SimulatedDecision, ...], tuple[SimulatedAdvisor, ...]]:
-    """Sample the decision batch and advisor pool.
+) -> tuple[tuple[SimulatedDecision, ...], np.ndarray, np.ndarray]:
+    """Sample the decision batch and the advisor pool.
 
-    Draw order is pinned (profits, losses, accuracies, costs) so a seeded
-    generator reproduces the world bit for bit.
+    Returns the decisions, then each advisor's hidden accuracy and price
+    as float arrays indexed by advisor id. Draw order is pinned (profits,
+    losses, accuracies, costs) so a seeded generator reproduces the world
+    bit for bit.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -145,16 +146,12 @@ def generate_environment(
         SimulatedDecision(i, DecisionValue(float(profits[i]), float(losses[i])))
         for i in range(config.n_decisions)
     )
-    advisors = tuple(
-        SimulatedAdvisor(x, float(accuracies[x]), float(costs[x]))
-        for x in range(config.n_advisors)
-    )
-    return decisions, advisors
+    return decisions, accuracies, costs
 
 
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """A fully realized world: decisions, advisors, and every answer.
+    """A fully realized world: decisions, the advisor pool, and every answer.
 
     The answer matrix is drawn up front from the same stream, one entry
     per (decision, advisor): the truth with the advisor's hidden accuracy
@@ -164,19 +161,19 @@ class Environment:
     """
 
     decisions: tuple[SimulatedDecision, ...]
-    advisors: tuple[SimulatedAdvisor, ...]
+    accuracies: np.ndarray  # float, hidden accuracy per advisor id
+    costs: np.ndarray  # float, price per advisor id
     answers: np.ndarray  # int8, shape (n_decisions, n_advisors), entries in {-1, 1}
 
     @classmethod
     def build(cls, config: EnvironmentConfig, rng: np.random.Generator | None = None) -> "Environment":
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        decisions, advisors = generate_environment(config, rng)
-        accuracies = np.array([a.hidden_accuracy for a in advisors])
+        decisions, accuracies, costs = generate_environment(config, rng)
         truths = np.array([d.truth for d in decisions], dtype=np.int8)
-        correct = rng.random((len(decisions), len(advisors))) < accuracies[None, :]
+        correct = rng.random((len(decisions), accuracies.size)) < accuracies[None, :]
         answers = np.where(correct, truths[:, None], -truths[:, None]).astype(np.int8)
-        return cls(decisions=decisions, advisors=advisors, answers=answers)
+        return cls(decisions=decisions, accuracies=accuracies, costs=costs, answers=answers)
 
     @property
     def n_decisions(self) -> int:
@@ -184,7 +181,7 @@ class Environment:
 
     @property
     def n_advisors(self) -> int:
-        return len(self.advisors)
+        return len(self.costs)
 
     def answer(self, decision_id: int, advisor_id: int) -> int:
         return int(self.answers[decision_id, advisor_id])
@@ -193,9 +190,6 @@ class Environment:
         """Per-decision answer oracle for the selection loop."""
         row = self.answers[decision_id]
         return lambda advisor_id: int(row[advisor_id])
-
-    def offers(self) -> tuple[AdvisorOffer, ...]:
-        return tuple(AdvisorOffer(a.id, a.cost) for a in self.advisors)
 
     def answer_set(self, decision_id: int, advisor_ids) -> AnswerSet:
         """Partition the given advisors by their realized answers."""
@@ -209,8 +203,10 @@ class Environment:
         return json.dumps(
             {
                 "advisors": [
-                    {"id": a.id, "hidden_accuracy": a.hidden_accuracy, "cost": a.cost}
-                    for a in self.advisors
+                    {"id": i, "hidden_accuracy": accuracy, "cost": cost}
+                    for i, (accuracy, cost) in enumerate(
+                        zip(self.accuracies.tolist(), self.costs.tolist())
+                    )
                 ],
                 "decisions": [
                     {"id": d.id, "profit": d.value.profit, "loss": d.value.loss}

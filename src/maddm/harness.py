@@ -28,11 +28,18 @@ from typing import Callable, Hashable, Sequence, get_type_hints
 
 import numpy as np
 
+from maddm.answers import AnswerLog
 from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
 from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, decide_and_update
-from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams
+from maddm.environment import (
+    ENV_TEMPLATES,
+    Environment,
+    EnvironmentConfig,
+    ErgdParams,
+    accuracy_spread,
+)
 from maddm.results import RunLedger, RunResult
-from maddm.review import DecisionHistory, ReviewConfig, review_update
+from maddm.review import ReviewConfig, review_update
 from maddm.selection import select_advisors
 from maddm.stats import mann_whitney_u, mean_confidence_interval
 from maddm.trust import TrustVector
@@ -88,23 +95,22 @@ def run_maddm(
     if rng is None:
         raise ValueError("run_maddm requires an rng")
     n_advisors = environment.n_advisors
-    offers = environment.offers()
     all_ids = list(range(n_advisors))
     ef_rounds = config.exploration_first_rounds if exploration_first else 0
 
     trust = TrustVector.fresh(n_advisors)
-    history = DecisionHistory()
+    history = AnswerLog()
     ledger = RunLedger(trace)
 
     for index, decision in enumerate(environment.decisions):
         if index < ef_rounds:
             answers = environment.answer_set(decision.id, all_ids)
-            paid = math.fsum(offer.cost for offer in offers)
+            paid = math.fsum(environment.costs)
             rounds = 0
             hired: tuple[int, ...] = tuple(all_ids)
         else:
             outcome_sel = select_advisors(
-                decision.value, offers, trust, config.prior,
+                decision.value, environment.costs, trust, config.prior,
                 environment.oracle(decision.id), rng,
             )
             answers = outcome_sel.answers
@@ -117,7 +123,7 @@ def run_maddm(
         else:
             outcome, trust = decide_and_update(answers, trust, config.prior)
             answer, confidence, p_positive = outcome.answer, outcome.confidence, outcome.p_positive
-            history.append(decision.id, answers)
+            history.append(answers)
 
         if len(history) and (index + 1) % config.review.frequency == 0:
             trust = review_update(history, trust, config.review, config.prior).trust
@@ -244,7 +250,7 @@ def build_cell_environment(
         n_decisions=plan.n_decisions,
         n_advisors=plan.n_advisors,
         value_params=ErgdParams(template.value_mean, template.value_std, lower=0.0),
-        accuracy_params=ErgdParams(plan.accuracy_means[grid_idx], 0.3, lower=0.0, upper=1.0),
+        accuracy_params=accuracy_spread(plan.accuracy_means[grid_idx]),
     )
     return Environment.build(config, _environment_rng(plan, env_idx, grid_idx, rep))
 
@@ -255,14 +261,20 @@ def run_method(
     rng: np.random.Generator,
     trace: bool = False,
 ) -> RunResult:
-    """Dispatch one method spec against a realized environment."""
+    """Dispatch one method spec against a realized environment.
+
+    The result carries the spec's variant, whichever method ran.
+    """
     exploration_first = spec.variant == "exploration_first"
     if spec.method == "maddm":
-        return run_maddm(environment, spec.maddm, rng, exploration_first=exploration_first, trace=trace)
-    result = run_baseline(
-        spec.baseline, spec.strategy, environment, rng,
-        exploration_first=exploration_first, trace=trace,
-    )
+        result = run_maddm(
+            environment, spec.maddm, rng, exploration_first=exploration_first, trace=trace
+        )
+    else:
+        result = run_baseline(
+            spec.baseline, spec.strategy, environment, rng,
+            exploration_first=exploration_first, trace=trace,
+        )
     return replace(result, variant=spec.variant)
 
 
@@ -278,7 +290,6 @@ def run_cell(plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int) -> lis
         out.append(
             replace(
                 result,
-                variant=spec.variant,
                 environment=template.name,
                 accuracy_mean=accuracy,
                 repetition=rep,

@@ -6,11 +6,12 @@ current trustworthiness yields better confidence weights, and better
 weights yield better trust. The review loop iterates that feedback until
 the trust vector stops moving.
 
-Every pass re-decides the whole history with the trust vector as of the
-pass start, through the same ensemble rule as a live decision, and
-rebuilds each record as prior + that pass's evidence. Evidence mass
-stays proportional to the history length, so the loop contracts to a
-fixed point.
+The history is the run's :class:`maddm.answers.AnswerLog`, one answer
+set per decision that hired anyone. Every pass re-decides the whole
+history with the trust vector as of the pass start, through the same
+ensemble rule as a live decision, and rebuilds each record as prior +
+that pass's evidence. Evidence mass stays proportional to the history
+length, so the loop contracts to a fixed point.
 
 The same trusted advisors are hired again and again, so a long history
 holds few distinct answer sets. A pass decides each distinct set once and
@@ -25,45 +26,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.answers import AnswerLog, segment_log_likelihoods
 from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, p_side
 from maddm.trust import TAU_EPS, TrustVector
-
-
-class DecisionHistory:
-    """Append-only log of (decision id, answer set) pairs.
-
-    The answer sets live in an :class:`AnswerLog`, so a review pass can
-    score the entire history with array operations.
-    """
-
-    def __init__(self) -> None:
-        self._log = AnswerLog()
-        self._ids: dict[int, None] = {}  # decision ids in append order
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def entries(self) -> tuple[tuple[int, AnswerSet], ...]:
-        return tuple((decision_id, self._log[k]) for k, decision_id in enumerate(self._ids))
-
-    @property
-    def max_advisor_id(self) -> int:
-        return self._log.max_advisor_id
-
-    def append(self, decision_id: int, answers: AnswerSet) -> None:
-        if decision_id in self._ids:
-            raise ValueError(f"decision {decision_id} already recorded")
-        self._log.append(answers)
-        self._ids[decision_id] = None
-
-    def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(member ids, vote signs, segment starts incl. end sentinel)."""
-        return self._log.flat_arrays()
-
-    def distinct_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """See :meth:`maddm.answers.AnswerLog.distinct_arrays`."""
-        return self._log.distinct_arrays()
 
 
 @dataclass(frozen=True)
@@ -162,7 +127,7 @@ def _rebuild_pass(
 
 
 def review_update(
-    history: DecisionHistory,
+    history: AnswerLog,
     trust: TrustVector,
     config: ReviewConfig = ReviewConfig(),
     prior: PriorOdds = UNIFORM_PRIOR,

@@ -15,15 +15,18 @@ contribute their stored trustworthiness; real decisions after hiring
 always use stored trustworthiness only. Both the running probabilities
 and the hypotheticals go through the ensemble rule of maddm.ensemble.
 
-A hired advisor's answer comes from a per-decision oracle; the
-simulated environment realises every answer up front and serves it.
+An advisor is an id into the pool's arrays: the price of advisor ``i``
+is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
+dense range ``0..n-1`` that the trust vector covers. A hired advisor's
+answer comes from a per-decision oracle; the simulated environment
+realises every answer up front and serves it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,18 +57,21 @@ class DecisionValue:
         return self.profit + self.loss
 
 
-@dataclass(frozen=True)
-class AdvisorOffer:
-    """An advisor available for hire at a fixed price."""
+def pool_costs(costs, trust: TrustVector) -> np.ndarray:
+    """``costs`` as a float array after checking it prices ``trust``'s pool.
 
-    id: int
-    cost: float
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError("advisor ids must be non-negative")
-        if not math.isfinite(self.cost) or self.cost < 0.0:
-            raise ValueError("advisor cost must be finite and non-negative")
+    Raises ValueError unless there is exactly one finite, non-negative
+    price per advisor the trust vector covers, and at least one advisor.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.shape != (len(trust),):
+        raise ValueError(f"need one cost per advisor ({len(trust)}), got shape {costs.shape}")
+    if not costs.size:
+        raise ValueError("advisor pool must be non-empty")
+    # a NaN price makes min() NaN, which fails the comparison
+    if not (costs.min() >= 0.0 and costs.max() < math.inf):
+        raise ValueError("advisor costs must be finite and non-negative")
+    return costs
 
 
 @dataclass(frozen=True)
@@ -122,34 +128,34 @@ def _hypothetical_gain(
 
 
 def marginal_contribution(
-    candidate: AdvisorOffer,
+    candidate: int,
     sampled_trust: float,
     current: AnswerSet,
     trust: TrustVector,
     value: DecisionValue,
     prior: PriorOdds = UNIFORM_PRIOR,
 ) -> float:
-    """Expected value swing if ``candidate`` joined the current answer set.
+    """Expected value swing if advisor ``candidate`` joined the current answer set.
 
     ``sampled_trust`` is the candidate's Thompson draw for this round. A
     candidate with a draw of exactly 0.5 contributes nothing; draws below
     0.5 price the contribution negative. May exceed neither
     ``value.total`` nor be meaningful for an advisor already consulted.
     """
-    if candidate.id in current.members:
-        raise ValueError(f"advisor {candidate.id} is already part of the answer set")
-    if candidate.id >= len(trust):
-        raise ValueError(f"advisor {candidate.id} is not covered by the trust vector")
+    if candidate in current.members:
+        raise ValueError(f"advisor {candidate} is already part of the answer set")
+    if not 0 <= candidate < len(trust):
+        raise ValueError(f"advisor {candidate} is not covered by the trust vector")
     sums = EnsembleSums.of(current, trust)
     pe_plus, pe_minus = sums.probabilities(prior)
-    theta_cand = uncertainty(trust[candidate.id])
+    theta_cand = uncertainty(trust[candidate])
     draws = np.array([sampled_trust], dtype=np.float64)
     return float(_hypothetical_gain(draws, theta_cand, sums, pe_plus, pe_minus, value, prior)[0])
 
 
 def select_advisors(
     value: DecisionValue,
-    pool: Sequence[AdvisorOffer],
+    costs: np.ndarray,
     trust: TrustVector,
     prior: PriorOdds = UNIFORM_PRIOR,
     oracle: AnswerOracle | None = None,
@@ -161,9 +167,9 @@ def select_advisors(
     ----------
     value : DecisionValue
         Stakes of the decision being answered.
-    pool : sequence of AdvisorOffer
-        Available advisors with their prices; ids must be unique and
-        covered by ``trust``.
+    costs : array of float
+        Price of each advisor, indexed by advisor id; one finite,
+        non-negative entry per advisor ``trust`` covers.
     trust : TrustVector
         Current evidence; supplies both the Thompson posteriors and the
         stored trustworthiness used for the realized answer set.
@@ -180,24 +186,15 @@ def select_advisors(
         Possibly-empty answer set, the exact cost paid, sweep count, and
         the hire order.
     """
-    offers = list(pool)
-    if not offers:
-        raise ValueError("advisor pool must be non-empty")
+    costs = pool_costs(costs, trust)
     if oracle is None or rng is None:
         raise ValueError("select_advisors requires an answer oracle and an rng")
-    ids = np.array([offer.id for offer in offers], dtype=np.intp)
-    if len(set(ids.tolist())) != len(offers):
-        raise ValueError("advisor pool contains duplicate ids")
-    if int(ids.max()) >= len(trust):
-        raise ValueError("pool references advisors outside the trust vector")
-    costs = np.array([offer.cost for offer in offers], dtype=np.float64)
-    alpha = trust.alpha[ids]
-    beta = trust.beta[ids]
+    alpha, beta = trust.alpha, trust.beta
     totals = alpha + beta
     stored_tau = alpha / totals
     theta = 2.0 / totals
 
-    remaining = list(range(len(offers)))
+    remaining = list(range(costs.size))  # advisor ids not hired yet
     sums = EnsembleSums()
     pe_plus, pe_minus = 0.5, 0.5
     positives: list[int] = []
@@ -217,15 +214,14 @@ def select_advisors(
         best = int(np.argmax(utilities))
         if not utilities[best] > 0.0:
             break
-        position = remaining.pop(best)
-        advisor_id = int(ids[position])
-        total_cost += float(costs[position])
+        advisor_id = remaining.pop(best)
+        total_cost += float(costs[advisor_id])
         answer = int(oracle(advisor_id))
         if answer not in (-1, 1):
             raise ValueError(f"oracle returned {answer!r} for advisor {advisor_id}")
         hired.append(advisor_id)
         (positives if answer == 1 else negatives).append(advisor_id)
-        sums.add(float(stored_tau[position]), float(theta[position]), answer)
+        sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), answer)
         pe_plus, pe_minus = sums.probabilities(prior)
 
     return SelectionOutcome(

@@ -32,7 +32,7 @@ from maddm.harness import (
     MethodSpec,
     execute_plan,
 )
-from maddm.selection import AdvisorOffer, DecisionValue, select_advisors
+from maddm.selection import DecisionValue, select_advisors
 from maddm.stats import mann_whitney_u
 from maddm.trust import TrustRecord, TrustVector, apply_confidence_update
 
@@ -240,10 +240,9 @@ def test_criterion_selection_termination_and_bound():
             costs = value.total + rng.uniform(0.01, 10.0, size=n)
         else:
             costs = rng.uniform(0.0, 30.0, size=n)
-        pool = [AdvisorOffer(i, float(costs[i])) for i in range(n)]
         row = rng.integers(0, 2, size=n) * 2 - 1
         outcome = select_advisors(
-            value, pool, trust, UNIFORM_PRIOR, lambda i: int(row[i]), rng
+            value, costs, trust, UNIFORM_PRIOR, lambda i: int(row[i]), rng
         )
         assert len(outcome.hired) <= n
         assert len(set(outcome.hired)) == len(outcome.hired)

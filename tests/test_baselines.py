@@ -18,7 +18,6 @@ from maddm.baselines import (
     select_fixed_number,
 )
 from maddm.environment import Environment, env_config
-from maddm.selection import AdvisorOffer
 from maddm.trust import TrustVector
 
 
@@ -42,18 +41,18 @@ class TestConfigs:
 
 class TestCostEffectiveness:
     def test_printed_example(self):
-        assert cost_effectiveness(AdvisorOffer(0, 10.0), 0.75) == pytest.approx(40.0)
+        assert cost_effectiveness(np.array([10.0]), np.array([0.75]))[0] == pytest.approx(40.0)
 
     def test_coin_flip_is_worthless(self):
-        assert cost_effectiveness(AdvisorOffer(0, 1.0), 0.5) == math.inf
-        assert cost_effectiveness(AdvisorOffer(0, 1.0), 0.2) == math.inf
+        scores = cost_effectiveness(np.array([1.0, 1.0]), np.array([0.5, 0.2]))
+        assert scores.tolist() == [math.inf, math.inf]
 
     def test_free_competent_advisor_is_best(self):
-        assert cost_effectiveness(AdvisorOffer(0, 0.0), 0.9) == 0.0
+        assert cost_effectiveness(np.array([0.0]), np.array([0.9]))[0] == 0.0
 
 
-def pool_of(costs: list[float]) -> list[AdvisorOffer]:
-    return [AdvisorOffer(i, c) for i, c in enumerate(costs)]
+def pool_of(costs: list[float]) -> np.ndarray:
+    return np.array(costs, dtype=np.float64)
 
 
 class TestSelectFixedNumber:
@@ -103,6 +102,15 @@ class TestSelectFixedNumber:
     def test_oversized_k_rejected(self, rng):
         with pytest.raises(ValueError):
             select_fixed_number(pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), 2, rng)
+
+    def test_point_estimates_must_cover_the_pool(self, rng):
+        # a ranking over more estimates than advisors would hire unknown ids
+        strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
+        with pytest.raises(ValueError, match="one point estimate per advisor"):
+            select_fixed_number(
+                pool_of([1.0, 1.0]), TrustVector.fresh(2), strategy, 1, rng,
+                point_estimates=np.array([0.1, 0.2, 0.9]),
+            )
 
     def test_ucb_prefers_unexplored(self, rng):
         pool = pool_of([1.0, 1.0, 1.0])
@@ -291,7 +299,7 @@ class TestRunBaseline:
             assert row["total_cost"] <= fraction * decision.value.total + 1e-9
 
     def test_exploration_first_hires_everyone_early(self, small_env):
-        full_cost = sum(a.cost for a in small_env.advisors)
+        full_cost = sum(small_env.costs)
         result = run_baseline(
             BaselineConfig(method="fna", exploration_first_rounds=10), StrategyConfig(),
             small_env, np.random.default_rng(4), exploration_first=True, trace=True,

@@ -70,16 +70,15 @@ class TestGenerateEnvironment:
 
     def test_sizes_and_bounds(self):
         config = env_config("env1", 0.6, seed=3, n_decisions=200, n_advisors=25)
-        decisions, advisors = generate_environment(config)
+        decisions, accuracies, costs = generate_environment(config)
         assert len(decisions) == 200
-        assert len(advisors) == 25
+        assert accuracies.shape == costs.shape == (25,)
         for d in decisions:
             assert d.value.profit >= 0.0
             assert d.value.loss >= 0.0
             assert d.truth == 1
-        for a in advisors:
-            assert 0.0 <= a.hidden_accuracy <= 1.0
-            assert a.cost >= 0.0
+        assert np.all((accuracies >= 0.0) & (accuracies <= 1.0))
+        assert np.all(costs >= 0.0)
 
     def test_seed_reproduces_world_exactly(self):
         config = env_config("env1", 0.8, seed=11, n_decisions=50)
@@ -97,9 +96,7 @@ class TestGenerateEnvironment:
             accuracy_params=ErgdParams(0.75, 0.3, lower=0.0, upper=1.0),
             seed=21,
         )
-        _, advisors = generate_environment(config)
-        accuracy = np.array([a.hidden_accuracy for a in advisors])
-        cost = np.array([a.cost for a in advisors])
+        _, accuracy, cost = generate_environment(config)
         assert np.corrcoef(accuracy, cost)[0, 1] > 0.2
 
     def test_invalid_config_rejected(self):

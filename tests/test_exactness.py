@@ -1,10 +1,12 @@
 """Bit-exactness of the fast paths against full-log reference formulas.
 
-The review pass and the EM E-step work once per distinct answer set, and
-the hiring round scores both camps in one stacked call. Each reference
-below is the straightforward formula over every logged set (or one call
-per camp); the fast path must equal it bit for bit, not within a
-tolerance, because results.csv is required to stay byte-identical.
+The review pass and the EM E-step work once per distinct answer set, the
+hiring round scores both camps in one stacked call, and the baselines
+score and rank the whole pool as arrays. Each reference below is the
+straightforward formula over every logged set (or one call per camp, or
+one advisor at a time); the fast path must equal it bit for bit, not
+within a tolerance, because results.csv is required to stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from maddm.answers import AnswerSet, segment_log_likelihoods
-from maddm.baselines import EmAggregator
+from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.baselines import EmAggregator, StrategyConfig, cost_effectiveness, select_fixed_number
 from maddm.ensemble import EnsembleSums, PriorOdds, p_side
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
-from maddm.review import DecisionHistory, ReviewConfig, _decide_all, review_update
+from maddm.review import ReviewConfig, _decide_all, review_update
 from maddm.selection import DecisionValue, _hypothetical_gain
 from maddm.trust import TAU_EPS, TrustVector
 
@@ -70,9 +72,9 @@ def reference_review(history, trust, config, prior):
 
 def reference_em(sets, accuracies, tol, max_iterations):
     """The EM loop with its E-step over every logged set."""
-    history = DecisionHistory()
-    for index, answers in enumerate(sets):
-        history.append(index, answers)
+    history = AnswerLog()
+    for answers in sets:
+        history.append(answers)
     ids, signs, starts = history.flat_arrays()
     sizes = np.diff(starts)
     positive = signs > 0
@@ -116,9 +118,9 @@ def reference_em(sets, accuracies, tol, max_iterations):
     max_passes=st.integers(1, 8),
 )
 def test_review_update_equals_full_log_reference(sets, alpha, beta, prior, threshold, max_passes):
-    history = DecisionHistory()
-    for index, answers in enumerate(sets):
-        history.append(index, answers)
+    history = AnswerLog()
+    for answers in sets:
+        history.append(answers)
     trust = TrustVector(alpha, beta)
     config = ReviewConfig(threshold=threshold, max_passes=max_passes)
     outcome = review_update(history, trust, config, prior)
@@ -184,33 +186,99 @@ def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, l
     assert np.array_equal(got, (2.0 * draws - 1.0) * (gain_plus + gain_minus))
 
 
-# (environment, method, variant) -> repr of (utility, total_cost), correct_count;
-# recorded from the code before answer sets were interned, 300 decisions,
-# accuracy 0.8, base_seed 0, repetition 0.
+def reference_cost_effectiveness(costs, estimates) -> np.ndarray:
+    """One advisor at a time, in plain float maths."""
+    pairs = zip(costs.tolist(), estimates.tolist())
+    return np.array([math.inf if est <= 0.5 else cost / (est - 0.5) for cost, est in pairs])
+
+
+# zero prices, coin-flip, below-chance and infinite (UCB's unexplored) estimates
+prices = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+estimates = st.one_of(
+    st.sampled_from([0.5, 0.2, 0.75, math.inf]), st.floats(0.0, 1.0), st.floats(0.5, 0.5000001)
+)
+
+
+@given(pool=st.lists(st.tuples(prices, estimates), min_size=1, max_size=12))
+def test_cost_effectiveness_equals_scalar_formula(pool):
+    costs = np.array([cost for cost, _ in pool])
+    est = np.array([e for _, e in pool])
+    assert np.array_equal(cost_effectiveness(costs, est), reference_cost_effectiveness(costs, est))
+
+
+@given(
+    pool=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([0.2, 0.5, 0.7, 0.9])),
+        min_size=1,
+        max_size=12,
+    ),
+    criterion=st.sampled_from(["trustworthiness", "cost_effectiveness"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed):
+    # tie-heavy prices and estimates, so the id tie-break decides most slots
+    costs = np.array([cost for cost, _ in pool])
+    est = np.array([e for _, e in pool])
+    n = costs.size
+    ids = np.arange(n)
+    trust = TrustVector(np.full(n, 3.0), np.full(n, 2.0))
+
+    def reference(values):
+        if criterion == "trustworthiness":
+            return np.lexsort((ids, -values)).tolist()
+        return np.lexsort((ids, reference_cost_effectiveness(costs, values))).tolist()
+
+    greedy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion=criterion)
+    rng = np.random.default_rng(seed)
+    assert select_fixed_number(costs, trust, greedy, n, rng, point_estimates=est) == reference(est)
+    # under cost effectiveness every below-chance Thompson draw scores inf, a tie
+    thompson = StrategyConfig(kind="thompson", criterion=criterion)
+    draws = np.random.default_rng(seed).beta(trust.alpha, trust.beta)
+    got = select_fixed_number(costs, trust, thompson, n, np.random.default_rng(seed))
+    assert got == reference(draws)
+
+
+# (environment, method, variant, strategy) -> repr of (utility, total_cost),
+# correct_count; recorded from the code before answer sets were interned
+# (the bc and the ucb and thompson fna entries: before the advisor pool
+# became a cost array), 300 decisions, accuracy 0.8, base_seed 0,
+# repetition 0.
 PINNED = {
-    ("env1", "maddm", "standard"): ("25783.730066846743", "8208.580059850812", 295),
-    ("env1", "maddm", "exploration_first"): ("19700.94911861245", "14291.361008085109", 295),
-    ("env2", "maddm", "standard"): ("128822.76831086726", "22226.35413234342", 293),
-    ("env2", "maddm", "exploration_first"): ("126638.73875565067", "24410.383687560003", 293),
-    ("env1", "fna", "standard"): ("22802.46239927806", "10906.794458508177", 299),
+    ("env1", "maddm", "standard", "epsilon_greedy"): ("25783.730066846743", "8208.580059850812", 295),
+    ("env1", "maddm", "exploration_first", "epsilon_greedy"): ("19700.94911861245", "14291.361008085109", 295),
+    ("env2", "maddm", "standard", "epsilon_greedy"): ("128822.76831086726", "22226.35413234342", 293),
+    ("env2", "maddm", "exploration_first", "epsilon_greedy"): ("126638.73875565067", "24410.383687560003", 293),
+    ("env1", "fna", "standard", "epsilon_greedy"): ("22802.46239927806", "10906.794458508177", 299),
+    ("env1", "bc", "standard", "epsilon_greedy"): ("26307.97164828453", "4456.250759033804", 276),
+    ("env1", "fna", "standard", "ucb"): ("26275.57145586322", "6320.8607002490235", 295),
+    ("env1", "fna", "standard", "thompson"): ("25766.075546951986", "8226.234579745573", 300),
 }
 
 
 def test_pinned_results_are_unchanged():
-    def plan(environments, methods):
-        return ExperimentPlan(
+    def run(environments, methods):
+        plan = ExperimentPlan(
             environments=tuple(EnvironmentTemplate.named(name) for name in environments),
             accuracy_means=(0.8,),
             methods=methods,
             repetitions=1,
             n_decisions=300,
         )
+        return [
+            (result, spec.strategy.kind)
+            for env_idx in range(len(environments))
+            for spec, result in zip(methods, run_cell(plan, env_idx, 0, 0))
+        ]
 
-    maddm = plan(("env1", "env2"), (MethodSpec("maddm"), MethodSpec("maddm", "exploration_first")))
-    fna = plan(("env1",), (MethodSpec("fna"),))
-    results = run_cell(maddm, 0, 0, 0) + run_cell(maddm, 1, 0, 0) + run_cell(fna, 0, 0, 0)
+    maddm = (MethodSpec("maddm"), MethodSpec("maddm", "exploration_first"))
+    results = (
+        run(("env1", "env2"), maddm)
+        + run(("env1",), (MethodSpec("fna"), MethodSpec("bc")))
+        + run(("env1",), (MethodSpec("fna", strategy=StrategyConfig(kind="ucb")),))
+        + run(("env1",), (MethodSpec("fna", strategy=StrategyConfig(kind="thompson")),))
+    )
     got = {
-        (r.environment, r.method, r.variant): (repr(r.utility), repr(r.total_cost), r.correct_count)
-        for r in results
+        (r.environment, r.method, r.variant, kind): (repr(r.utility), repr(r.total_cost), r.correct_count)
+        for r, kind in results
     }
     assert got == PINNED

@@ -13,18 +13,20 @@ from hypothesis import given, strategies as st
 
 from maddm.baselines import BaselineConfig
 from maddm.ensemble import PriorOdds
-from maddm.environment import Environment, EnvironmentConfig, ErgdParams, env_config
+from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, env_config
 from maddm.harness import (
     EnvironmentTemplate,
     ExperimentPlan,
     MaddmConfig,
     MethodSpec,
+    _environment_rng,
     build_cell_environment,
     default_plan,
     execute_plan,
     plan_from_dict,
     plan_to_dict,
     run_maddm,
+    run_method,
     significance_tests,
     summarize,
 )
@@ -108,7 +110,7 @@ class TestRunMaddm:
         env = Environment.build(env_config("env1", 0.8, seed=2, n_decisions=25))
         config = MaddmConfig(exploration_first_rounds=10)
         result = run_maddm(env, config, np.random.default_rng(3), exploration_first=True, trace=True)
-        full_cost = math.fsum(a.cost for a in env.advisors)
+        full_cost = math.fsum(env.costs)
         for row in result.trace[:10]:
             assert len(row["hired"]) == env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
@@ -190,6 +192,19 @@ class TestPairedDesign:
             for r in range(2)
         }
         assert len(set(digests.values())) == 8
+
+    @pytest.mark.parametrize("name", sorted(ENV_TEMPLATES))
+    def test_cell_world_matches_named_template_config(self, name):
+        plan = replace(tiny_plan(), environments=(EnvironmentTemplate.named(name),))
+        config = env_config(name, 0.8, n_decisions=plan.n_decisions, n_advisors=plan.n_advisors)
+        expected = Environment.build(config, _environment_rng(plan, 0, 0, 1))
+        assert build_cell_environment(plan, 0, 0, 1).digest() == expected.digest()
+
+    @pytest.mark.parametrize("method", ["maddm", "fna"])
+    def test_run_method_keeps_the_variant(self, method):
+        env = Environment.build(env_config("env1", 0.8, seed=1, n_decisions=15, n_advisors=6))
+        spec = MethodSpec(method, "exploration_first")
+        assert run_method(spec, env, np.random.default_rng(0)).variant == "exploration_first"
 
 
 class TestAggregation:

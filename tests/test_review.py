@@ -5,33 +5,30 @@ import pytest
 
 from maddm.answers import AnswerLog, AnswerSet
 from maddm.ensemble import UNIFORM_PRIOR, ensemble_decide
-from maddm.review import DecisionHistory, ReviewConfig, review_update, _decide_all
+from maddm.review import ReviewConfig, review_update, _decide_all
 from maddm.trust import TrustVector
 
 
-def history_of(*sets: AnswerSet) -> DecisionHistory:
-    history = DecisionHistory()
-    for index, answers in enumerate(sets):
-        history.append(index, answers)
+def history_of(*sets: AnswerSet) -> AnswerLog:
+    history = AnswerLog()
+    for answers in sets:
+        history.append(answers)
     return history
 
 
 class TestDecisionHistory:
+    """The run's decision history is an AnswerLog: one set per answered decision."""
+
     def test_append_and_entries(self):
         history = history_of(AnswerSet({0}, {1}), AnswerSet({2}, set()))
         assert len(history) == 2
-        assert history.entries()[0] == (0, AnswerSet({0}, {1}))
+        assert history[0] == AnswerSet({0}, {1})
         assert history.max_advisor_id == 2
 
-    def test_duplicate_ids_rejected(self):
-        history = history_of(AnswerSet({0}, set()))
-        with pytest.raises(ValueError, match="already recorded"):
-            history.append(0, AnswerSet({1}, set()))
-
     def test_empty_answer_set_rejected(self):
-        history = DecisionHistory()
+        history = AnswerLog()
         with pytest.raises(ValueError, match="empty"):
-            history.append(0, AnswerSet.empty())
+            history.append(AnswerSet.empty())
 
     def test_flat_arrays_layout(self):
         history = history_of(AnswerSet({3, 1}, {2}), AnswerSet({0}, set()))
@@ -41,13 +38,13 @@ class TestDecisionHistory:
         assert starts.tolist() == [0, 3, 4]
 
     def test_growth_beyond_initial_capacity(self):
-        history = DecisionHistory()
-        for i in range(100):
-            history.append(i, AnswerSet({0, 1, 2}, {3, 4}))
+        history = AnswerLog()
+        for _ in range(100):
+            history.append(AnswerSet({0, 1, 2}, {3, 4}))
         ids, signs, starts = history.flat_arrays()
         assert ids.size == 500
         assert starts.tolist() == list(range(0, 501, 5))
-        assert history.entries()[-1] == (99, AnswerSet({0, 1, 2}, {3, 4}))
+        assert history[99] == AnswerSet({0, 1, 2}, {3, 4})
 
 
 class TestAnswerLogInterning:
@@ -107,7 +104,7 @@ class TestReviewConfig:
 class TestReviewUpdate:
     def test_empty_history_is_a_no_op(self):
         trust = TrustVector.fresh(3)
-        outcome = review_update(DecisionHistory(), trust)
+        outcome = review_update(AnswerLog(), trust)
         assert outcome.trust is trust
         assert outcome.passes == 0
         assert outcome.delta_tau == 0.0
@@ -146,11 +143,11 @@ class TestReviewUpdate:
         history = history_of(
             AnswerSet({0, 2}, {1}), AnswerSet({1}, {0}), AnswerSet({2}, set())
         )
-        before = history.entries()
+        before = list(history)
         outcome = review_update(history, TrustVector.fresh(3))
         assert np.all(outcome.trust.alpha >= 1.0)
         assert np.all(outcome.trust.beta >= 1.0)
-        assert history.entries() == before
+        assert list(history) == before
 
     def test_unknown_advisor_rejected(self):
         history = history_of(AnswerSet({5}, set()))
@@ -192,13 +189,13 @@ class TestVectorizedDecisionsMatchScalar:
         alphas = rng.uniform(1.0, 12.0, size=n_advisors)
         betas = rng.uniform(1.0, 12.0, size=n_advisors)
         trust = TrustVector(alphas, betas)
-        history = DecisionHistory()
+        history = AnswerLog()
         expected = []
         for d in range(40):
             members = rng.permutation(n_advisors)[: rng.integers(1, 6)]
             split = rng.integers(0, members.size + 1)
             answers = AnswerSet(set(members[:split].tolist()), set(members[split:].tolist()))
-            history.append(d, answers)
+            history.append(answers)
             outcome = ensemble_decide(answers, trust, UNIFORM_PRIOR)
             expected.append((outcome.answer, outcome.confidence))
         ids, signs, starts = history.flat_arrays()

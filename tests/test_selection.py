@@ -10,12 +10,7 @@ from maddm.ensemble import UNIFORM_PRIOR, ensemble_decide
 from maddm.environment import Environment, env_config
 from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
-from maddm.selection import (
-    AdvisorOffer,
-    DecisionValue,
-    marginal_contribution,
-    select_advisors,
-)
+from maddm.selection import DecisionValue, marginal_contribution, select_advisors
 from maddm.trust import TrustRecord, TrustVector
 
 
@@ -27,11 +22,13 @@ class TestValueTypes:
             DecisionValue(1.0, math.inf)
         assert DecisionValue(30.0, 70.0).total == 100.0
 
-    def test_offer_validation(self):
-        with pytest.raises(ValueError):
-            AdvisorOffer(-1, 1.0)
-        with pytest.raises(ValueError):
-            AdvisorOffer(0, -0.5)
+    def test_offer_validation(self, rng):
+        # one finite, non-negative price per advisor the trust vector covers
+        trust = TrustVector.fresh(2)
+        for costs in ([0.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError):
+                select_advisors(DecisionValue(1, 1), np.array(costs), trust, UNIFORM_PRIOR,
+                                lambda i: 1, rng)
 
 
 class TestMarginalContribution:
@@ -39,28 +36,26 @@ class TestMarginalContribution:
         trust = TrustVector.fresh(3)
         value = DecisionValue(100.0, 100.0)
         for current in (AnswerSet.empty(), AnswerSet({1}, {2})):
-            assert marginal_contribution(AdvisorOffer(0, 5.0), 0.5, current, trust, value) == 0.0
+            assert marginal_contribution(0, 0.5, current, trust, value) == 0.0
 
     def test_fresh_candidate_on_empty_set(self):
         # single-member hypothetical vote is one-sided, so each side's swing
         # is 0.5 * |1 - 0.5| * 200 = 50 and the draw scales it by 2*0.9-1
         trust = TrustVector.fresh(1)
         value = DecisionValue(100.0, 100.0)
-        got = marginal_contribution(AdvisorOffer(0, 0.0), 0.9, AnswerSet.empty(), trust, value)
+        got = marginal_contribution(0, 0.9, AnswerSet.empty(), trust, value)
         assert got == pytest.approx(80.0, rel=1e-12)
 
     def test_low_draw_prices_negative(self):
         trust = TrustVector.fresh(1)
         value = DecisionValue(100.0, 100.0)
-        got = marginal_contribution(AdvisorOffer(0, 0.0), 0.2, AnswerSet.empty(), trust, value)
+        got = marginal_contribution(0, 0.2, AnswerSet.empty(), trust, value)
         assert got < 0.0
 
     def test_already_consulted_candidate_rejected(self):
         trust = TrustVector.fresh(2)
         with pytest.raises(ValueError, match="already part"):
-            marginal_contribution(
-                AdvisorOffer(0, 1.0), 0.7, AnswerSet({0}, set()), trust, DecisionValue(1, 1)
-            )
+            marginal_contribution(0, 0.7, AnswerSet({0}, set()), trust, DecisionValue(1, 1))
 
     def test_matches_public_ensemble_hypotheticals(self, rng):
         # Independent route: encode the candidate's sampled trust into a
@@ -104,9 +99,7 @@ class TestMarginalContribution:
             swing_minus = prior.p_minus * abs(hyp_minus - pe_minus) * value.total
             expected = (2.0 * sampled - 1.0) * (swing_plus + swing_minus)
 
-            got = marginal_contribution(
-                AdvisorOffer(candidate_id, 0.0), sampled, current, trust, value, prior
-            )
+            got = marginal_contribution(candidate_id, sampled, current, trust, value, prior)
             assert got == pytest.approx(expected, abs=1e-12 * max(1.0, value.total))
 
 
@@ -116,9 +109,9 @@ class TestSelectAdvisors:
 
     def test_unaffordable_pool_hires_nobody(self, rng):
         value = DecisionValue(50.0, 50.0)
-        pool = [AdvisorOffer(i, 101.0) for i in range(5)]
+        costs = np.full(5, 101.0)
         trust = TrustVector.fresh(5)
-        outcome = select_advisors(value, pool, trust, UNIFORM_PRIOR, self.oracle_always(1), rng)
+        outcome = select_advisors(value, costs, trust, UNIFORM_PRIOR, self.oracle_always(1), rng)
         assert outcome.answers.is_empty
         assert outcome.total_cost == 0.0
         assert outcome.hired == ()
@@ -127,9 +120,8 @@ class TestSelectAdvisors:
     def test_free_confident_advisor_is_hired(self, rng):
         # an advisor with overwhelming evidence draws near 1, clearing cost 0
         trust = TrustVector.from_records([TrustRecord(1000.0, 1.0)])
-        pool = [AdvisorOffer(0, 0.0)]
         outcome = select_advisors(
-            DecisionValue(100.0, 100.0), pool, trust, UNIFORM_PRIOR, self.oracle_always(1), rng
+            DecisionValue(100.0, 100.0), np.zeros(1), trust, UNIFORM_PRIOR, self.oracle_always(1), rng
         )
         assert outcome.hired == (0,)
         assert outcome.answers.positives == frozenset({0})
@@ -139,10 +131,9 @@ class TestSelectAdvisors:
         n = 12
         trust = TrustVector.fresh(n)
         costs = rng.uniform(0.0, 8.0, size=n)
-        pool = [AdvisorOffer(i, float(costs[i])) for i in range(n)]
         answers = {i: 1 if rng.random() < 0.7 else -1 for i in range(n)}
         outcome = select_advisors(
-            DecisionValue(200.0, 200.0), pool, trust, UNIFORM_PRIOR,
+            DecisionValue(200.0, 200.0), costs, trust, UNIFORM_PRIOR,
             lambda i: answers[i], rng,
         )
         assert len(outcome.hired) == len(set(outcome.hired))
@@ -159,28 +150,20 @@ class TestSelectAdvisors:
     def test_deterministic_under_fixed_seed(self):
         n = 10
         trust = TrustVector.fresh(n)
-        pool = [AdvisorOffer(i, 2.0 + 0.3 * i) for i in range(n)]
+        costs = 2.0 + 0.3 * np.arange(n)
         value = DecisionValue(120.0, 80.0)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
             runs.append(
-                select_advisors(value, pool, trust, UNIFORM_PRIOR, self.oracle_always(-1), rng)
+                select_advisors(value, costs, trust, UNIFORM_PRIOR, self.oracle_always(-1), rng)
             )
         assert runs[0] == runs[1]
 
     def test_empty_pool_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty"):
             select_advisors(
-                DecisionValue(1, 1), [], TrustVector.fresh(1), UNIFORM_PRIOR,
-                self.oracle_always(1), rng,
-            )
-
-    def test_duplicate_pool_ids_rejected(self, rng):
-        pool = [AdvisorOffer(0, 1.0), AdvisorOffer(0, 2.0)]
-        with pytest.raises(ValueError, match="duplicate"):
-            select_advisors(
-                DecisionValue(1, 1), pool, TrustVector.fresh(1), UNIFORM_PRIOR,
+                DecisionValue(1, 1), [], TrustVector.fresh(0), UNIFORM_PRIOR,
                 self.oracle_always(1), rng,
             )
 
