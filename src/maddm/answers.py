@@ -162,17 +162,22 @@ class AnswerLog:
 
 
 def segment_log_likelihoods(
-    member_p: np.ndarray, positive: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment log-likelihoods of the answers yes and no, prior excluded.
+    p: np.ndarray, ids: np.ndarray, positive: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Per-segment log-likelihoods of the answers yes (row 0) and no (row 1).
 
-    ``member_p`` is each logged member's probability of answering
-    correctly and ``positive`` its yes-vote mask, both in log order;
-    ``starts`` are the segment starts with the end sentinel.
+    ``p`` is each advisor's probability of answering correctly, indexed by
+    id; ``ids`` and ``positive`` are the logged members and their yes-vote
+    mask, and ``starts`` the segment starts with the end sentinel, as
+    :meth:`AnswerLog.flat_arrays` lays them out. The prior is excluded.
+
+    The logs are taken once per advisor and gathered per member. Each row
+    is summed along its contiguous last axis, so every segment adds its
+    members in the same order as a 1-d ``np.add.reduceat`` over that row.
     """
-    log_p = np.log(member_p)
-    log_q = np.log1p(-member_p)
-    seg = starts[:-1]
-    log_plus = np.add.reduceat(np.where(positive, log_p, log_q), seg)
-    log_minus = np.add.reduceat(np.where(positive, log_q, log_p), seg)
-    return log_plus, log_minus
+    table = np.empty((2, p.size))
+    np.log(p, out=table[0])
+    np.log1p(-p, out=table[1])
+    terms = table.take(ids, axis=1)
+    # a yes vote adds log p to the yes row and log(1 - p) to the no row
+    return np.add.reduceat(np.where(positive, terms, terms[::-1]), starts[:-1], axis=1)

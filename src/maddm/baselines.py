@@ -19,6 +19,7 @@ from the whole answer history, since no ground truth ever arrives.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,15 +132,22 @@ def _selection_order(
     # epsilon-greedy: precompute the greedy queue, then fill slots
     scores = _criterion_scores(costs, estimates, strategy.criterion)
     greedy_queue = np.argsort(scores, kind="stable").tolist()
-    remaining = set(greedy_queue)
+    if strategy.epsilon == 0.0:
+        return greedy_queue  # every slot takes the next greedy id and draws nothing
+    remaining = list(range(costs.size))  # ids not placed yet, ascending
+    placed = [False] * costs.size
+    head = 0  # every greedy_queue entry before head is placed
     order: list[int] = []
     for _ in range(costs.size):
-        if strategy.epsilon > 0.0 and rng.random() < strategy.epsilon:
-            pick = sorted(remaining)[rng.integers(len(remaining))]
+        if rng.random() < strategy.epsilon:
+            pick = remaining[rng.integers(len(remaining))]
         else:
-            pick = next(pos for pos in greedy_queue if pos in remaining)
+            while placed[greedy_queue[head]]:
+                head += 1
+            pick = greedy_queue[head]
         order.append(pick)
-        remaining.remove(pick)
+        placed[pick] = True
+        del remaining[bisect_left(remaining, pick)]
     return order
 
 
@@ -260,50 +268,45 @@ class EmAggregator:
         ids, signs, starts = self._log.flat_arrays()
         d_ids, d_signs, d_starts, member = self._log.distinct_arrays()
         # The E-step runs once per distinct answer set (equal sets get equal
-        # posteriors); the M-step credits every logged member in log order.
+        # posteriors), with the yes and no answers stacked as rows 0 and 1;
+        # the M-step credits every logged member in log order.
         decision_set = member[starts[:-1]]
-        positive = signs > 0
         d_positive = d_signs > 0
+        # flat index into the (2, distinct) posteriors of each member's vote
+        credit_index = member + (d_starts.size - 1) * (signs < 0)
         counts = np.bincount(ids, minlength=self.n_advisors)
         consulted = counts > 0
+        smoothed_counts = counts + 2.0
         log_half = math.log(0.5)
 
         acc = self.accuracies
-        q_plus = q_minus = None
+        q = None
         objective: list[float] = []
         for _ in range(self.max_iterations):
-            log_plus, log_minus = segment_log_likelihoods(acc[d_ids], d_positive, d_starts)
-            log_plus += log_half
-            log_minus += log_half
-            shift = np.maximum(log_plus, log_minus)
-            e_plus = np.exp(log_plus - shift)
-            e_minus = np.exp(log_minus - shift)
-            total = e_plus + e_minus
-            new_q_plus = e_plus / total
-            new_q_minus = e_minus / total
+            log_joint = segment_log_likelihoods(acc, d_ids, d_positive, d_starts)
+            log_joint += log_half
+            shift = np.maximum(log_joint[0], log_joint[1])
+            e = np.exp(log_joint - shift)
+            total = e[0] + e[1]
+            new_q = e / total
             if track_objective:
                 penalty = float(np.sum(np.log(acc[consulted]) + np.log1p(-acc[consulted])))
                 log_evidence = (shift + np.log(total))[decision_set]
                 objective.append(float(np.sum(log_evidence)) + penalty)
 
-            if q_plus is not None:
-                # a max over the distinct sets is the max over all decisions
-                delta = max(
-                    float(np.abs(new_q_plus - q_plus).max()),
-                    float(np.abs(new_q_minus - q_minus).max()),
-                )
-                if delta < self.tol:
-                    q_plus, q_minus = new_q_plus, new_q_minus
-                    break
-            q_plus, q_minus = new_q_plus, new_q_minus
+            # a max over the distinct sets and both rows is the max over all
+            # decisions of the larger of the two answers' deltas
+            converged = q is not None and float(np.abs(new_q - q).max()) < self.tol
+            q = new_q
+            if converged:
+                break
 
-            member_credit = np.where(positive, q_plus[member], q_minus[member])
-            credit = np.bincount(ids, weights=member_credit, minlength=self.n_advisors)
-            acc = np.where(consulted, (credit + 1.0) / (counts + 2.0), acc)
+            credit = np.bincount(ids, weights=q.ravel()[credit_index], minlength=self.n_advisors)
+            acc = np.where(consulted, (credit + 1.0) / smoothed_counts, acc)
 
         self.accuracies = acc
-        self.posterior_plus = q_plus[decision_set]
-        self.posterior_minus = q_minus[decision_set]
+        self.posterior_plus = q[0][decision_set]
+        self.posterior_minus = q[1][decision_set]
         return objective
 
     def state(self) -> EmState:

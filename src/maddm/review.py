@@ -89,7 +89,7 @@ def _decide_all(
     member_tau = tau[ids]
     positive = signs > 0
     seg = starts[:-1]
-    log_plus, log_minus = segment_log_likelihoods(clamped[ids], positive, starts)
+    log_plus, log_minus = segment_log_likelihoods(clamped, ids, positive, starts)
     log_plus += math.log(prior.p_plus)
     log_minus += math.log(prior.p_minus)
     theta_bar = np.add.reduceat(theta[ids], seg) / sizes

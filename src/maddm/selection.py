@@ -211,7 +211,7 @@ def select_advisors(
             draws, theta[live], sums, pe_plus, pe_minus, value, prior
         )
         utilities = contribution - costs[live]
-        best = int(np.argmax(utilities))
+        best = int(utilities.argmax())
         if not utilities[best] > 0.0:
             break
         advisor_id = remaining.pop(best)

@@ -8,9 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-# Below this combined-sample threshold (and absent ties) the exact null
-# distribution of U is used; beyond it the tie-corrected normal
-# approximation is accurate enough.
+# While the larger of the two samples is below this size (and absent ties)
+# the exact null distribution of U is used; otherwise the tie-corrected
+# normal approximation is accurate enough.
 _EXACT_LIMIT = 20
 
 

@@ -1,12 +1,14 @@
 """Bit-exactness of the fast paths against full-log reference formulas.
 
-The review pass and the EM E-step work once per distinct answer set, the
-hiring round scores both camps in one stacked call, and the baselines
-score and rank the whole pool as arrays. Each reference below is the
-straightforward formula over every logged set (or one call per camp, or
-one advisor at a time); the fast path must equal it bit for bit, not
-within a tolerance, because results.csv is required to stay
-byte-identical.
+The review pass and the EM E-step work once per distinct answer set
+through one stacked yes/no kernel, the hiring round scores both camps in
+one stacked call, and the baselines score and rank the whole pool as
+arrays. Each reference below is the straightforward formula over every
+logged set, with per-member logs and one masked sum per answer (or one
+call per camp, or one advisor at a time, or the slot-by-slot ranking
+loop); the fast path must equal it bit for bit, not within a tolerance,
+and leave the rng stream where the reference does, because results.csv
+is required to stay byte-identical.
 """
 
 from __future__ import annotations
@@ -17,33 +19,75 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
-from maddm.baselines import EmAggregator, StrategyConfig, cost_effectiveness, select_fixed_number
+from maddm.baselines import (
+    EmAggregator,
+    StrategyConfig,
+    cost_effectiveness,
+    select_budget_constrained,
+    select_fixed_number,
+)
 from maddm.ensemble import EnsembleSums, PriorOdds, p_side
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
-from maddm.review import ReviewConfig, _decide_all, review_update
+from maddm.review import ReviewConfig, review_update
 from maddm.selection import DecisionValue, _hypothetical_gain
 from maddm.trust import TAU_EPS, TrustVector
 
-N_ADVISORS = 6
+# Pools of up to 30 advisors, as in the benchmark worlds, where an
+# exploration-first round logs all 30: long segments are where the order in
+# which numpy adds a segment's members shows in the last bits.
+MAX_ADVISORS = 30
 
 
 @st.composite
-def answer_sets(draw, n_advisors: int = N_ADVISORS) -> AnswerSet:
+def answer_sets(draw, n_advisors: int) -> AnswerSet:
     members = draw(st.lists(st.integers(0, n_advisors - 1), min_size=1, max_size=n_advisors, unique=True))
     split = draw(st.integers(0, len(members)))
     return AnswerSet(frozenset(members[:split]), frozenset(members[split:]))
 
 
 @st.composite
-def histories(draw) -> list[AnswerSet]:
-    """A few distinct sets, each logged many times, in random order."""
-    pool = draw(st.lists(answer_sets(), min_size=1, max_size=5))
+def histories(draw) -> tuple[int, list[AnswerSet]]:
+    """A pool size and a few distinct sets, each logged many times, in random order."""
+    n_advisors = draw(st.integers(1, MAX_ADVISORS))
+    pool = draw(st.lists(answer_sets(n_advisors), min_size=1, max_size=5))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
-    return [pool[i] for i in picks]
+    return n_advisors, [pool[i] for i in picks]
 
 
-evidence = st.lists(st.floats(1.0, 40.0), min_size=N_ADVISORS, max_size=N_ADVISORS)
+def per_advisor(values: st.SearchStrategy, n_advisors: int) -> st.SearchStrategy:
+    return st.lists(values, min_size=n_advisors, max_size=n_advisors)
+
+
 priors = st.floats(0.05, 0.95).map(lambda p: PriorOdds(p, 1.0 - p))
+
+
+def reference_log_likelihoods(p, ids, positive, starts):
+    """Per member: log p for a vote matching the answer, log(1 - p) otherwise."""
+    log_p, log_q = np.log(p[ids]), np.log1p(-p[ids])
+    seg = starts[:-1]
+    log_plus = np.add.reduceat(np.where(positive, log_p, log_q), seg)
+    log_minus = np.add.reduceat(np.where(positive, log_q, log_p), seg)
+    return log_plus, log_minus
+
+
+def reference_decide_all(ids, signs, starts, alpha, beta, prior):
+    """The ensemble decision of every logged set, one statistic at a time."""
+    sizes = np.diff(starts)
+    seg = starts[:-1]
+    tau = alpha / (alpha + beta)
+    theta = 2.0 / (alpha + beta)
+    positive = signs > 0
+    log_plus, log_minus = reference_log_likelihoods(
+        np.clip(tau, TAU_EPS, 1.0 - TAU_EPS), ids, positive, starts
+    )
+    log_plus += math.log(prior.p_plus)
+    log_minus += math.log(prior.p_minus)
+    theta_bar = np.add.reduceat(theta[ids], seg) / sizes
+    mass_plus = np.add.reduceat(np.where(positive, tau[ids], 0.0), seg)
+    mass_minus = np.add.reduceat(np.where(positive, 0.0, tau[ids]), seg)
+    p_plus = p_side(log_plus, log_minus, mass_plus, mass_minus, theta_bar)
+    p_minus = p_side(log_minus, log_plus, mass_minus, mass_plus, theta_bar)
+    return np.where(p_plus > p_minus, 1, -1), np.abs(p_plus - p_minus)
 
 
 def reference_review(history, trust, config, prior):
@@ -54,7 +98,7 @@ def reference_review(history, trust, config, prior):
     tau_before = alpha / (alpha + beta)
     passes, delta = 0, math.inf
     while passes < config.max_passes:
-        answers, confidence = _decide_all(ids, signs, starts, sizes, alpha, beta, prior)
+        answers, confidence = reference_decide_all(ids, signs, starts, alpha, beta, prior)
         per_member_answer = np.repeat(answers, sizes)
         per_member_conf = np.repeat(confidence, sizes)
         agree = signs == per_member_answer
@@ -71,20 +115,20 @@ def reference_review(history, trust, config, prior):
 
 
 def reference_em(sets, accuracies, tol, max_iterations):
-    """The EM loop with its E-step over every logged set."""
+    """The EM loop with its E-step over every logged set, yes and no kept apart."""
     history = AnswerLog()
     for answers in sets:
         history.append(answers)
     ids, signs, starts = history.flat_arrays()
     sizes = np.diff(starts)
     positive = signs > 0
-    counts = np.bincount(ids, minlength=N_ADVISORS)
+    counts = np.bincount(ids, minlength=accuracies.size)
     consulted = counts > 0
     acc = accuracies
     q_plus = q_minus = None
     objective = []
     for _ in range(max_iterations):
-        log_plus, log_minus = segment_log_likelihoods(acc[ids], positive, starts)
+        log_plus, log_minus = reference_log_likelihoods(acc, ids, positive, starts)
         log_plus += math.log(0.5)
         log_minus += math.log(0.5)
         shift = np.maximum(log_plus, log_minus)
@@ -104,20 +148,22 @@ def reference_em(sets, accuracies, tol, max_iterations):
                 break
         q_plus, q_minus = new_q_plus, new_q_minus
         member_credit = np.where(positive, np.repeat(q_plus, sizes), np.repeat(q_minus, sizes))
-        credit = np.bincount(ids, weights=member_credit, minlength=N_ADVISORS)
+        credit = np.bincount(ids, weights=member_credit, minlength=accuracies.size)
         acc = np.where(consulted, (credit + 1.0) / (counts + 2.0), acc)
     return acc, q_plus, q_minus, objective
 
 
 @given(
-    sets=histories(),
-    alpha=evidence,
-    beta=evidence,
+    world=histories(),
+    data=st.data(),
     prior=priors,
     threshold=st.sampled_from([1e-12, 1e-3, 0.5]),
     max_passes=st.integers(1, 8),
 )
-def test_review_update_equals_full_log_reference(sets, alpha, beta, prior, threshold, max_passes):
+def test_review_update_equals_full_log_reference(world, data, prior, threshold, max_passes):
+    n_advisors, sets = world
+    alpha = data.draw(per_advisor(st.floats(1.0, 40.0), n_advisors))
+    beta = data.draw(per_advisor(st.floats(1.0, 40.0), n_advisors))
     history = AnswerLog()
     for answers in sets:
         history.append(answers)
@@ -131,24 +177,40 @@ def test_review_update_equals_full_log_reference(sets, alpha, beta, prior, thres
 
 
 @given(
-    sets=histories(),
-    accuracies=st.lists(st.floats(0.05, 0.95), min_size=N_ADVISORS, max_size=N_ADVISORS),
+    world=histories(),
+    data=st.data(),
     tol=st.sampled_from([1e-12, 1e-6, 1e-2]),
     max_iterations=st.integers(1, 30),
 )
-def test_em_infer_equals_full_log_reference(sets, accuracies, tol, max_iterations):
-    aggregator = EmAggregator(N_ADVISORS, tol=tol, max_iterations=max_iterations)
-    aggregator.accuracies = np.array(accuracies)
+def test_em_infer_equals_full_log_reference(world, data, tol, max_iterations):
+    n_advisors, sets = world
+    accuracies = np.array(data.draw(per_advisor(st.floats(0.05, 0.95), n_advisors)))
+    aggregator = EmAggregator(n_advisors, tol=tol, max_iterations=max_iterations)
+    aggregator.accuracies = accuracies
     for answers in sets:
         aggregator.observe(answers)
     objective = aggregator.infer(track_objective=True)
-    acc, q_plus, q_minus, ref_objective = reference_em(
-        sets, np.array(accuracies), tol, max_iterations
-    )
+    acc, q_plus, q_minus, ref_objective = reference_em(sets, accuracies, tol, max_iterations)
     assert np.array_equal(aggregator.accuracies, acc)
     assert np.array_equal(aggregator.posterior_plus, q_plus)
     assert np.array_equal(aggregator.posterior_minus, q_minus)
     assert objective == ref_objective
+
+
+def test_segment_kernel_sums_long_segments_like_a_1d_reduce():
+    # segments of 1 to 30 members: the stacked kernel must add each row in
+    # the order a 1-d reduce over that row does
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.01, 0.99, MAX_ADVISORS)
+    sizes = np.array([30, 1, 8, 7, 9, 16, 17, 29, 2, 30])
+    starts = np.r_[0, np.cumsum(sizes)]
+    ids = np.concatenate([np.sort(rng.permutation(MAX_ADVISORS)[:k]) for k in sizes])
+    positive = rng.random(ids.size) < 0.5
+    got = segment_log_likelihoods(p, ids, positive, starts)
+    log_plus, log_minus = reference_log_likelihoods(p, ids, positive, starts)
+    assert got.shape == (2, sizes.size)
+    assert np.array_equal(got[0], log_plus)
+    assert np.array_equal(got[1], log_minus)
 
 
 @given(
@@ -236,6 +298,62 @@ def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed):
     draws = np.random.default_rng(seed).beta(trust.alpha, trust.beta)
     got = select_fixed_number(costs, trust, thompson, n, np.random.default_rng(seed))
     assert got == reference(draws)
+
+
+def reference_epsilon_greedy(costs, estimates, strategy, rng) -> list[int]:
+    """Fill every slot: a queue scan per greedy pick, a sorted copy per epsilon pick."""
+    ids = np.arange(costs.size)
+    if strategy.criterion == "trustworthiness":
+        greedy_queue = np.lexsort((ids, -estimates)).tolist()
+    else:
+        greedy_queue = np.lexsort((ids, reference_cost_effectiveness(costs, estimates))).tolist()
+    remaining = set(greedy_queue)
+    order = []
+    for _ in range(costs.size):
+        if strategy.epsilon > 0.0 and rng.random() < strategy.epsilon:
+            pick = sorted(remaining)[rng.integers(len(remaining))]
+        else:
+            pick = next(pos for pos in greedy_queue if pos in remaining)
+        order.append(pick)
+        remaining.remove(pick)
+    return order
+
+
+@given(
+    pool=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([0.2, 0.5, 0.7, 0.9])),
+        min_size=1,
+        max_size=MAX_ADVISORS,
+    ),
+    epsilon=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    criterion=st.sampled_from(["trustworthiness", "cost_effectiveness"]),
+    k=st.integers(1, MAX_ADVISORS),
+    budget=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_epsilon_greedy_ranking_keeps_the_reference_stream(pool, epsilon, criterion, k, budget, seed):
+    # tie-heavy pools; each selection must leave the rng where the slot loop does
+    costs = np.array([cost for cost, _ in pool])
+    est = np.array([e for _, e in pool])
+    n = costs.size
+    k = min(k, n)
+    trust = TrustVector(np.full(n, 3.0), np.full(n, 2.0))
+    strategy = StrategyConfig(kind="epsilon_greedy", epsilon=epsilon, criterion=criterion)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    got = select_fixed_number(costs, trust, strategy, k, rng, point_estimates=est)
+    assert got == reference_epsilon_greedy(costs, est, strategy, ref_rng)[:k]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    got = select_budget_constrained(costs, trust, strategy, budget, rng, point_estimates=est)
+    want, spent = [], 0.0
+    for advisor_id in reference_epsilon_greedy(costs, est, strategy, ref_rng):
+        if spent + costs[advisor_id] > budget:
+            break
+        want.append(advisor_id)
+        spent += costs[advisor_id]
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # (environment, method, variant, strategy) -> repr of (utility, total_cost),
