@@ -10,10 +10,8 @@ from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import (
     BaselineConfig,
     EmAggregator,
-    EmState,
     StrategyConfig,
     cost_effectiveness,
-    em_aggregate,
     run_baseline,
     select_budget_constrained,
     select_fixed_number,
@@ -56,18 +54,9 @@ from maddm.review import ReviewConfig, ReviewOutcome, review_update
 from maddm.selection import (
     DecisionValue,
     SelectionOutcome,
-    marginal_contribution,
     select_advisors,
 )
 from maddm.stats import mann_whitney_u
-from maddm.trust import (
-    TrustRecord,
-    TrustVector,
-    apply_confidence_update,
-    new_trust_record,
-    thompson_sample,
-    trustworthiness,
-    uncertainty,
-)
+from maddm.trust import TrustVector, apply_confidence_update
 
 __version__ = "0.1.0"

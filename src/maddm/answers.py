@@ -41,19 +41,6 @@ class AnswerSet:
     def empty(cls) -> "AnswerSet":
         return cls(frozenset(), frozenset())
 
-    @classmethod
-    def from_votes(cls, votes: Iterable[tuple[int, int]]) -> "AnswerSet":
-        """Build from (advisor_id, answer) pairs with answers in {-1, 1}."""
-        pos, neg = set(), set()
-        for advisor_id, answer in votes:
-            if answer == 1:
-                pos.add(advisor_id)
-            elif answer == -1:
-                neg.add(advisor_id)
-            else:
-                raise ValueError(f"answers must be -1 or 1, got {answer!r}")
-        return cls(frozenset(pos), frozenset(neg))
-
     @property
     def members(self) -> frozenset[int]:
         return self.positives | self.negatives

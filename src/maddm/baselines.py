@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -187,8 +186,8 @@ def select_budget_constrained(
     in :func:`select_fixed_number`.
     """
     costs = pool_costs(costs, trust)
-    if budget < 0.0:
-        raise ValueError("budget must be non-negative")
+    if not budget >= 0.0:  # NaN fails this too
+        raise ValueError(f"budget must be non-negative, got {budget!r}")
     order = _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)
     chosen: list[int] = []
     spent = 0.0
@@ -199,14 +198,6 @@ def select_budget_constrained(
         chosen.append(advisor_id)
         spent += cost
     return chosen
-
-
-@dataclass
-class EmState:
-    """Converged EM beliefs: advisor accuracies and decision posteriors."""
-
-    accuracies: np.ndarray
-    posteriors: np.ndarray  # per observed decision: probability the answer is yes
 
 
 class EmAggregator:
@@ -308,38 +299,6 @@ class EmAggregator:
         self.posterior_plus = q[0][decision_set]
         self.posterior_minus = q[1][decision_set]
         return objective
-
-    def state(self) -> EmState:
-        return EmState(accuracies=self.accuracies.copy(), posteriors=self.posterior_plus.copy())
-
-
-def em_aggregate(
-    answer_sets: Sequence[AnswerSet],
-    n_advisors: int,
-    init: EmState | None = None,
-    tol: float = 1e-6,
-    max_iterations: int = 100,
-) -> EmState:
-    """One-shot EM over a batch of answer sets."""
-    aggregator = EmAggregator(n_advisors, tol=tol, max_iterations=max_iterations)
-    if init is not None:
-        accuracies = np.array(init.accuracies, dtype=np.float64)
-        if accuracies.shape != (n_advisors,):
-            raise ValueError(
-                f"init needs one accuracy per advisor ({n_advisors}), got shape {accuracies.shape}"
-            )
-        if not np.all((accuracies > 0.0) & (accuracies < 1.0)):
-            raise ValueError("init accuracies must lie strictly inside (0, 1)")
-        aggregator.accuracies = accuracies
-    observed = 0
-    for answers in answer_sets:
-        if not answers.is_empty:
-            aggregator.observe(answers)
-            observed += 1
-    if observed == 0:
-        raise ValueError("need at least one decision with at least one answer")
-    aggregator.infer()
-    return aggregator.state()
 
 
 def run_baseline(

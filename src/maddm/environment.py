@@ -183,9 +183,6 @@ class Environment:
     def n_advisors(self) -> int:
         return len(self.costs)
 
-    def answer(self, decision_id: int, advisor_id: int) -> int:
-        return int(self.answers[decision_id, advisor_id])
-
     def oracle(self, decision_id: int) -> Callable[[int], int]:
         """Per-decision answer oracle for the selection loop."""
         row = self.answers[decision_id]

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 
 from maddm.answers import AnswerLog
 from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
-from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, decide_and_update
+from maddm.ensemble import decide_and_update
 from maddm.environment import (
     ENV_TEMPLATES,
     Environment,
@@ -68,7 +67,6 @@ RESULT_COLUMNS = (
 class MaddmConfig:
     """Configuration of the adaptive method's decision loop."""
 
-    prior: PriorOdds = UNIFORM_PRIOR
     review: ReviewConfig = field(default_factory=ReviewConfig)
     exploration_first_rounds: int = 10
 
@@ -110,8 +108,8 @@ def run_maddm(
             hired: tuple[int, ...] = tuple(all_ids)
         else:
             outcome_sel = select_advisors(
-                decision.value, environment.costs, trust, config.prior,
-                environment.oracle(decision.id), rng,
+                decision.value, environment.costs, trust,
+                oracle=environment.oracle(decision.id), rng=rng,
             )
             answers = outcome_sel.answers
             paid = outcome_sel.total_cost
@@ -121,12 +119,12 @@ def run_maddm(
         if answers.is_empty:
             answer, confidence, p_positive = -1, 0.0, 0.5
         else:
-            outcome, trust = decide_and_update(answers, trust, config.prior)
+            outcome, trust = decide_and_update(answers, trust)
             answer, confidence, p_positive = outcome.answer, outcome.confidence, outcome.p_positive
             history.append(answers)
 
         if len(history) and (index + 1) % config.review.frequency == 0:
-            trust = review_update(history, trust, config.review, config.prior).trust
+            trust = review_update(history, trust, config.review).trust
 
         ledger.record(decision, answer, paid, hired, rounds, p_positive, confidence)
 
@@ -464,9 +462,9 @@ def _cell_path(out_dir: Path, env_idx: int, grid_idx: int, rep: int) -> Path:
 def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
     """The stamp of every cell: a hash of the plan and the cell's coordinates.
 
-    The plan enters with every field, the ones a plan file cannot set (the
-    maddm prior) included, but without its repetition count, which changes
-    no cell's world or streams: extending a plan keeps its cached cells.
+    The plan enters with every field but its repetition count, which
+    changes no cell's world or streams: extending a plan keeps its cached
+    cells.
     """
     text = json.dumps(_to_dict(plan, skip=("repetitions",)), sort_keys=True)
     return {
@@ -524,7 +522,13 @@ def execute_plan(
     cached = {} if force else {cell: _load_cell(_cell_path(out, *cell), stamps[cell]) for cell in cells}
     missing = [cell for cell in cells if cached.get(cell) is None]
 
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    pool_context = nullcontext()
+    if jobs > 1:
+        # imported only here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(max_workers=jobs)
+    with pool_context as pool:
         futures = {cell: pool.submit(run_cell, plan, *cell) for cell in missing} if pool else {}
         for cell in missing:
             try:
@@ -557,16 +561,31 @@ def _load(cls, data: dict, **given):
 
     ``given`` holds the fields the caller parsed itself; they are not keys
     of ``data``. A value of an int or float field is converted to that type.
-    A missing key takes the dataclass default; an unknown key, or a missing
-    one without a default, raises ValueError.
+    A missing key takes the dataclass default; an unknown key, a missing
+    one without a default, or a number :func:`_number` rejects raises
+    ValueError.
     """
     types = _field_types(cls)
     try:
-        # numbers arrive loosely typed: 1000.0 in JSON for an int, text in a CSV
-        values = {k: types[k](v) if types.get(k) in (int, float) else v for k, v in data.items()}
+        values = {
+            k: _number(types[k], v, k) if types.get(k) in (int, float) else v
+            for k, v in data.items()
+        }
         return cls(**values, **given)
     except TypeError as exc:  # the constructor names the offending key
         raise ValueError(f"bad {cls.__name__} section: {exc}") from exc
+
+
+def _number(kind: type, value, key: str):
+    """``value`` as ``kind`` (int or float), for the field ``key``.
+
+    Numbers arrive loosely typed: 1000.0 in JSON for an int, text in a
+    CSV. A bool, or a float with a fraction for an int, raises ValueError
+    rather than being cast to 1 or truncated.
+    """
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 _field_types = functools.cache(get_type_hints)
@@ -582,11 +601,8 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 def _method_to_dict(spec: MethodSpec) -> dict:
     # a method entry is flat: its method config's knobs sit beside its name
-    if spec.method == "maddm":
-        knobs = _to_dict(spec.maddm, skip=("prior",))
-    else:
-        knobs = _to_dict(spec.baseline, skip=("method",))
-    return {**_to_dict(spec, skip=("baseline", "maddm")), **knobs}
+    config = spec.maddm if spec.method == "maddm" else spec.baseline
+    return {**_to_dict(spec, skip=("baseline", "maddm")), **_to_dict(config, skip=("method",))}
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
@@ -610,8 +626,7 @@ def _method_from_dict(entry: dict) -> MethodSpec:
     mode = review.pop("mode", "rebuild")
     if mode != "rebuild":
         raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-    # the prior is not part of the plan format: it keeps its default
-    maddm = _load(MaddmConfig, knobs, prior=MaddmConfig.prior, review=_load(ReviewConfig, review))
+    maddm = _load(MaddmConfig, knobs, review=_load(ReviewConfig, review))
     return replace(spec, maddm=maddm)
 
 
@@ -619,7 +634,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     """Parse the declarative plan format used by config files."""
     parsers = {
         "environments": _template_from_entry,
-        "accuracy_means": float,
+        "accuracy_means": lambda mean: _number(float, mean, "accuracy_means"),
         "methods": _method_from_dict,
     }
     given = {key: tuple(map(parse, data[key])) for key, parse in parsers.items() if key in data}

@@ -55,15 +55,11 @@ class ReviewConfig:
 
 @dataclass(frozen=True)
 class ReviewOutcome:
-    """Recalibrated trust plus the loop's stopping diagnostics."""
+    """Recalibrated trust plus how the review loop stopped."""
 
     trust: TrustVector
     passes: int
     delta_tau: float
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"passes_used": self.passes, "final_delta_tau": self.delta_tau}
 
 
 def _decide_all(

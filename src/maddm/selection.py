@@ -32,7 +32,7 @@ import numpy as np
 
 from maddm.answers import AnswerSet
 from maddm.ensemble import UNIFORM_PRIOR, EnsembleSums, PriorOdds, p_side
-from maddm.trust import TAU_EPS, TrustVector, uncertainty
+from maddm.trust import TAU_EPS, TrustVector
 
 # Per-decision oracle: advisor id -> answer in {-1, 1}. The answer is only
 # requested once the advisor has been hired.
@@ -125,32 +125,6 @@ def _hypothetical_gain(
     swing = np.abs(hyp - np.array([[pe_plus], [pe_minus]]))
     gain = np.array([[prior.p_plus], [prior.p_minus]]) * swing * value.total
     return (2.0 * draws - 1.0) * (gain[0] + gain[1])
-
-
-def marginal_contribution(
-    candidate: int,
-    sampled_trust: float,
-    current: AnswerSet,
-    trust: TrustVector,
-    value: DecisionValue,
-    prior: PriorOdds = UNIFORM_PRIOR,
-) -> float:
-    """Expected value swing if advisor ``candidate`` joined the current answer set.
-
-    ``sampled_trust`` is the candidate's Thompson draw for this round. A
-    candidate with a draw of exactly 0.5 contributes nothing; draws below
-    0.5 price the contribution negative. May exceed neither
-    ``value.total`` nor be meaningful for an advisor already consulted.
-    """
-    if candidate in current.members:
-        raise ValueError(f"advisor {candidate} is already part of the answer set")
-    if not 0 <= candidate < len(trust):
-        raise ValueError(f"advisor {candidate} is not covered by the trust vector")
-    sums = EnsembleSums.of(current, trust)
-    pe_plus, pe_minus = sums.probabilities(prior)
-    theta_cand = uncertainty(trust[candidate])
-    draws = np.array([sampled_trust], dtype=np.float64)
-    return float(_hypothetical_gain(draws, theta_cand, sums, pe_plus, pe_minus, value, prior)[0])
 
 
 def select_advisors(

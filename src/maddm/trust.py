@@ -18,10 +18,7 @@ Derived quantities:
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,43 +33,6 @@ TAU_EPS = 1e-9
 def clamp_trust(tau: float) -> float:
     """Clamp a trust value into [TAU_EPS, 1 - TAU_EPS] for likelihood use."""
     return min(max(tau, TAU_EPS), 1.0 - TAU_EPS)
-
-
-@dataclass(frozen=True)
-class TrustRecord:
-    """Accumulated correctness evidence about a single advisor."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("evidence counts must be finite")
-        if self.alpha < 1.0 or self.beta < 1.0:
-            raise ValueError(
-                f"evidence counts sit on top of the Beta(1, 1) prior; "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
-
-
-def new_trust_record() -> TrustRecord:
-    """Prior record for an advisor nothing is known about."""
-    return TrustRecord(1.0, 1.0)
-
-
-def trustworthiness(record: TrustRecord) -> float:
-    """Point estimate of the advisor's accuracy, strictly inside (0, 1)."""
-    return record.alpha / (record.alpha + record.beta)
-
-
-def uncertainty(record: TrustRecord) -> float:
-    """Epistemic uncertainty in (0, 1]; strictly decreasing in total evidence."""
-    return 2.0 / (record.alpha + record.beta)
-
-
-def thompson_sample(record: TrustRecord, rng: np.random.Generator) -> float:
-    """One plausible accuracy drawn from the record's Beta posterior."""
-    return float(rng.beta(record.alpha, record.beta))
 
 
 class TrustVector:
@@ -116,16 +76,8 @@ class TrustVector:
             raise ValueError("pool size must be non-negative")
         return cls(np.ones(n_advisors), np.ones(n_advisors))
 
-    @classmethod
-    def from_records(cls, records: Iterable[TrustRecord]) -> "TrustVector":
-        recs = list(records)
-        return cls([r.alpha for r in recs], [r.beta for r in recs])
-
     def __len__(self) -> int:
         return int(self.alpha.size)
-
-    def __getitem__(self, advisor_id: int) -> TrustRecord:
-        return TrustRecord(float(self.alpha[advisor_id]), float(self.beta[advisor_id]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrustVector):
@@ -134,9 +86,6 @@ class TrustVector:
 
     def __repr__(self) -> str:
         return f"TrustVector(n={len(self)})"
-
-    def records(self) -> tuple[TrustRecord, ...]:
-        return tuple(self[i] for i in range(len(self)))
 
     def trustworthiness(self) -> np.ndarray:
         """Per-advisor accuracy point estimates."""
@@ -155,20 +104,6 @@ class TrustVector:
                 f"answer set references unknown advisor ids {sorted(unknown)}; "
                 f"trust vector covers [0, {n})"
             )
-
-    def copy(self) -> "TrustVector":
-        return TrustVector(self.alpha.copy(), self.beta.copy())
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of {"alpha": ..., "beta": ...} rows."""
-        return json.dumps(
-            [{"alpha": float(a), "beta": float(b)} for a, b in zip(self.alpha, self.beta)]
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrustVector":
-        rows = json.loads(text)
-        return cls([r["alpha"] for r in rows], [r["beta"] for r in rows])
 
 
 def apply_confidence_update(

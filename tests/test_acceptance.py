@@ -34,7 +34,7 @@ from maddm.harness import (
 )
 from maddm.selection import DecisionValue, select_advisors
 from maddm.stats import mann_whitney_u
-from maddm.trust import TrustRecord, TrustVector, apply_confidence_update
+from maddm.trust import TrustVector, apply_confidence_update
 
 JOBS = min(2, os.cpu_count() or 1)
 
@@ -162,11 +162,10 @@ def test_criterion_unit_oracle_suite():
             for bits in range(2**size)
         ]
         for tau_numerators in itertools.product(tau_over_20, repeat=size):
-            records = [
-                TrustRecord(t / 20 * m, m - t / 20 * m)
-                for t, m in zip(tau_numerators, masses)
-            ]
-            trust = TrustVector.from_records(records)
+            trust = TrustVector(
+                [t / 20 * m for t, m in zip(tau_numerators, masses)],
+                [m - t / 20 * m for t, m in zip(tau_numerators, masses)],
+            )
             for sides, answers in side_table:
                 want = exact_aggregation(tau_numerators, sides, theta_num, theta_den)
 

@@ -9,10 +9,8 @@ from maddm.answers import AnswerSet
 from maddm.baselines import (
     BaselineConfig,
     EmAggregator,
-    EmState,
     StrategyConfig,
     cost_effectiveness,
-    em_aggregate,
     run_baseline,
     select_budget_constrained,
     select_fixed_number,
@@ -173,26 +171,42 @@ class TestSelectBudgetConstrained:
                 pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), -1.0, rng
             )
 
+    def test_nan_budget_rejected(self, rng):
+        # every ``spent + cost > nan`` is false, so a NaN budget hired the whole pool
+        with pytest.raises(ValueError, match="budget"):
+            select_budget_constrained(
+                pool_of([1.0] * 4), TrustVector.fresh(4), StrategyConfig(), math.nan, rng
+            )
+
 
 def unanimous_history(n_advisors: int, n_decisions: int) -> list[AnswerSet]:
     return [AnswerSet(set(range(n_advisors)), set()) for _ in range(n_decisions)]
 
 
+def em_over(answer_sets: list[AnswerSet], n_advisors: int, **kwargs) -> EmAggregator:
+    """An aggregator that has observed ``answer_sets`` and converged."""
+    aggregator = EmAggregator(n_advisors, **kwargs)
+    for answers in answer_sets:
+        aggregator.observe(answers)
+    aggregator.infer()
+    return aggregator
+
+
 class TestEmAggregate:
     def test_single_advisor_single_decision_stays_uninformative(self):
-        state = em_aggregate([AnswerSet({0}, set())], n_advisors=1)
-        assert abs(state.posteriors[0] - 0.5) < 1e-4
-        assert abs(state.accuracies[0] - 0.5) < 1e-4
+        em = em_over([AnswerSet({0}, set())], n_advisors=1)
+        assert abs(em.posterior_plus[0] - 0.5) < 1e-4
+        assert abs(em.accuracies[0] - 0.5) < 1e-4
 
     def test_unanimous_trio_converges_confident(self):
-        state = em_aggregate(unanimous_history(3, 50), n_advisors=3)
-        assert np.all(state.accuracies > 0.9)
-        assert np.all(state.posteriors > 0.99)
+        em = em_over(unanimous_history(3, 50), n_advisors=3)
+        assert np.all(em.accuracies > 0.9)
+        assert np.all(em.posterior_plus > 0.99)
 
     def test_perfectly_opposed_pair_stays_split(self):
         sets = [AnswerSet({0}, {1}) for _ in range(50)]
-        state = em_aggregate(sets, n_advisors=2)
-        assert np.all(np.abs(state.posteriors - 0.5) < 1e-6)
+        em = em_over(sets, n_advisors=2)
+        assert np.all(np.abs(em.posterior_plus - 0.5) < 1e-6)
 
     def test_beliefs_stay_probabilities(self, rng):
         sets = []
@@ -200,27 +214,27 @@ class TestEmAggregate:
             members = rng.permutation(6)[: rng.integers(1, 6)]
             split = rng.integers(0, members.size + 1)
             sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
-        state = em_aggregate(sets, n_advisors=6)
-        assert np.all((state.accuracies > 0.0) & (state.accuracies < 1.0))
-        assert np.all((state.posteriors >= 0.0) & (state.posteriors <= 1.0))
+        em = em_over(sets, n_advisors=6)
+        assert np.all((em.accuracies > 0.0) & (em.accuracies < 1.0))
+        for posteriors in (em.posterior_plus, em.posterior_minus):
+            assert np.all((posteriors >= 0.0) & (posteriors <= 1.0))
 
     def test_explicit_init_state_is_respected(self):
-        init = EmState(accuracies=np.array([0.95, 0.95]), posteriors=np.empty(0))
-        state = em_aggregate([AnswerSet({0}, {1})], n_advisors=2, init=init)
-        assert state.posteriors[0] == pytest.approx(0.5, abs=1e-9)
+        assert EmAggregator(2, init_accuracy=0.95).accuracies.tolist() == [0.95, 0.95]
+        em = em_over([AnswerSet({0}, {1})], n_advisors=2, init_accuracy=0.95)
+        assert em.posterior_plus[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_invalid_init_state_rejected(self):
-        sets = [AnswerSet({0}, {1})]
-        for accuracies in ([1.0, 0.7], [0.0, 0.7], [0.7], [0.7, 0.7, 0.7], [np.nan, 0.7]):
-            init = EmState(accuracies=np.array(accuracies), posteriors=np.empty(0))
-            with pytest.raises(ValueError, match="init"):
-                em_aggregate(sets, n_advisors=2, init=init)
+        for init_accuracy in (1.0, 0.0, -0.3, np.nan):
+            with pytest.raises(ValueError, match="initial accuracy"):
+                EmAggregator(2, init_accuracy=init_accuracy)
 
     def test_empty_input_rejected(self):
+        aggregator = EmAggregator(3)
         with pytest.raises(ValueError):
-            em_aggregate([], n_advisors=3)
+            aggregator.infer()
         with pytest.raises(ValueError):
-            em_aggregate([AnswerSet.empty()], n_advisors=3)
+            aggregator.observe(AnswerSet.empty())
 
     def test_objective_never_decreases(self, rng):
         for _ in range(20):

@@ -14,17 +14,14 @@ from maddm.ensemble import (
     ensemble_decide,
     weighted_voting_probabilities,
 )
-from maddm.trust import TrustRecord, TrustVector
+from maddm.trust import TrustVector
 
 
 def vector_for(taus: list[float], total: float = 10.0) -> TrustVector:
     """Records with the requested trustworthiness at fixed evidence mass."""
-    records = []
-    for tau in taus:
-        alpha = max(tau * total, 1.0)
-        beta = max(total - alpha, 1.0)  # exact complement, nudged off the floor
-        records.append(TrustRecord(alpha, beta))
-    return TrustVector.from_records(records)
+    alphas = [max(tau * total, 1.0) for tau in taus]
+    # exact complement, nudged off the floor
+    return TrustVector(alphas, [max(total - alpha, 1.0) for alpha in alphas])
 
 
 class TestAnswerSet:
@@ -38,13 +35,6 @@ class TestAnswerSet:
         assert len(answers) == 3
         assert not answers.is_empty
         assert AnswerSet.empty().is_empty
-
-    def test_from_votes(self):
-        answers = AnswerSet.from_votes([(0, 1), (1, -1), (2, 1)])
-        assert answers.positives == frozenset({0, 2})
-        assert answers.negatives == frozenset({1})
-        with pytest.raises(ValueError):
-            AnswerSet.from_votes([(0, 2)])
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -119,12 +109,12 @@ class TestAverageUncertainty:
         assert average_uncertainty(AnswerSet({0}, {1}), trust) == 1.0
 
     def test_mixed_mean(self):
-        trust = TrustVector.from_records([TrustRecord(9.0, 1.0), TrustRecord(2.0, 3.0)])
+        trust = TrustVector([9.0, 2.0], [1.0, 3.0])
         # uncertainties 0.2 and 0.4
         assert average_uncertainty(AnswerSet({0}, {1}), trust) == pytest.approx(0.3, abs=1e-12)
 
     def test_single_member(self):
-        trust = TrustVector.from_records([TrustRecord(9.0, 1.0)])
+        trust = TrustVector([9.0], [1.0])
         assert average_uncertainty(AnswerSet({0}, set()), trust) == pytest.approx(0.2, abs=1e-12)
 
 

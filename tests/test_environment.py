@@ -116,7 +116,6 @@ class TestEnvironment:
         env = Environment.build(env_config("env1", 0.8, seed=4, n_decisions=10))
         oracle = env.oracle(3)
         for advisor in range(env.n_advisors):
-            assert oracle(advisor) == env.answer(3, advisor)
             assert oracle(advisor) == env.answers[3, advisor]
 
     def test_answer_set_partition(self):
@@ -125,9 +124,9 @@ class TestEnvironment:
         answers = env.answer_set(2, chosen)
         assert answers.members == frozenset(chosen)
         for advisor in answers.positives:
-            assert env.answer(2, advisor) == 1
+            assert env.answers[2, advisor] == 1
         for advisor in answers.negatives:
-            assert env.answer(2, advisor) == -1
+            assert env.answers[2, advisor] == -1
 
     def test_accuracy_governs_answer_frequency(self):
         config = EnvironmentConfig(

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +15,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maddm.baselines import BaselineConfig
-from maddm.ensemble import PriorOdds
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, env_config
 from maddm.harness import (
     EnvironmentTemplate,
@@ -25,10 +27,12 @@ from maddm.harness import (
     execute_plan,
     plan_from_dict,
     plan_to_dict,
+    read_results_csv,
     run_maddm,
     run_method,
     significance_tests,
     summarize,
+    write_results_csv,
 )
 from maddm.results import RunResult
 from maddm.review import ReviewConfig
@@ -347,7 +351,7 @@ class TestExecutePlan:
         (MethodSpec(method="fna"),
          MethodSpec(method="fna", baseline=BaselineConfig(method="fna", fna_k=2))),
         (MethodSpec(method="maddm"),
-         MethodSpec(method="maddm", maddm=MaddmConfig(prior=PriorOdds(0.7, 0.3)))),
+         MethodSpec(method="maddm", maddm=MaddmConfig(review=ReviewConfig(frequency=10)))),
     ])
     def test_cache_is_not_served_for_another_knob(self, tmp_path, first, second):
         execute_plan(tiny_plan(out_methods=(first,)), tmp_path / "out")
@@ -368,6 +372,19 @@ class TestExecutePlan:
         assert (tmp_path / "out" / "results.csv").read_bytes() == (
             tmp_path / "fresh" / "results.csv"
         ).read_bytes()
+
+    def test_importing_the_harness_leaves_the_process_pool_unloaded(self):
+        # a serial run never needs multiprocessing; execute_plan imports the
+        # pool when jobs > 1
+        code = (
+            "import sys, maddm.harness; print(sorted(name for name in "
+            "('concurrent.futures.process', 'multiprocessing') if name in sys.modules))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_parallel_execution_matches_serial(self, tmp_path):
         plan = tiny_plan()
@@ -443,6 +460,36 @@ class TestPlanSerialization:
         data["accuracy_means"] = [0.8, float("nan")]
         with pytest.raises(ValueError, match="accuracy_means must be finite"):
             plan_from_dict(data)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("plan", "repetitions", 2.7),
+        ("plan", "n_decisions", 10.9),
+        ("method", "fna_k", 2.9),
+        ("plan", "repetitions", True),
+        ("plan", "accuracy_means", [True]),
+        ("method", "bc_budget_fraction", True),
+        ("strategy", "epsilon", False),
+    ])
+    def test_fractional_count_or_bool_rejected_at_load(self, section, key, value):
+        # int() truncated 2.7 to 2 and read true as 1; float() read true as 1.0
+        data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method="fna"),)))
+        method = data["methods"][0]
+        {"plan": data, "method": method, "strategy": method["strategy"]}[section][key] = value
+        with pytest.raises(ValueError, match=key):
+            plan_from_dict(data)
+
+    def test_integral_numbers_load_from_json_floats_and_csv_text(self, tmp_path):
+        data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method="fna"),)))
+        data["n_decisions"] = 1000.0
+        data["methods"][0]["fna_k"] = 2.0
+        plan = plan_from_dict(data)
+        assert type(plan.n_decisions) is int and plan.n_decisions == 1000
+        assert plan.methods[0].baseline.fna_k == 2
+        # read_results_csv hands every field over as text, "1000" included
+        result = RunResult("fna", 1.5, 1000, 2.25, 1000, environment="env1",
+                           accuracy_mean=0.8, repetition=3)
+        write_results_csv(tmp_path / "results.csv", [result])
+        assert read_results_csv(tmp_path / "results.csv") == [result]
 
     def test_readme_plan_loads_and_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -52,7 +52,7 @@ class TestAnswerLogInterning:
         log = AnswerLog()
         log.append(AnswerSet({3, 1}, {2}))
         log.append(AnswerSet({0}, set()))
-        log.append(AnswerSet.from_votes([(2, -1), (3, 1), (1, 1)]))
+        log.append(AnswerSet([3, 1], [2]))
         ids, signs, starts, member = log.distinct_arrays()
         assert ids.tolist() == [1, 2, 3, 0]
         assert signs.tolist() == [1, -1, 1, 1]
@@ -108,7 +108,6 @@ class TestReviewUpdate:
         assert outcome.trust is trust
         assert outcome.passes == 0
         assert outcome.delta_tau == 0.0
-        assert outcome.diagnostics == {"passes_used": 0, "final_delta_tau": 0.0}
 
     def test_unanimous_pair_converges_quickly(self):
         history = history_of(AnswerSet({0, 1}, set()))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from maddm.answers import AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, ensemble_decide
+from maddm.ensemble import UNIFORM_PRIOR, EnsembleSums, PriorOdds, ensemble_decide
 from maddm.environment import Environment, env_config
 from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
-from maddm.selection import DecisionValue, marginal_contribution, select_advisors
-from maddm.trust import TrustRecord, TrustVector
+from maddm.selection import DecisionValue, _hypothetical_gain, select_advisors
+from maddm.trust import TrustVector
 
 
 class TestValueTypes:
@@ -31,31 +31,46 @@ class TestValueTypes:
                                 lambda i: 1, rng)
 
 
+def hiring_gain(
+    candidate: int,
+    sampled: float,
+    current: AnswerSet,
+    trust: TrustVector,
+    value: DecisionValue,
+    prior: PriorOdds = UNIFORM_PRIOR,
+) -> float:
+    """The hiring loop's expected contribution of ``candidate`` joining ``current``.
+
+    ``sampled`` is the candidate's Thompson draw; the loop scores a whole
+    sweep at once, so this passes it as a one-element draw array.
+    """
+    sums = EnsembleSums.of(current, trust)
+    pe_plus, pe_minus = sums.probabilities(prior)
+    draws = np.array([sampled])
+    theta = trust.uncertainty()[candidate]
+    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, value, prior)[0])
+
+
 class TestMarginalContribution:
     def test_coin_flip_draw_contributes_nothing(self):
         trust = TrustVector.fresh(3)
         value = DecisionValue(100.0, 100.0)
         for current in (AnswerSet.empty(), AnswerSet({1}, {2})):
-            assert marginal_contribution(0, 0.5, current, trust, value) == 0.0
+            assert hiring_gain(0, 0.5, current, trust, value) == 0.0
 
     def test_fresh_candidate_on_empty_set(self):
         # single-member hypothetical vote is one-sided, so each side's swing
         # is 0.5 * |1 - 0.5| * 200 = 50 and the draw scales it by 2*0.9-1
         trust = TrustVector.fresh(1)
         value = DecisionValue(100.0, 100.0)
-        got = marginal_contribution(0, 0.9, AnswerSet.empty(), trust, value)
+        got = hiring_gain(0, 0.9, AnswerSet.empty(), trust, value)
         assert got == pytest.approx(80.0, rel=1e-12)
 
     def test_low_draw_prices_negative(self):
         trust = TrustVector.fresh(1)
         value = DecisionValue(100.0, 100.0)
-        got = marginal_contribution(0, 0.2, AnswerSet.empty(), trust, value)
+        got = hiring_gain(0, 0.2, AnswerSet.empty(), trust, value)
         assert got < 0.0
-
-    def test_already_consulted_candidate_rejected(self):
-        trust = TrustVector.fresh(2)
-        with pytest.raises(ValueError, match="already part"):
-            marginal_contribution(0, 0.7, AnswerSet({0}, set()), trust, DecisionValue(1, 1))
 
     def test_matches_public_ensemble_hypotheticals(self, rng):
         # Independent route: encode the candidate's sampled trust into a
@@ -99,7 +114,7 @@ class TestMarginalContribution:
             swing_minus = prior.p_minus * abs(hyp_minus - pe_minus) * value.total
             expected = (2.0 * sampled - 1.0) * (swing_plus + swing_minus)
 
-            got = marginal_contribution(candidate_id, sampled, current, trust, value, prior)
+            got = hiring_gain(candidate_id, sampled, current, trust, value, prior)
             assert got == pytest.approx(expected, abs=1e-12 * max(1.0, value.total))
 
 
@@ -119,7 +134,7 @@ class TestSelectAdvisors:
 
     def test_free_confident_advisor_is_hired(self, rng):
         # an advisor with overwhelming evidence draws near 1, clearing cost 0
-        trust = TrustVector.from_records([TrustRecord(1000.0, 1.0)])
+        trust = TrustVector([1000.0], [1.0])
         outcome = select_advisors(
             DecisionValue(100.0, 100.0), np.zeros(1), trust, UNIFORM_PRIOR, self.oracle_always(1), rng
         )

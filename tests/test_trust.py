@@ -10,51 +10,52 @@ from hypothesis import strategies as st
 from maddm.answers import AnswerSet
 from maddm.trust import (
     TAU_EPS,
-    TrustRecord,
     TrustVector,
     apply_confidence_update,
     clamp_trust,
-    new_trust_record,
-    thompson_sample,
-    trustworthiness,
-    uncertainty,
 )
+
+
+def single(alpha: float, beta: float) -> TrustVector:
+    """A one-advisor vector holding the given evidence."""
+    return TrustVector([alpha], [beta])
 
 
 class TestRecordBasics:
     def test_new_record_is_uninformative_prior(self):
-        record = new_trust_record()
-        assert record.alpha == 1.0
-        assert record.beta == 1.0
-        assert trustworthiness(record) == 0.5
-        assert uncertainty(record) == 1.0
+        vec = TrustVector.fresh(1)
+        assert vec.alpha.tolist() == [1.0]
+        assert vec.beta.tolist() == [1.0]
+        assert vec.trustworthiness().tolist() == [0.5]
+        assert vec.uncertainty().tolist() == [1.0]
 
     @pytest.mark.parametrize(
         "alpha, beta, expected",
         [(9.0, 1.0, 0.9), (1.0, 1.0, 0.5), (2.4, 1.6, 0.6)],
     )
     def test_trustworthiness_values(self, alpha, beta, expected):
-        assert trustworthiness(TrustRecord(alpha, beta)) == pytest.approx(expected, abs=1e-12)
+        assert single(alpha, beta).trustworthiness()[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "alpha, beta, expected",
         [(1.0, 1.0, 1.0), (9.0, 1.0, 0.2), (99.0, 101.0, 0.01)],
     )
     def test_uncertainty_values(self, alpha, beta, expected):
-        assert uncertainty(TrustRecord(alpha, beta)) == pytest.approx(expected, abs=1e-12)
+        assert single(alpha, beta).uncertainty()[0] == pytest.approx(expected, abs=1e-12)
 
     def test_evidence_below_prior_rejected(self):
         with pytest.raises(ValueError):
-            TrustRecord(0.5, 1.0)
+            single(0.5, 1.0)
         with pytest.raises(ValueError):
-            TrustRecord(1.0, 0.0)
+            single(1.0, 0.0)
         with pytest.raises(ValueError):
-            TrustRecord(math.inf, 1.0)
+            single(math.inf, 1.0)
 
     def test_derived_quantities_are_pure(self):
-        record = TrustRecord(3.7, 2.2)
-        assert trustworthiness(record) == trustworthiness(TrustRecord(3.7, 2.2))
-        assert uncertainty(record) == uncertainty(TrustRecord(3.7, 2.2))
+        vec = single(3.7, 2.2)
+        assert vec.trustworthiness()[0] == single(3.7, 2.2).trustworthiness()[0]
+        assert vec.uncertainty()[0] == single(3.7, 2.2).uncertainty()[0]
+        assert vec == single(3.7, 2.2)
 
     def test_clamp_trust_bounds(self):
         assert clamp_trust(0.0) == TAU_EPS
@@ -63,18 +64,11 @@ class TestRecordBasics:
 
 
 class TestThompsonSampling:
-    def test_seeded_draws_are_reproducible(self):
-        record = TrustRecord(3.0, 5.0)
-        first = [thompson_sample(record, np.random.default_rng(42)) for _ in range(1)]
-        second = [thompson_sample(record, np.random.default_rng(42)) for _ in range(1)]
-        assert first == second
-        rng = np.random.default_rng(42)
-        draws = [thompson_sample(record, rng) for _ in range(5)]
-        assert len(set(draws)) == 5  # independent draws move
+    """The hiring loop's Thompson draws are ``rng.beta(alpha, beta)``."""
 
     def test_uniform_prior_mean(self, rng):
-        record = new_trust_record()
-        draws = rng.beta(record.alpha, record.beta, size=100_000)
+        vec = TrustVector.fresh(1)
+        draws = rng.beta(vec.alpha[0], vec.beta[0], size=100_000)
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_symmetric_record_variance_matches_formula(self, rng):
@@ -86,56 +80,55 @@ class TestThompsonSampling:
 
     def test_lopsided_record_rarely_draws_low(self, rng):
         # Beta(a, 1) has cdf x**a, so P(draw > 0.9) = 1 - 0.9**1000 ~ 1
-        record = TrustRecord(1000.0, 1.0)
+        vec = single(1000.0, 1.0)
         assert 1.0 - 0.9**1000 > 0.9999
-        draws = rng.beta(record.alpha, record.beta, size=100_000)
+        draws = rng.beta(vec.alpha[0], vec.beta[0], size=100_000)
         assert (draws > 0.9).mean() > 0.99
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (8.0, 2.0), (2.5, 7.5)])
     def test_empirical_mean_tracks_trustworthiness(self, alpha, beta, rng):
-        record = TrustRecord(alpha, beta)
+        vec = single(alpha, beta)
         n = 50_000
         draws = rng.beta(alpha, beta, size=n)
         sigma = math.sqrt(alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0)))
-        assert abs(draws.mean() - trustworthiness(record)) < 3.0 * sigma / math.sqrt(n)
+        assert abs(draws.mean() - vec.trustworthiness()[0]) < 3.0 * sigma / math.sqrt(n)
 
 
 class TestTrustVector:
     def test_fresh_vector(self):
         vec = TrustVector.fresh(4)
         assert len(vec) == 4
-        assert vec[2] == new_trust_record()
         assert np.all(vec.trustworthiness() == 0.5)
         assert np.all(vec.uncertainty() == 1.0)
 
-    def test_from_records_round_trip(self):
-        records = (TrustRecord(2.0, 1.5), TrustRecord(1.0, 9.0))
-        vec = TrustVector.from_records(records)
-        assert vec.records() == records
-
-    def test_json_round_trip(self):
-        vec = TrustVector([1.5, 2.0], [1.0, 3.25])
-        again = TrustVector.from_json(vec.to_json())
-        assert again == vec
+    def test_constructor_keeps_evidence(self):
+        vec = TrustVector([2.0, 1], (1.5, 9.0))
+        assert vec.alpha.dtype == vec.beta.dtype == np.float64
+        assert vec.alpha.tolist() == [2.0, 1.0]
+        assert vec.beta.tolist() == [1.5, 9.0]
+        assert len(vec) == 2
 
     def test_invalid_evidence_rejected(self):
         with pytest.raises(ValueError):
             TrustVector([0.5], [1.0])
         with pytest.raises(ValueError):
             TrustVector([1.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            TrustVector([[1.0]], [[1.0]])
+        with pytest.raises(ValueError):
+            TrustVector([1.0, math.nan], [1.0, 1.0])
 
 
 class TestConfidenceUpdate:
     def test_positive_answer_credits_positive_side(self):
         vec = TrustVector.fresh(2)
         updated = apply_confidence_update(vec, AnswerSet({0}, set()), 1, 0.4)
-        assert updated[0] == TrustRecord(1.4, 1.0)
-        assert updated[1] == new_trust_record()
+        assert updated == TrustVector([1.4, 1.0], [1.0, 1.0])
 
     def test_negative_answer_mirrors(self):
         vec = TrustVector.fresh(2)
         updated = apply_confidence_update(vec, AnswerSet({0}, set()), -1, 0.4)
-        assert updated[0] == TrustRecord(1.0, 1.4)
+        assert updated == TrustVector([1.0, 1.0], [1.4, 1.0])
 
     def test_zero_confidence_changes_nothing(self):
         vec = TrustVector.fresh(3)
@@ -150,9 +143,7 @@ class TestConfidenceUpdate:
     def test_both_sides_updated(self):
         vec = TrustVector.fresh(3)
         updated = apply_confidence_update(vec, AnswerSet({0}, {2}), 1, 0.25)
-        assert updated[0] == TrustRecord(1.25, 1.0)
-        assert updated[1] == new_trust_record()
-        assert updated[2] == TrustRecord(1.0, 1.25)
+        assert updated == TrustVector([1.25, 1.0, 1.0], [1.0, 1.0, 1.25])
 
     def test_unknown_advisor_rejected(self):
         vec = TrustVector.fresh(2)
