@@ -17,9 +17,7 @@ from maddm.baselines import (
     select_fixed_number,
 )
 from maddm.ensemble import (
-    UNIFORM_PRIOR,
     EnsembleOutcome,
-    PriorOdds,
     average_uncertainty,
     bayesian_probabilities,
     decide_and_update,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.ensemble import LOG_PRIOR
 from maddm.environment import Environment
 from maddm.results import RunLedger, RunResult
 from maddm.selection import pool_costs
@@ -96,7 +97,7 @@ def _selection_order(
     trust: TrustVector,
     strategy: StrategyConfig,
     rng: np.random.Generator,
-    point_estimates: np.ndarray | None,
+    point_estimates: np.ndarray,
     decisions_elapsed: int,
 ) -> list[int]:
     """Advisor ids in hire-preference order for one decision.
@@ -107,14 +108,11 @@ def _selection_order(
     the criterion in place of the point estimate. Score ties break
     toward the lower advisor id (a stable sort).
     """
-    if point_estimates is None:
-        estimates = trust.trustworthiness()
-    else:
-        estimates = np.asarray(point_estimates, dtype=np.float64)
-        if estimates.shape != costs.shape:
-            raise ValueError(
-                f"need one point estimate per advisor ({costs.size}), got shape {estimates.shape}"
-            )
+    estimates = np.asarray(point_estimates, dtype=np.float64)
+    if estimates.shape != costs.shape:
+        raise ValueError(
+            f"need one point estimate per advisor ({costs.size}), got shape {estimates.shape}"
+        )
 
     if strategy.kind == "ucb":
         pulls = trust.alpha + trust.beta - 2.0
@@ -156,8 +154,8 @@ def select_fixed_number(
     strategy: StrategyConfig,
     k: int,
     rng: np.random.Generator,
-    point_estimates: np.ndarray | None = None,
-    decisions_elapsed: int = 0,
+    point_estimates: np.ndarray,
+    decisions_elapsed: int,
 ) -> list[int]:
     """Ids of exactly ``k`` distinct advisors, in hire-preference order.
 
@@ -176,8 +174,8 @@ def select_budget_constrained(
     strategy: StrategyConfig,
     budget: float,
     rng: np.random.Generator,
-    point_estimates: np.ndarray | None = None,
-    decisions_elapsed: int = 0,
+    point_estimates: np.ndarray,
+    decisions_elapsed: int,
 ) -> list[int]:
     """Walk the preference order, hiring while the next pick still fits.
 
@@ -268,14 +266,13 @@ class EmAggregator:
         counts = np.bincount(ids, minlength=self.n_advisors)
         consulted = counts > 0
         smoothed_counts = counts + 2.0
-        log_half = math.log(0.5)
 
         acc = self.accuracies
         q = None
         objective: list[float] = []
         for _ in range(self.max_iterations):
             log_joint = segment_log_likelihoods(acc, d_ids, d_positive, d_starts)
-            log_joint += log_half
+            log_joint += LOG_PRIOR
             shift = np.maximum(log_joint[0], log_joint[1])
             e = np.exp(log_joint - shift)
             total = e[0] + e[1]

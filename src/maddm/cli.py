@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from maddm.environment import Environment, env_config
+from maddm.environment import ENV_TEMPLATES, Environment, env_config
 from maddm.harness import (
     ExperimentPlan,
     build_cell_environment,
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit one realized environment as JSON")
-    gen.add_argument("--environment", default="env1", choices=("env1", "env2"))
+    gen.add_argument("--environment", default="env1", choices=tuple(ENV_TEMPLATES))
     gen.add_argument("--accuracy-mean", type=float, default=0.8)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n-decisions", type=int, default=1000)

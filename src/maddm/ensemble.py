@@ -25,21 +25,9 @@ from maddm.answers import AnswerSet
 from maddm.trust import TrustVector, apply_confidence_update, clamp_trust
 
 
-@dataclass(frozen=True)
-class PriorOdds:
-    """Prior probability that a decision's true answer is yes / no."""
-
-    p_plus: float = 0.5
-    p_minus: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p_plus < 1.0 and 0.0 < self.p_minus < 1.0):
-            raise ValueError("prior probabilities must lie strictly inside (0, 1)")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
-            raise ValueError("prior probabilities must sum to 1")
-
-
-UNIFORM_PRIOR = PriorOdds()
+#: Log prior probability of either answer: yes and no are equally likely
+#: before any advisor speaks.
+LOG_PRIOR = math.log(0.5)
 
 
 @dataclass(frozen=True)
@@ -55,10 +43,10 @@ class EnsembleOutcome:
 def p_side(log_side, log_other, mass_side, mass_other, theta_bar):
     """Ensemble probability of one answer from the sufficient statistics.
 
-    ``log_side`` and ``log_other`` are the log prior plus the summed
-    log-likelihoods of this answer and of the other one; ``mass_side`` and
-    ``mass_other`` are the summed trust of the two camps; ``theta_bar`` is
-    the vote's mixing weight. The posterior is normalized with the usual
+    ``log_side`` and ``log_other`` are the uniform log prior
+    (:data:`LOG_PRIOR`) plus the summed log-likelihoods of this answer and
+    of the other one; ``mass_side`` and ``mass_other`` are the summed trust
+    of the two camps; ``theta_bar`` is the vote's mixing weight. The posterior is normalized with the usual
     max-shift so that thirty near-0 or near-1 factors cannot underflow.
     Broadcasts over numpy arrays. The other answer's probability is the
     same call with both pairs swapped, which is bit-exact because ``max``
@@ -82,6 +70,7 @@ class EnsembleSums:
     Keeps the log-likelihood sums (prior not included), the trust mass of
     each camp and the summed uncertainty, so adding an advisor is O(1).
     Likelihood factors use the clamped trust, vote masses the stored one.
+    The two answers share the fixed uniform prior :data:`LOG_PRIOR`.
     """
 
     __slots__ = ("log_pos", "log_neg", "tau_pos", "tau_neg", "theta", "count")
@@ -118,11 +107,11 @@ class EnsembleSums:
         self.theta += theta
         self.count += 1
 
-    def log_joint(self, prior: PriorOdds) -> tuple[float, float]:
+    def log_joint(self) -> tuple[float, float]:
         """(log prior + log-likelihood) of the answers yes and no."""
-        return math.log(prior.p_plus) + self.log_pos, math.log(prior.p_minus) + self.log_neg
+        return LOG_PRIOR + self.log_pos, LOG_PRIOR + self.log_neg
 
-    def probabilities(self, prior: PriorOdds, theta_bar: float | None = None) -> tuple[float, float]:
+    def probabilities(self, theta_bar: float | None = None) -> tuple[float, float]:
         """Ensemble (p_yes, p_no); (0.5, 0.5) for an empty set.
 
         ``theta_bar`` defaults to the average uncertainty; 0 gives the
@@ -132,7 +121,7 @@ class EnsembleSums:
             return 0.5, 0.5
         if theta_bar is None:
             theta_bar = self.theta / self.count
-        log_plus, log_minus = self.log_joint(prior)
+        log_plus, log_minus = self.log_joint()
         return (
             p_side(log_plus, log_minus, self.tau_pos, self.tau_neg, theta_bar),
             p_side(log_minus, log_plus, self.tau_neg, self.tau_pos, theta_bar),
@@ -145,17 +134,13 @@ def _sums(answers: AnswerSet, trust: TrustVector, op: str) -> EnsembleSums:
     return EnsembleSums.of(answers, trust)
 
 
-def bayesian_probabilities(
-    answers: AnswerSet,
-    trust: TrustVector,
-    prior: PriorOdds = UNIFORM_PRIOR,
-) -> tuple[float, float]:
+def bayesian_probabilities(answers: AnswerSet, trust: TrustVector) -> tuple[float, float]:
     """Posterior (p_yes, p_no) from independent per-advisor likelihoods.
 
     The yes-likelihood multiplies tau over the yes camp and (1 - tau)
     over the no camp; the no-likelihood mirrors it.
     """
-    return _sums(answers, trust, "bayesian_probabilities").probabilities(prior, theta_bar=0.0)
+    return _sums(answers, trust, "bayesian_probabilities").probabilities(theta_bar=0.0)
 
 
 def weighted_voting_probabilities(
@@ -164,7 +149,7 @@ def weighted_voting_probabilities(
 ) -> tuple[float, float]:
     """(p_yes, p_no) as each camp's share of the summed trustworthiness."""
     sums = _sums(answers, trust, "weighted_voting_probabilities")
-    return sums.probabilities(UNIFORM_PRIOR, theta_bar=1.0)
+    return sums.probabilities(theta_bar=1.0)
 
 
 def average_uncertainty(answers: AnswerSet, trust: TrustVector) -> float:
@@ -173,18 +158,14 @@ def average_uncertainty(answers: AnswerSet, trust: TrustVector) -> float:
     return sums.theta / sums.count
 
 
-def ensemble_decide(
-    answers: AnswerSet,
-    trust: TrustVector,
-    prior: PriorOdds = UNIFORM_PRIOR,
-) -> EnsembleOutcome:
+def ensemble_decide(answers: AnswerSet, trust: TrustVector) -> EnsembleOutcome:
     """Mix the Bayesian posterior and the weighted vote into a decision.
 
     The mixing weight is the answer set's average uncertainty: the vote
     gets that weight, the posterior the remainder. A tie resolves to the
     negative answer with zero confidence.
     """
-    p_plus, p_minus = _sums(answers, trust, "ensemble_decide").probabilities(prior)
+    p_plus, p_minus = _sums(answers, trust, "ensemble_decide").probabilities()
     answer = 1 if p_plus > p_minus else -1
     return EnsembleOutcome(
         p_positive=p_plus,
@@ -194,12 +175,8 @@ def ensemble_decide(
     )
 
 
-def decide_and_update(
-    answers: AnswerSet,
-    trust: TrustVector,
-    prior: PriorOdds = UNIFORM_PRIOR,
-) -> tuple[EnsembleOutcome, TrustVector]:
+def decide_and_update(answers: AnswerSet, trust: TrustVector) -> tuple[EnsembleOutcome, TrustVector]:
     """Decide, then feed the decision's confidence back into the records."""
-    outcome = ensemble_decide(answers, trust, prior)
+    outcome = ensemble_decide(answers, trust)
     updated = apply_confidence_update(trust, answers, outcome.answer, outcome.confidence)
     return outcome, updated

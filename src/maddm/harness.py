@@ -43,9 +43,13 @@ from maddm.selection import select_advisors
 from maddm.stats import mann_whitney_u, mean_confidence_interval
 from maddm.trust import TrustVector
 
-#: Familywise error budget for the per-grid-point tests against the
-#: three comparison methods.
-SIGNIFICANCE_ALPHA = 0.05 / 3
+#: The method every significance test puts first, and the methods it is
+#: tested against.
+REFERENCE_METHOD = "maddm"
+COMPARATORS = ("fna", "bc", "rv")
+#: Familywise error budget for the per-grid-point tests, split evenly
+#: over the comparators.
+SIGNIFICANCE_ALPHA = 0.05 / len(COMPARATORS)
 
 _ENV_STREAM = 0
 _METHOD_STREAM = 1
@@ -77,8 +81,8 @@ class MaddmConfig:
 
 def run_maddm(
     environment: Environment,
-    config: MaddmConfig = MaddmConfig(),
-    rng: np.random.Generator | None = None,
+    config: MaddmConfig,
+    rng: np.random.Generator,
     exploration_first: bool = False,
     trace: bool = False,
 ) -> RunResult:
@@ -90,8 +94,6 @@ def run_maddm(
     periodically review the full history. A decision nobody was hired
     for is answered negative with zero confidence at zero cost.
     """
-    if rng is None:
-        raise ValueError("run_maddm requires an rng")
     n_advisors = environment.n_advisors
     all_ids = list(range(n_advisors))
     ef_rounds = config.exploration_first_rounds if exploration_first else 0
@@ -140,12 +142,15 @@ class EnvironmentTemplate:
     value_std: float
 
     def __post_init__(self) -> None:
+        # a name keys the summary rows, so it must be text
+        if not isinstance(self.name, str):
+            raise ValueError(f"environment name must be a string, got {self.name!r}")
         # raises at load for a value distribution no cell could draw from
         ErgdParams(self.value_mean, self.value_std, lower=0.0)
 
     @classmethod
     def named(cls, name: str) -> "EnvironmentTemplate":
-        if name not in ENV_TEMPLATES:
+        if not isinstance(name, str) or name not in ENV_TEMPLATES:
             raise ValueError(f"unknown environment template {name!r}; choose from {list(ENV_TEMPLATES)}")
         return cls(name, *ENV_TEMPLATES[name])
 
@@ -202,6 +207,13 @@ class ExperimentPlan:
             raise ValueError("n_decisions and n_advisors must be at least 1")
         if not all(math.isfinite(mean) for mean in self.accuracy_means):
             raise ValueError("accuracy_means must be finite")
+        # summaries group runs by environment name and accuracy mean, so a
+        # repeated coordinate would merge two grid points into one row
+        names = [template.name for template in self.environments]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate environments in plan: {names}")
+        if len(set(self.accuracy_means)) != len(self.accuracy_means):
+            raise ValueError(f"duplicate accuracy_means in plan: {list(self.accuracy_means)}")
         for spec in self.methods:
             # the advisor count each method hires per decision, where fixed
             knob = {"fna": "fna_k", "rv": "rv_k"}.get(spec.method)
@@ -378,13 +390,8 @@ def summarize(results: Sequence[RunResult]) -> list[SummaryRow]:
     return rows
 
 
-def significance_tests(
-    results: Sequence[RunResult],
-    reference: str = "maddm",
-    comparators: Sequence[str] = ("fna", "bc", "rv"),
-    alpha: float = SIGNIFICANCE_ALPHA,
-) -> list[SignificanceRow]:
-    """Rank-sum tests of the reference method against each comparator.
+def significance_tests(results: Sequence[RunResult]) -> list[SignificanceRow]:
+    """Rank-sum tests of :data:`REFERENCE_METHOD` against each of :data:`COMPARATORS`.
 
     One test per (environment, grid point, variant) where both sides are
     present; significance uses the familywise-corrected threshold.
@@ -397,10 +404,10 @@ def significance_tests(
             method: [r.utility for r in runs]
             for method, runs in _group_by(batch, lambda r: r.method).items()
         }
-        ref = samples.get(reference)
+        ref = samples.get(REFERENCE_METHOD)
         if ref is None:
             continue
-        for other in comparators:
+        for other in COMPARATORS:
             sample_b = samples.get(other)
             if sample_b is None:
                 continue
@@ -408,13 +415,13 @@ def significance_tests(
             rows.append(
                 SignificanceRow(
                     *key,
-                    method_a=reference,
+                    method_a=REFERENCE_METHOD,
                     method_b=other,
                     n_a=len(ref),
                     n_b=len(sample_b),
                     u_statistic=u,
                     p_value=p,
-                    significant=p < alpha,
+                    significant=p < SIGNIFICANCE_ALPHA,
                 )
             )
     return rows

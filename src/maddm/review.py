@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from maddm.answers import AnswerLog, segment_log_likelihoods
-from maddm.ensemble import UNIFORM_PRIOR, PriorOdds, p_side
+from maddm.ensemble import LOG_PRIOR, p_side
 from maddm.trust import TAU_EPS, TrustVector
 
 
@@ -69,7 +69,6 @@ def _decide_all(
     sizes: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
-    prior: PriorOdds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ensemble decision over every stored answer set.
 
@@ -86,8 +85,8 @@ def _decide_all(
     positive = signs > 0
     seg = starts[:-1]
     log_plus, log_minus = segment_log_likelihoods(clamped, ids, positive, starts)
-    log_plus += math.log(prior.p_plus)
-    log_minus += math.log(prior.p_minus)
+    log_plus += LOG_PRIOR
+    log_minus += LOG_PRIOR
     theta_bar = np.add.reduceat(theta[ids], seg) / sizes
     mass_plus = np.add.reduceat(np.where(positive, member_tau, 0.0), seg)
     mass_minus = np.add.reduceat(np.where(positive, 0.0, member_tau), seg)
@@ -105,7 +104,6 @@ def _rebuild_pass(
     distinct: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     alpha: np.ndarray,
     beta: np.ndarray,
-    prior: PriorOdds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass: prior + evidence from re-deciding the history.
 
@@ -113,7 +111,7 @@ def _rebuild_pass(
     distinct sets' (ids, signs, starts, sizes) plus the member index.
     """
     d_ids, d_signs, d_starts, d_sizes, member = distinct
-    answers, confidence = _decide_all(d_ids, d_signs, d_starts, d_sizes, alpha, beta, prior)
+    answers, confidence = _decide_all(d_ids, d_signs, d_starts, d_sizes, alpha, beta)
     n = alpha.size
     # bin id for agreeing votes, n + id for disagreeing ones; bincount
     # adds each bin's weights in log order, as two masked bincounts would
@@ -126,7 +124,6 @@ def review_update(
     history: AnswerLog,
     trust: TrustVector,
     config: ReviewConfig = ReviewConfig(),
-    prior: PriorOdds = UNIFORM_PRIOR,
 ) -> ReviewOutcome:
     """Re-decide the past until the trust vector settles.
 
@@ -151,7 +148,7 @@ def review_update(
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta = _rebuild_pass(ids, signs, distinct, alpha, beta, prior)
+        alpha, beta = _rebuild_pass(ids, signs, distinct, alpha, beta)
         passes += 1
         tau_after = alpha / (alpha + beta)
         delta = float(np.abs(tau_after - tau_before).sum())

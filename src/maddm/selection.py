@@ -9,11 +9,12 @@ advisors and valuable ones get many.
 
 The contribution of a candidate is evaluated hypothetically on both
 sides: once as if it joined the yes camp and once the no camp, each
-weighted by the prior odds of that answer. Inside the hypothetical the
-candidate contributes its sampled accuracy while already-hired advisors
-contribute their stored trustworthiness; real decisions after hiring
-always use stored trustworthiness only. Both the running probabilities
-and the hypotheticals go through the ensemble rule of maddm.ensemble.
+weighted by that answer's prior probability, a fixed 1/2. Inside the
+hypothetical the candidate contributes its sampled accuracy while
+already-hired advisors contribute their stored trustworthiness; real
+decisions after hiring always use stored trustworthiness only. Both the
+running probabilities and the hypotheticals go through the ensemble rule
+of maddm.ensemble.
 
 An advisor is an id into the pool's arrays: the price of advisor ``i``
 is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from maddm.answers import AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, EnsembleSums, PriorOdds, p_side
+from maddm.ensemble import EnsembleSums, p_side
 from maddm.trust import TAU_EPS, TrustVector
 
 # Per-decision oracle: advisor id -> answer in {-1, 1}. The answer is only
@@ -96,7 +97,6 @@ def _hypothetical_gain(
     pe_plus: float,
     pe_minus: float,
     value: DecisionValue,
-    prior: PriorOdds,
 ):
     """Expected contribution of candidates with the given sampled accuracies.
 
@@ -112,7 +112,7 @@ def _hypothetical_gain(
     log_tau = np.log(clamped)
     log_one_minus = np.log1p(-clamped)
     theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
-    log_plus, log_minus = sums.log_joint(prior)
+    log_plus, log_minus = sums.log_joint()
 
     # Row 0: the candidate joins the yes camp; row 1: the no camp. Each row
     # takes the same elementwise steps as a separate per-camp call would.
@@ -123,7 +123,8 @@ def _hypothetical_gain(
         camp_mass + clamped, camp_mass[::-1], theta_bar,
     )
     swing = np.abs(hyp - np.array([[pe_plus], [pe_minus]]))
-    gain = np.array([[prior.p_plus], [prior.p_minus]]) * swing * value.total
+    # each camp weighted by its answer's uniform prior probability
+    gain = 0.5 * swing * value.total
     return (2.0 * draws - 1.0) * (gain[0] + gain[1])
 
 
@@ -131,24 +132,22 @@ def select_advisors(
     value: DecisionValue,
     costs: np.ndarray,
     trust: TrustVector,
-    prior: PriorOdds = UNIFORM_PRIOR,
-    oracle: AnswerOracle | None = None,
-    rng: np.random.Generator | None = None,
+    oracle: AnswerOracle,
+    rng: np.random.Generator,
 ) -> SelectionOutcome:
     """Hire advisors one at a time while somebody's utility stays positive.
 
     Parameters
     ----------
     value : DecisionValue
-        Stakes of the decision being answered.
+        Stakes of the decision being answered. Its two answers are equally
+        likely a priori (a fixed prior of 1/2).
     costs : array of float
         Price of each advisor, indexed by advisor id; one finite,
         non-negative entry per advisor ``trust`` covers.
     trust : TrustVector
         Current evidence; supplies both the Thompson posteriors and the
         stored trustworthiness used for the realized answer set.
-    prior : PriorOdds
-        Prior odds of the two answers.
     oracle : callable
         Maps advisor id to its answer; consulted only on hire.
     rng : numpy Generator
@@ -161,8 +160,6 @@ def select_advisors(
         the hire order.
     """
     costs = pool_costs(costs, trust)
-    if oracle is None or rng is None:
-        raise ValueError("select_advisors requires an answer oracle and an rng")
     alpha, beta = trust.alpha, trust.beta
     totals = alpha + beta
     stored_tau = alpha / totals
@@ -181,9 +178,7 @@ def select_advisors(
         rounds += 1
         live = np.asarray(remaining, dtype=np.intp)
         draws = rng.beta(alpha[live], beta[live])
-        contribution = _hypothetical_gain(
-            draws, theta[live], sums, pe_plus, pe_minus, value, prior
-        )
+        contribution = _hypothetical_gain(draws, theta[live], sums, pe_plus, pe_minus, value)
         utilities = contribution - costs[live]
         best = int(utilities.argmax())
         if not utilities[best] > 0.0:
@@ -196,7 +191,7 @@ def select_advisors(
         hired.append(advisor_id)
         (positives if answer == 1 else negatives).append(advisor_id)
         sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), answer)
-        pe_plus, pe_minus = sums.probabilities(prior)
+        pe_plus, pe_minus = sums.probabilities()
 
     return SelectionOutcome(
         answers=AnswerSet(frozenset(positives), frozenset(negatives)),

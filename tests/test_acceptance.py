@@ -21,7 +21,6 @@ import pytest
 from maddm.answers import AnswerSet
 from maddm.baselines import EmAggregator
 from maddm.ensemble import (
-    UNIFORM_PRIOR,
     bayesian_probabilities,
     ensemble_decide,
     weighted_voting_probabilities,
@@ -240,9 +239,7 @@ def test_criterion_selection_termination_and_bound():
         else:
             costs = rng.uniform(0.0, 30.0, size=n)
         row = rng.integers(0, 2, size=n) * 2 - 1
-        outcome = select_advisors(
-            value, costs, trust, UNIFORM_PRIOR, lambda i: int(row[i]), rng
-        )
+        outcome = select_advisors(value, costs, trust, lambda i: int(row[i]), rng)
         assert len(outcome.hired) <= n
         assert len(set(outcome.hired)) == len(outcome.hired)
         if expensive:

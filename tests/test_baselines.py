@@ -57,7 +57,10 @@ class TestSelectFixedNumber:
     def test_whole_pool_when_k_equals_size(self, rng):
         pool = pool_of([1.0, 2.0, 3.0])
         trust = TrustVector.fresh(3)
-        chosen = select_fixed_number(pool, trust, StrategyConfig(), 3, rng)
+        chosen = select_fixed_number(
+            pool, trust, StrategyConfig(), 3, rng,
+            point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+        )
         assert sorted(chosen) == [0, 1, 2]
 
     def test_pure_greedy_trustworthiness_takes_top_k(self, rng):
@@ -65,10 +68,14 @@ class TestSelectFixedNumber:
         trust = TrustVector.fresh(5)
         estimates = np.array([0.6, 0.9, 0.6, 0.8, 0.7])
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
-        chosen = select_fixed_number(pool, trust, strategy, 3, rng, point_estimates=estimates)
+        chosen = select_fixed_number(
+            pool, trust, strategy, 3, rng, point_estimates=estimates, decisions_elapsed=0
+        )
         assert chosen == [1, 3, 4]
         # tie at 0.6 breaks toward the lower id
-        chosen = select_fixed_number(pool, trust, strategy, 5, rng, point_estimates=estimates)
+        chosen = select_fixed_number(
+            pool, trust, strategy, 5, rng, point_estimates=estimates, decisions_elapsed=0
+        )
         assert chosen == [1, 3, 4, 0, 2]
 
     def test_full_exploration_is_uniform(self, rng):
@@ -78,7 +85,10 @@ class TestSelectFixedNumber:
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=1.0, criterion="trustworthiness")
         counts = np.zeros(n)
         for _ in range(trials):
-            for advisor in select_fixed_number(pool, trust, strategy, k, rng):
+            for advisor in select_fixed_number(
+                pool, trust, strategy, k, rng,
+                point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+            ):
                 counts[advisor] += 1
         expected = k / n
         sigma = math.sqrt(expected * (1 - expected) / trials)
@@ -92,14 +102,18 @@ class TestSelectFixedNumber:
                 strategy = StrategyConfig(kind=kind, criterion=criterion)
                 for k in (1, 4, 8):
                     chosen = select_fixed_number(
-                        pool, trust, strategy, k, rng, decisions_elapsed=5
+                        pool, trust, strategy, k, rng,
+                        point_estimates=trust.trustworthiness(), decisions_elapsed=5,
                     )
                     assert len(chosen) == k
                     assert len(set(chosen)) == k
 
     def test_oversized_k_rejected(self, rng):
         with pytest.raises(ValueError):
-            select_fixed_number(pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), 2, rng)
+            select_fixed_number(
+                pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), 2, rng,
+                point_estimates=np.array([0.5]), decisions_elapsed=0,
+            )
 
     def test_point_estimates_must_cover_the_pool(self, rng):
         # a ranking over more estimates than advisors would hire unknown ids
@@ -107,7 +121,7 @@ class TestSelectFixedNumber:
         with pytest.raises(ValueError, match="one point estimate per advisor"):
             select_fixed_number(
                 pool_of([1.0, 1.0]), TrustVector.fresh(2), strategy, 1, rng,
-                point_estimates=np.array([0.1, 0.2, 0.9]),
+                point_estimates=np.array([0.1, 0.2, 0.9]), decisions_elapsed=0,
             )
 
     def test_ucb_prefers_unexplored(self, rng):
@@ -115,14 +129,18 @@ class TestSelectFixedNumber:
         # advisor 1 has plenty of evidence; 0 and 2 have none
         trust = TrustVector([1.0, 9.0, 1.0], [1.0, 3.0, 1.0])
         strategy = StrategyConfig(kind="ucb", criterion="trustworthiness")
-        chosen = select_fixed_number(pool, trust, strategy, 2, rng, decisions_elapsed=10)
+        chosen = select_fixed_number(
+            pool, trust, strategy, 2, rng,
+            point_estimates=trust.trustworthiness(), decisions_elapsed=10,
+        )
         assert set(chosen) == {0, 2}
 
 
 class TestSelectBudgetConstrained:
     def test_zero_budget_with_costly_pool(self, rng):
         chosen = select_budget_constrained(
-            pool_of([2.0, 3.0]), TrustVector.fresh(2), StrategyConfig(), 0.0, rng
+            pool_of([2.0, 3.0]), TrustVector.fresh(2), StrategyConfig(), 0.0, rng,
+            point_estimates=np.full(2, 0.5), decisions_elapsed=0,
         )
         assert chosen == []
 
@@ -131,14 +149,15 @@ class TestSelectBudgetConstrained:
         estimates = np.array([0.9, 0.8])
         chosen = select_budget_constrained(
             pool_of([0.0, 1.0]), TrustVector.fresh(2), strategy, 0.0, rng,
-            point_estimates=estimates,
+            point_estimates=estimates, decisions_elapsed=0,
         )
         assert chosen == [0]
 
     def test_unbounded_budget_takes_whole_pool(self, rng):
         costs = [1.0, 2.5, 0.5, 4.0]
         chosen = select_budget_constrained(
-            pool_of(costs), TrustVector.fresh(4), StrategyConfig(), sum(costs), rng
+            pool_of(costs), TrustVector.fresh(4), StrategyConfig(), sum(costs), rng,
+            point_estimates=np.full(4, 0.5), decisions_elapsed=0,
         )
         assert sorted(chosen) == [0, 1, 2, 3]
 
@@ -149,7 +168,7 @@ class TestSelectBudgetConstrained:
         estimates = np.array([0.9, 0.8, 0.7])
         chosen = select_budget_constrained(
             pool_of([5.0, 10.0, 1.0]), TrustVector.fresh(3), strategy, 6.0, rng,
-            point_estimates=estimates,
+            point_estimates=estimates, decisions_elapsed=0,
         )
         assert chosen == [0]
 
@@ -161,21 +180,23 @@ class TestSelectBudgetConstrained:
             kind = ("epsilon_greedy", "ucb", "thompson")[int(rng.integers(3))]
             chosen = select_budget_constrained(
                 pool_of(costs), TrustVector.fresh(n), StrategyConfig(kind=kind), budget, rng,
-                decisions_elapsed=3,
+                point_estimates=np.full(n, 0.5), decisions_elapsed=3,
             )
             assert sum(costs[i] for i in chosen) <= budget + 1e-12
 
     def test_negative_budget_rejected(self, rng):
         with pytest.raises(ValueError):
             select_budget_constrained(
-                pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), -1.0, rng
+                pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), -1.0, rng,
+                point_estimates=np.array([0.5]), decisions_elapsed=0,
             )
 
     def test_nan_budget_rejected(self, rng):
         # every ``spent + cost > nan`` is false, so a NaN budget hired the whole pool
         with pytest.raises(ValueError, match="budget"):
             select_budget_constrained(
-                pool_of([1.0] * 4), TrustVector.fresh(4), StrategyConfig(), math.nan, rng
+                pool_of([1.0] * 4), TrustVector.fresh(4), StrategyConfig(), math.nan, rng,
+                point_estimates=np.full(4, 0.5), decisions_elapsed=0,
             )
 
 

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from maddm.answers import AnswerSet
 from maddm.ensemble import (
-    UNIFORM_PRIOR,
-    PriorOdds,
     average_uncertainty,
     bayesian_probabilities,
     decide_and_update,
@@ -60,13 +58,6 @@ class TestBayesian:
         p_plus, p_minus = bayesian_probabilities(AnswerSet({0, 1}, {2}), trust)
         assert p_plus == pytest.approx(0.9, abs=1e-12)
         assert p_minus == pytest.approx(0.1, abs=1e-12)
-
-    def test_prior_shifts_posterior(self):
-        trust = vector_for([0.8])
-        prior = PriorOdds(0.2, 0.8)
-        p_plus, _ = bayesian_probabilities(AnswerSet({0}, set()), trust, prior)
-        # 0.2*0.8 / (0.2*0.8 + 0.8*0.2) = 0.5
-        assert p_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_no_underflow_with_many_extreme_advisors(self):
         trust = vector_for([0.99] * 30, total=200.0)

@@ -26,7 +26,7 @@ from maddm.baselines import (
     select_budget_constrained,
     select_fixed_number,
 )
-from maddm.ensemble import EnsembleSums, PriorOdds, p_side
+from maddm.ensemble import EnsembleSums, p_side
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import DecisionValue, _hypothetical_gain
@@ -58,9 +58,6 @@ def per_advisor(values: st.SearchStrategy, n_advisors: int) -> st.SearchStrategy
     return st.lists(values, min_size=n_advisors, max_size=n_advisors)
 
 
-priors = st.floats(0.05, 0.95).map(lambda p: PriorOdds(p, 1.0 - p))
-
-
 def reference_log_likelihoods(p, ids, positive, starts):
     """Per member: log p for a vote matching the answer, log(1 - p) otherwise."""
     log_p, log_q = np.log(p[ids]), np.log1p(-p[ids])
@@ -70,7 +67,7 @@ def reference_log_likelihoods(p, ids, positive, starts):
     return log_plus, log_minus
 
 
-def reference_decide_all(ids, signs, starts, alpha, beta, prior):
+def reference_decide_all(ids, signs, starts, alpha, beta):
     """The ensemble decision of every logged set, one statistic at a time."""
     sizes = np.diff(starts)
     seg = starts[:-1]
@@ -80,8 +77,8 @@ def reference_decide_all(ids, signs, starts, alpha, beta, prior):
     log_plus, log_minus = reference_log_likelihoods(
         np.clip(tau, TAU_EPS, 1.0 - TAU_EPS), ids, positive, starts
     )
-    log_plus += math.log(prior.p_plus)
-    log_minus += math.log(prior.p_minus)
+    log_plus += math.log(0.5)
+    log_minus += math.log(0.5)
     theta_bar = np.add.reduceat(theta[ids], seg) / sizes
     mass_plus = np.add.reduceat(np.where(positive, tau[ids], 0.0), seg)
     mass_minus = np.add.reduceat(np.where(positive, 0.0, tau[ids]), seg)
@@ -90,7 +87,7 @@ def reference_decide_all(ids, signs, starts, alpha, beta, prior):
     return np.where(p_plus > p_minus, 1, -1), np.abs(p_plus - p_minus)
 
 
-def reference_review(history, trust, config, prior):
+def reference_review(history, trust, config):
     """Every pass re-decides every logged set; two masked bincounts."""
     ids, signs, starts = history.flat_arrays()
     sizes = np.diff(starts)
@@ -98,7 +95,7 @@ def reference_review(history, trust, config, prior):
     tau_before = alpha / (alpha + beta)
     passes, delta = 0, math.inf
     while passes < config.max_passes:
-        answers, confidence = reference_decide_all(ids, signs, starts, alpha, beta, prior)
+        answers, confidence = reference_decide_all(ids, signs, starts, alpha, beta)
         per_member_answer = np.repeat(answers, sizes)
         per_member_conf = np.repeat(confidence, sizes)
         agree = signs == per_member_answer
@@ -156,11 +153,10 @@ def reference_em(sets, accuracies, tol, max_iterations):
 @given(
     world=histories(),
     data=st.data(),
-    prior=priors,
     threshold=st.sampled_from([1e-12, 1e-3, 0.5]),
     max_passes=st.integers(1, 8),
 )
-def test_review_update_equals_full_log_reference(world, data, prior, threshold, max_passes):
+def test_review_update_equals_full_log_reference(world, data, threshold, max_passes):
     n_advisors, sets = world
     alpha = data.draw(per_advisor(st.floats(1.0, 40.0), n_advisors))
     beta = data.draw(per_advisor(st.floats(1.0, 40.0), n_advisors))
@@ -169,8 +165,8 @@ def test_review_update_equals_full_log_reference(world, data, prior, threshold, 
         history.append(answers)
     trust = TrustVector(alpha, beta)
     config = ReviewConfig(threshold=threshold, max_passes=max_passes)
-    outcome = review_update(history, trust, config, prior)
-    ref_alpha, ref_beta, passes, delta = reference_review(history, trust, config, prior)
+    outcome = review_update(history, trust, config)
+    ref_alpha, ref_beta, passes, delta = reference_review(history, trust, config)
     assert np.array_equal(outcome.trust.alpha, ref_alpha)
     assert np.array_equal(outcome.trust.beta, ref_beta)
     assert (outcome.passes, outcome.delta_tau) == (passes, delta)
@@ -221,30 +217,29 @@ def test_segment_kernel_sums_long_segments_like_a_1d_reduce():
     thetas=st.floats(0.01, 1.0),
     profit=st.floats(0.0, 500.0),
     loss=st.floats(0.0, 500.0),
-    prior=priors,
 )
-def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, loss, prior):
+def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, loss):
     sums = EnsembleSums()
     for tau, theta, answer in hired:
         sums.add(tau, theta, answer)
-    pe_plus, pe_minus = sums.probabilities(prior)
+    pe_plus, pe_minus = sums.probabilities()
     value = DecisionValue(profit, loss)
     draws = np.array(draws)
     candidate_theta = np.full(draws.size, thetas)
-    got = _hypothetical_gain(draws, candidate_theta, sums, pe_plus, pe_minus, value, prior)
+    got = _hypothetical_gain(draws, candidate_theta, sums, pe_plus, pe_minus, value)
 
     clamped = np.clip(draws, TAU_EPS, 1.0 - TAU_EPS)
     log_tau, log_one_minus = np.log(clamped), np.log1p(-clamped)
     theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
-    log_plus, log_minus = sums.log_joint(prior)
+    log_plus, log_minus = math.log(0.5) + sums.log_pos, math.log(0.5) + sums.log_neg
     hyp_plus = p_side(
         log_plus + log_tau, log_minus + log_one_minus, sums.tau_pos + clamped, sums.tau_neg, theta_bar
     )
     hyp_minus = p_side(
         log_minus + log_tau, log_plus + log_one_minus, sums.tau_neg + clamped, sums.tau_pos, theta_bar
     )
-    gain_plus = prior.p_plus * np.abs(hyp_plus - pe_plus) * value.total
-    gain_minus = prior.p_minus * np.abs(hyp_minus - pe_minus) * value.total
+    gain_plus = 0.5 * np.abs(hyp_plus - pe_plus) * value.total
+    gain_minus = 0.5 * np.abs(hyp_minus - pe_minus) * value.total
     assert np.array_equal(got, (2.0 * draws - 1.0) * (gain_plus + gain_minus))
 
 
@@ -292,11 +287,15 @@ def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed):
 
     greedy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion=criterion)
     rng = np.random.default_rng(seed)
-    assert select_fixed_number(costs, trust, greedy, n, rng, point_estimates=est) == reference(est)
+    got = select_fixed_number(costs, trust, greedy, n, rng, point_estimates=est, decisions_elapsed=0)
+    assert got == reference(est)
     # under cost effectiveness every below-chance Thompson draw scores inf, a tie
     thompson = StrategyConfig(kind="thompson", criterion=criterion)
     draws = np.random.default_rng(seed).beta(trust.alpha, trust.beta)
-    got = select_fixed_number(costs, trust, thompson, n, np.random.default_rng(seed))
+    got = select_fixed_number(
+        costs, trust, thompson, n, np.random.default_rng(seed),
+        point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+    )
     assert got == reference(draws)
 
 
@@ -341,11 +340,13 @@ def test_epsilon_greedy_ranking_keeps_the_reference_stream(pool, epsilon, criter
     strategy = StrategyConfig(kind="epsilon_greedy", epsilon=epsilon, criterion=criterion)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
-    got = select_fixed_number(costs, trust, strategy, k, rng, point_estimates=est)
+    got = select_fixed_number(costs, trust, strategy, k, rng, point_estimates=est, decisions_elapsed=0)
     assert got == reference_epsilon_greedy(costs, est, strategy, ref_rng)[:k]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    got = select_budget_constrained(costs, trust, strategy, budget, rng, point_estimates=est)
+    got = select_budget_constrained(
+        costs, trust, strategy, budget, rng, point_estimates=est, decisions_elapsed=0
+    )
     want, spent = [], 0.0
     for advisor_id in reference_epsilon_greedy(costs, est, strategy, ref_rng):
         if spent + costs[advisor_id] > budget:

@@ -461,6 +461,30 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="accuracy_means must be finite"):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        # a custom template under a named template's name
+        ("environments", ["env1", {"name": "env1", "value_mean": 500, "value_std": 500}]),
+        ("environments", ["env2", "env2"]),
+        ("accuracy_means", [0.8, 0.8]),
+        ("accuracy_means", [0.6, 0.8, 0.6]),
+    ])
+    def test_duplicate_grid_coordinate_rejected_at_load(self, key, value):
+        # summaries group runs by name and accuracy, so two cells of one row
+        # would merge into a single summary and a doubled rank test
+        data = plan_to_dict(tiny_plan())
+        data[key] = value
+        with pytest.raises(ValueError, match=f"duplicate {key}"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("name", [5, None, ["x"]])
+    @pytest.mark.parametrize("values", [{"value_mean": 1, "value_std": 1}, {}])
+    def test_non_string_template_name_rejected_at_load(self, name, values):
+        # with values the entry is a custom template, without them a named one
+        data = plan_to_dict(tiny_plan())
+        data["environments"] = [{"name": name, **values}]
+        with pytest.raises(ValueError, match="name must be a string|unknown environment template"):
+            plan_from_dict(data)
+
     @pytest.mark.parametrize("section, key, value", [
         ("plan", "repetitions", 2.7),
         ("plan", "n_decisions", 10.9),
@@ -496,6 +520,16 @@ class TestPlanSerialization:
         block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
         plan = plan_from_dict(json.loads(block.group(1)))
         assert plan_from_dict(plan_to_dict(plan)) == plan
+
+    def test_readme_python_blocks_run(self, capsys):
+        # the second block reuses the first one's names, as a reader would
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 2
+        namespace: dict = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     @given(
         data=st.data(),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maddm.answers import AnswerLog, AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, ensemble_decide
+from maddm.ensemble import ensemble_decide
 from maddm.review import ReviewConfig, review_update, _decide_all
 from maddm.trust import TrustVector
 
@@ -195,11 +195,11 @@ class TestVectorizedDecisionsMatchScalar:
             split = rng.integers(0, members.size + 1)
             answers = AnswerSet(set(members[:split].tolist()), set(members[split:].tolist()))
             history.append(answers)
-            outcome = ensemble_decide(answers, trust, UNIFORM_PRIOR)
+            outcome = ensemble_decide(answers, trust)
             expected.append((outcome.answer, outcome.confidence))
         ids, signs, starts = history.flat_arrays()
         answers_vec, confidence_vec = _decide_all(
-            ids, signs, starts, np.diff(starts), trust.alpha, trust.beta, UNIFORM_PRIOR
+            ids, signs, starts, np.diff(starts), trust.alpha, trust.beta
         )
         for d in range(40):
             assert answers_vec[d] == expected[d][0]

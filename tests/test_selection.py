@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maddm.answers import AnswerSet
-from maddm.ensemble import UNIFORM_PRIOR, EnsembleSums, PriorOdds, ensemble_decide
+from maddm.ensemble import EnsembleSums, ensemble_decide
 from maddm.environment import Environment, env_config
 from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
@@ -27,8 +27,7 @@ class TestValueTypes:
         trust = TrustVector.fresh(2)
         for costs in ([0.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(ValueError):
-                select_advisors(DecisionValue(1, 1), np.array(costs), trust, UNIFORM_PRIOR,
-                                lambda i: 1, rng)
+                select_advisors(DecisionValue(1, 1), np.array(costs), trust, lambda i: 1, rng)
 
 
 def hiring_gain(
@@ -37,7 +36,6 @@ def hiring_gain(
     current: AnswerSet,
     trust: TrustVector,
     value: DecisionValue,
-    prior: PriorOdds = UNIFORM_PRIOR,
 ) -> float:
     """The hiring loop's expected contribution of ``candidate`` joining ``current``.
 
@@ -45,10 +43,10 @@ def hiring_gain(
     sweep at once, so this passes it as a one-element draw array.
     """
     sums = EnsembleSums.of(current, trust)
-    pe_plus, pe_minus = sums.probabilities(prior)
+    pe_plus, pe_minus = sums.probabilities()
     draws = np.array([sampled])
     theta = trust.uncertainty()[candidate]
-    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, value, prior)[0])
+    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, value)[0])
 
 
 class TestMarginalContribution:
@@ -91,12 +89,11 @@ class TestMarginalContribution:
             current = AnswerSet(set(members[:split]), set(members[split:]))
             sampled = float(rng.uniform(0.15, 0.85))
             value = DecisionValue(float(rng.uniform(0, 300)), float(rng.uniform(0, 300)))
-            prior = UNIFORM_PRIOR
 
             if current.is_empty:
                 pe_plus, pe_minus = 0.5, 0.5
             else:
-                base = ensemble_decide(current, trust, prior)
+                base = ensemble_decide(current, trust)
                 pe_plus, pe_minus = base.p_positive, base.p_negative
 
             total_cand = float(alphas[candidate_id] + betas[candidate_id])
@@ -108,13 +105,13 @@ class TestMarginalContribution:
 
             as_yes = AnswerSet(current.positives | {candidate_id}, current.negatives)
             as_no = AnswerSet(current.positives, current.negatives | {candidate_id})
-            hyp_plus = ensemble_decide(as_yes, synth, prior).p_positive
-            hyp_minus = ensemble_decide(as_no, synth, prior).p_negative
-            swing_plus = prior.p_plus * abs(hyp_plus - pe_plus) * value.total
-            swing_minus = prior.p_minus * abs(hyp_minus - pe_minus) * value.total
+            hyp_plus = ensemble_decide(as_yes, synth).p_positive
+            hyp_minus = ensemble_decide(as_no, synth).p_negative
+            swing_plus = 0.5 * abs(hyp_plus - pe_plus) * value.total
+            swing_minus = 0.5 * abs(hyp_minus - pe_minus) * value.total
             expected = (2.0 * sampled - 1.0) * (swing_plus + swing_minus)
 
-            got = hiring_gain(candidate_id, sampled, current, trust, value, prior)
+            got = hiring_gain(candidate_id, sampled, current, trust, value)
             assert got == pytest.approx(expected, abs=1e-12 * max(1.0, value.total))
 
 
@@ -126,7 +123,7 @@ class TestSelectAdvisors:
         value = DecisionValue(50.0, 50.0)
         costs = np.full(5, 101.0)
         trust = TrustVector.fresh(5)
-        outcome = select_advisors(value, costs, trust, UNIFORM_PRIOR, self.oracle_always(1), rng)
+        outcome = select_advisors(value, costs, trust, self.oracle_always(1), rng)
         assert outcome.answers.is_empty
         assert outcome.total_cost == 0.0
         assert outcome.hired == ()
@@ -136,7 +133,7 @@ class TestSelectAdvisors:
         # an advisor with overwhelming evidence draws near 1, clearing cost 0
         trust = TrustVector([1000.0], [1.0])
         outcome = select_advisors(
-            DecisionValue(100.0, 100.0), np.zeros(1), trust, UNIFORM_PRIOR, self.oracle_always(1), rng
+            DecisionValue(100.0, 100.0), np.zeros(1), trust, self.oracle_always(1), rng
         )
         assert outcome.hired == (0,)
         assert outcome.answers.positives == frozenset({0})
@@ -148,8 +145,7 @@ class TestSelectAdvisors:
         costs = rng.uniform(0.0, 8.0, size=n)
         answers = {i: 1 if rng.random() < 0.7 else -1 for i in range(n)}
         outcome = select_advisors(
-            DecisionValue(200.0, 200.0), costs, trust, UNIFORM_PRIOR,
-            lambda i: answers[i], rng,
+            DecisionValue(200.0, 200.0), costs, trust, lambda i: answers[i], rng,
         )
         assert len(outcome.hired) == len(set(outcome.hired))
         assert frozenset(outcome.hired) == outcome.answers.members
@@ -171,15 +167,14 @@ class TestSelectAdvisors:
         for _ in range(2):
             rng = np.random.default_rng(99)
             runs.append(
-                select_advisors(value, costs, trust, UNIFORM_PRIOR, self.oracle_always(-1), rng)
+                select_advisors(value, costs, trust, self.oracle_always(-1), rng)
             )
         assert runs[0] == runs[1]
 
     def test_empty_pool_rejected(self, rng):
         with pytest.raises(ValueError, match="non-empty"):
             select_advisors(
-                DecisionValue(1, 1), [], TrustVector.fresh(0), UNIFORM_PRIOR,
-                self.oracle_always(1), rng,
+                DecisionValue(1, 1), [], TrustVector.fresh(0), self.oracle_always(1), rng,
             )
 
 
