@@ -30,9 +30,7 @@ from maddm.environment import (
     EnvironmentConfig,
     ErgdParams,
     SimulatedDecision,
-    env_config,
     ergd_sample,
-    generate_environment,
 )
 from maddm.harness import (
     ComparisonReport,

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``generate``: emit one realized environment as JSON for audits.
+* ``generate``: emit the world one plan cell plays as JSON for audits.
 * ``run``: execute a plan from a config file, writing results.csv,
   summary.csv and significance.csv into an output directory.
 * ``report``: rebuild summary.csv and significance.csv from an existing
@@ -18,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from maddm.environment import ENV_TEMPLATES, Environment, env_config
 from maddm.harness import (
     ExperimentPlan,
     build_cell_environment,
@@ -41,20 +40,32 @@ def _load_plan(path: str | None) -> ExperimentPlan:
     return plan_from_dict(json.loads(Path(path).read_text()))
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = env_config(
-        args.environment,
-        args.accuracy_mean,
-        seed=args.seed,
-        n_decisions=args.n_decisions,
-        n_advisors=args.n_advisors,
-    )
-    environment = Environment.build(config)
-    text = environment.to_json()
-    if args.output:
-        Path(args.output).write_text(text)
+def _plan_cell(args: argparse.Namespace) -> tuple[ExperimentPlan, tuple[int, int, int]]:
+    """The plan and the (environment, grid, repetition) indices the cell flags name."""
+    plan = _load_plan(args.config)
+    env_names = [t.name for t in plan.environments]
+    if args.environment not in env_names:
+        raise SystemExit(f"environment {args.environment!r} not in plan ({env_names})")
+    grid = list(plan.accuracy_means)
+    if args.accuracy_mean not in grid:
+        raise SystemExit(f"accuracy mean {args.accuracy_mean} not in plan grid {grid}")
+    if not (0 <= args.repetition < plan.repetitions):
+        raise SystemExit(f"repetition must lie in [0, {plan.repetitions})")
+    return plan, (env_names.index(args.environment), grid.index(args.accuracy_mean), args.repetition)
+
+
+def _write_text(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    plan, cell = _plan_cell(args)
+    environment = build_cell_environment(plan, *cell)
+    payload = {"digest": environment.digest(), **json.loads(environment.to_json())}
+    _write_text(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
 
@@ -76,17 +87,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    plan = _load_plan(args.config)
-    env_names = [t.name for t in plan.environments]
-    if args.environment not in env_names:
-        raise SystemExit(f"environment {args.environment!r} not in plan ({env_names})")
-    env_idx = env_names.index(args.environment)
-    grid = list(plan.accuracy_means)
-    if args.accuracy_mean not in grid:
-        raise SystemExit(f"accuracy mean {args.accuracy_mean} not in plan grid {grid}")
-    grid_idx = grid.index(args.accuracy_mean)
-    if not (0 <= args.repetition < plan.repetitions):
-        raise SystemExit(f"repetition must lie in [0, {plan.repetitions})")
+    plan, cell = _plan_cell(args)
     spec = next(
         (s for s in plan.methods if s.method == args.method and s.variant == args.variant),
         None,
@@ -94,15 +95,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if spec is None:
         raise SystemExit(f"method {args.method}:{args.variant} not in plan")
 
-    environment = build_cell_environment(plan, env_idx, grid_idx, args.repetition)
-    rng = _method_rng(plan, env_idx, grid_idx, args.repetition, spec.label)
+    environment = build_cell_environment(plan, *cell)
+    rng = _method_rng(plan, *cell, spec.label)
     result = run_method(spec, environment, rng, trace=True)
-    lines = [json.dumps(row) for row in result.trace or []]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("".join(json.dumps(row) + "\n" for row in result.trace or []), args.output)
     return 0
 
 
@@ -113,12 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="emit one realized environment as JSON")
-    gen.add_argument("--environment", default="env1", choices=tuple(ENV_TEMPLATES))
+    gen = sub.add_parser("generate", help="emit the world one plan cell plays as JSON")
+    gen.add_argument("--config", default=None, help="plan file; omit for the desk-scale default")
+    gen.add_argument("--environment", default="env1")
     gen.add_argument("--accuracy-mean", type=float, default=0.8)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n-decisions", type=int, default=1000)
-    gen.add_argument("--n-advisors", type=int, default=30)
+    gen.add_argument("--repetition", type=int, default=0)
     gen.add_argument("--output", default=None)
     gen.set_defaults(func=_cmd_generate)
 

@@ -56,11 +56,9 @@ def accuracy_spread(mean: float) -> ErgdParams:
     return ErgdParams(mean, 0.3, lower=0.0, upper=1.0)
 
 
-def ergd_sample(params: ErgdParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from the rectified Gaussian; scalar when ``size`` is None."""
-    draws = rng.normal(params.mean, params.std, size)
-    clipped = np.clip(draws, params.lower, params.upper)
-    return float(clipped) if size is None else clipped
+def ergd_sample(params: ErgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` values from the rectified Gaussian."""
+    return np.clip(rng.normal(params.mean, params.std, size), params.lower, params.upper)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,6 @@ class EnvironmentConfig:
     accuracy_params: ErgdParams = field(default=accuracy_spread(0.8))
     cost_mean_factor: float = 20.0
     cost_std: float = 10.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_decisions <= 0 or self.n_advisors <= 0:
@@ -95,26 +92,6 @@ ENV_TEMPLATES: dict[str, tuple[float, float]] = {
 }
 
 
-def env_config(
-    name: str,
-    accuracy_mean: float,
-    seed: int = 0,
-    n_decisions: int = 1000,
-    n_advisors: int = 30,
-) -> EnvironmentConfig:
-    """Config for one of the named value templates at a given accuracy mean."""
-    if name not in ENV_TEMPLATES:
-        raise ValueError(f"unknown environment template {name!r}; choose from {sorted(ENV_TEMPLATES)}")
-    mean, std = ENV_TEMPLATES[name]
-    return EnvironmentConfig(
-        n_decisions=n_decisions,
-        n_advisors=n_advisors,
-        value_params=ErgdParams(mean, std, lower=0.0),
-        accuracy_params=accuracy_spread(accuracy_mean),
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class SimulatedDecision:
     """A task with stakes and a hidden ground truth (always positive)."""
@@ -122,31 +99,6 @@ class SimulatedDecision:
     id: int
     value: DecisionValue
     truth: int = 1
-
-
-def generate_environment(
-    config: EnvironmentConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple[SimulatedDecision, ...], np.ndarray, np.ndarray]:
-    """Sample the decision batch and the advisor pool.
-
-    Returns the decisions, then each advisor's hidden accuracy and price
-    as float arrays indexed by advisor id. Draw order is pinned (profits,
-    losses, accuracies, costs) so a seeded generator reproduces the world
-    bit for bit.
-    """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    profits = ergd_sample(config.value_params, rng, config.n_decisions)
-    losses = ergd_sample(config.value_params, rng, config.n_decisions)
-    accuracies = ergd_sample(config.accuracy_params, rng, config.n_advisors)
-    raw_costs = rng.normal(accuracies * config.cost_mean_factor, config.cost_std)
-    costs = np.clip(raw_costs, 0.0, None)
-    decisions = tuple(
-        SimulatedDecision(i, DecisionValue(float(profits[i]), float(losses[i])))
-        for i in range(config.n_decisions)
-    )
-    return decisions, accuracies, costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +118,20 @@ class Environment:
     answers: np.ndarray  # int8, shape (n_decisions, n_advisors), entries in {-1, 1}
 
     @classmethod
-    def build(cls, config: EnvironmentConfig, rng: np.random.Generator | None = None) -> "Environment":
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        decisions, accuracies, costs = generate_environment(config, rng)
+    def build(cls, config: EnvironmentConfig, rng: np.random.Generator) -> "Environment":
+        """Realize the world ``config`` describes from ``rng``.
+
+        Draw order is pinned (profits, losses, accuracies, costs, then
+        answers) so a seeded generator reproduces the world bit for bit.
+        """
+        profits = ergd_sample(config.value_params, rng, config.n_decisions)
+        losses = ergd_sample(config.value_params, rng, config.n_decisions)
+        accuracies = ergd_sample(config.accuracy_params, rng, config.n_advisors)
+        costs = np.clip(rng.normal(accuracies * config.cost_mean_factor, config.cost_std), 0.0, None)
+        decisions = tuple(
+            SimulatedDecision(i, DecisionValue(float(profits[i]), float(losses[i])))
+            for i in range(config.n_decisions)
+        )
         truths = np.array([d.truth for d in decisions], dtype=np.int8)
         correct = rng.random((len(decisions), accuracies.size)) < accuracies[None, :]
         answers = np.where(correct, truths[:, None], -truths[:, None]).astype(np.int8)

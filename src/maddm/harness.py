@@ -613,7 +613,9 @@ def _method_to_dict(spec: MethodSpec) -> dict:
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
-    entry = {"name": entry} if isinstance(entry, str) else entry
+    # an entry that is not an object names a template, or raises naming itself
+    if not isinstance(entry, dict):
+        return EnvironmentTemplate.named(entry)
     if entry.keys() == {"name"}:
         return EnvironmentTemplate.named(entry["name"])
     return _load(EnvironmentTemplate, entry)
@@ -648,8 +650,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     return _load(ExperimentPlan, {k: v for k, v in data.items() if k not in parsers}, **given)
 
 
-#: Grid used by the paper-scale sweep (50 points) and the desk default (10).
-FULL_GRID = tuple(round(0.51 + 0.01 * k, 2) for k in range(50))
+#: Grid of the desk default (10 points); plans/paper.json holds the paper's 50.
 DESK_GRID = tuple(round(0.55 + 0.05 * k, 2) for k in range(10))
 
 

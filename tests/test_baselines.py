@@ -15,7 +15,6 @@ from maddm.baselines import (
     select_budget_constrained,
     select_fixed_number,
 )
-from maddm.environment import Environment, env_config
 from maddm.trust import TrustVector
 
 
@@ -293,8 +292,8 @@ class TestEmAggregate:
 
 
 @pytest.fixture(scope="module")
-def small_env():
-    return Environment.build(env_config("env1", 0.8, seed=13, n_decisions=60))
+def small_env(template_world):
+    return template_world("env1", 0.8, 13, n_decisions=60)
 
 
 class TestRunBaseline:

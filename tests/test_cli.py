@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from maddm.cli import main
+from maddm.harness import build_cell_environment, plan_from_dict
 
 
 @pytest.fixture
@@ -28,28 +30,48 @@ def plan_file(tmp_path):
 
 
 class TestGenerate:
-    def test_emits_audit_tables(self, tmp_path, capsys):
+    def test_emits_audit_tables(self, tmp_path, plan_file):
         out = tmp_path / "env.json"
         code = main([
-            "generate", "--environment", "env2", "--accuracy-mean", "0.7",
-            "--seed", "3", "--n-decisions", "12", "--n-advisors", "6",
-            "--output", str(out),
+            "generate", "--config", str(plan_file), "--environment", "env1",
+            "--accuracy-mean", "0.8", "--repetition", "1", "--output", str(out),
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert len(payload["decisions"]) == 12
-        assert len(payload["advisors"]) == 6
+        assert len(payload["decisions"]) == 30
+        assert len(payload["advisors"]) == 8
 
-    def test_same_seed_same_output(self, tmp_path):
+    def test_same_seed_same_output(self, tmp_path, plan_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            main(["generate", "--seed", "9", "--n-decisions", "10", "--output", str(out)])
+            main(["generate", "--config", str(plan_file), "--output", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_prints_to_stdout_without_output(self, capsys):
-        main(["generate", "--n-decisions", "3", "--n-advisors", "2"])
+    def test_prints_to_stdout_without_output(self, plan_file, capsys):
+        main(["generate", "--config", str(plan_file)])
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["decisions"]) == 3
+        assert len(payload["decisions"]) == 30
+
+    def test_dumps_the_world_the_cell_plays(self, tmp_path, plan_file):
+        cell_flags = ["--config", str(plan_file), "--environment", "env1",
+                      "--accuracy-mean", "0.8", "--repetition", "1"]
+        world, trace = tmp_path / "world.json", tmp_path / "trace.jsonl"
+        main(["generate", *cell_flags, "--output", str(world)])
+        main(["trace", *cell_flags, "--method", "maddm", "--output", str(trace)])
+        payload = json.loads(world.read_text())
+        environment = build_cell_environment(plan_from_dict(json.loads(plan_file.read_text())), 0, 0, 1)
+        assert payload["digest"] == environment.digest()
+        assert payload["decisions"] == [
+            {"id": d.id, "profit": d.value.profit, "loss": d.value.loss}
+            for d in environment.decisions
+        ]
+        # the trace replays this world: one row per decision, and every
+        # decision's fees are the dumped prices of the advisors it hired
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [row["decision_id"] for row in rows] == [d["id"] for d in payload["decisions"]]
+        costs = [advisor["cost"] for advisor in payload["advisors"]]
+        for row in rows:
+            assert row["total_cost"] == pytest.approx(math.fsum(costs[i] for i in row["hired"]))
 
 
 class TestRunAndReport:
@@ -105,13 +127,22 @@ class TestTrace:
         }
         assert all(row["advisors_polled"] == len(row["hired"]) for row in rows)
 
-    def test_unknown_cell_is_a_clean_error(self, plan_file):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("command", ["generate", "trace"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--environment", "env9"], "environment 'env9' not in plan"),
+        (["--accuracy-mean", "0.7"], "accuracy mean 0.7 not in plan grid"),
+        (["--repetition", "2"], "repetition must lie in"),
+    ], ids=["environment", "grid_point", "repetition"])
+    def test_unknown_cell_is_a_clean_error(self, plan_file, command, flags, message):
+        method = ["--method", "maddm"] if command == "trace" else []
+        with pytest.raises(SystemExit, match=message):
             main([
-                "trace", "--config", str(plan_file), "--environment", "env9",
-                "--accuracy-mean", "0.8", "--method", "maddm",
+                command, "--config", str(plan_file), "--environment", "env1",
+                "--accuracy-mean", "0.8", *method, *flags,
             ])
-        with pytest.raises(SystemExit):
+
+    def test_unknown_method_is_a_clean_error(self, plan_file):
+        with pytest.raises(SystemExit, match="method bc:standard not in plan"):
             main([
                 "trace", "--config", str(plan_file), "--environment", "env1",
                 "--accuracy-mean", "0.8", "--method", "bc",

@@ -11,9 +11,8 @@ from maddm.environment import (
     Environment,
     EnvironmentConfig,
     ErgdParams,
-    env_config,
+    accuracy_spread,
     ergd_sample,
-    generate_environment,
 )
 
 
@@ -39,7 +38,7 @@ class TestErgd:
             ErgdParams(math.nan, 1.0)
 
     def test_degenerate_std_returns_mean(self, rng):
-        assert ergd_sample(ErgdParams(100.0, 0.0), rng) == 100.0
+        assert np.array_equal(ergd_sample(ErgdParams(100.0, 0.0), rng, 5), np.full(5, 100.0))
 
     def test_point_mass_accumulates_at_bound(self, rng):
         draws = ergd_sample(ErgdParams(0.0, 1.0, lower=0.0), rng, size=100_000)
@@ -60,20 +59,14 @@ class TestGenerateEnvironment:
     def test_named_templates(self):
         assert ENV_TEMPLATES["env1"] == (100.0, 100.0)
         assert ENV_TEMPLATES["env2"] == (500.0, 500.0)
-        config = env_config("env2", 0.7)
-        assert config.value_params.mean == 500.0
-        assert config.value_params.std == 500.0
-        assert config.accuracy_params.mean == 0.7
-        assert config.accuracy_params.std == 0.3
-        with pytest.raises(ValueError, match="unknown environment"):
-            env_config("env3", 0.7)
+        assert accuracy_spread(0.7) == ErgdParams(0.7, 0.3, lower=0.0, upper=1.0)
 
-    def test_sizes_and_bounds(self):
-        config = env_config("env1", 0.6, seed=3, n_decisions=200, n_advisors=25)
-        decisions, accuracies, costs = generate_environment(config)
-        assert len(decisions) == 200
+    def test_sizes_and_bounds(self, template_world):
+        env = template_world("env1", 0.6, 3, n_decisions=200, n_advisors=25)
+        accuracies, costs = env.accuracies, env.costs
+        assert len(env.decisions) == 200
         assert accuracies.shape == costs.shape == (25,)
-        for d in decisions:
+        for d in env.decisions:
             assert d.value.profit >= 0.0
             assert d.value.loss >= 0.0
             assert d.truth == 1
@@ -81,12 +74,12 @@ class TestGenerateEnvironment:
         assert np.all(costs >= 0.0)
 
     def test_seed_reproduces_world_exactly(self):
-        config = env_config("env1", 0.8, seed=11, n_decisions=50)
-        first = Environment.build(config)
-        second = Environment.build(config)
+        config = EnvironmentConfig(n_decisions=50)
+        first = Environment.build(config, np.random.default_rng(11))
+        second = Environment.build(config, np.random.default_rng(11))
         assert first.digest() == second.digest()
         assert np.array_equal(first.answers, second.answers)
-        different = Environment.build(env_config("env1", 0.8, seed=12, n_decisions=50))
+        different = Environment.build(config, np.random.default_rng(12))
         assert different.digest() != first.digest()
 
     def test_cost_tracks_accuracy(self):
@@ -94,10 +87,9 @@ class TestGenerateEnvironment:
             n_decisions=1,
             n_advisors=10_000,
             accuracy_params=ErgdParams(0.75, 0.3, lower=0.0, upper=1.0),
-            seed=21,
         )
-        _, accuracy, cost = generate_environment(config)
-        assert np.corrcoef(accuracy, cost)[0, 1] > 0.2
+        env = Environment.build(config, np.random.default_rng(21))
+        assert np.corrcoef(env.accuracies, env.costs)[0, 1] > 0.2
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -107,19 +99,19 @@ class TestGenerateEnvironment:
 
 
 class TestEnvironment:
-    def test_answers_are_symmetric_binary(self):
-        env = Environment.build(env_config("env1", 0.8, seed=4, n_decisions=40))
+    def test_answers_are_symmetric_binary(self, template_world):
+        env = template_world("env1", 0.8, 4, n_decisions=40)
         assert set(np.unique(env.answers).tolist()) <= {-1, 1}
         assert env.answers.shape == (40, 30)
 
-    def test_oracle_matches_matrix(self):
-        env = Environment.build(env_config("env1", 0.8, seed=4, n_decisions=10))
+    def test_oracle_matches_matrix(self, template_world):
+        env = template_world("env1", 0.8, 4, n_decisions=10)
         oracle = env.oracle(3)
         for advisor in range(env.n_advisors):
             assert oracle(advisor) == env.answers[3, advisor]
 
-    def test_answer_set_partition(self):
-        env = Environment.build(env_config("env1", 0.8, seed=4, n_decisions=10))
+    def test_answer_set_partition(self, template_world):
+        env = template_world("env1", 0.8, 4, n_decisions=10)
         chosen = [0, 5, 7, 12]
         answers = env.answer_set(2, chosen)
         assert answers.members == frozenset(chosen)
@@ -133,14 +125,13 @@ class TestEnvironment:
             n_decisions=4000,
             n_advisors=2,
             accuracy_params=ErgdParams(0.9, 0.0, lower=0.0, upper=1.0),
-            seed=8,
         )
-        env = Environment.build(config)
+        env = Environment.build(config, np.random.default_rng(8))
         freq = (env.answers == 1).mean(axis=0)
         assert np.all(np.abs(freq - 0.9) < 3.0 * math.sqrt(0.9 * 0.1 / 4000))
 
-    def test_json_audit_tables(self):
-        env = Environment.build(env_config("env2", 0.7, seed=1, n_decisions=5, n_advisors=4))
+    def test_json_audit_tables(self, template_world):
+        env = template_world("env2", 0.7, 1, n_decisions=5, n_advisors=4)
         payload = json.loads(env.to_json())
         assert len(payload["advisors"]) == 4
         assert len(payload["decisions"]) == 5

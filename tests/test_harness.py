@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maddm.baselines import BaselineConfig
-from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, env_config
+from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
 from maddm.harness import (
     EnvironmentTemplate,
     ExperimentPlan,
@@ -67,9 +67,8 @@ class TestRunMaddm:
             accuracy_params=ErgdParams(1.0, 0.0, lower=0.0, upper=1.0),
             cost_mean_factor=0.0,
             cost_std=0.0,
-            seed=3,
         )
-        env = Environment.build(config)
+        env = Environment.build(config, np.random.default_rng(3))
         result = run_maddm(env, MaddmConfig(), np.random.default_rng(0), exploration_first=True)
         assert result.total_cost == 0.0
         assert result.correct_count == env.n_decisions
@@ -82,17 +81,16 @@ class TestRunMaddm:
             n_decisions=60,
             n_advisors=8,
             accuracy_params=ErgdParams(0.0, 0.0, lower=0.0, upper=1.0),
-            seed=5,
         )
-        env = Environment.build(config)
+        env = Environment.build(config, np.random.default_rng(5))
         result = run_maddm(
             env, MaddmConfig(review=ReviewConfig(frequency=5)),
             np.random.default_rng(1), trace=True,
         )
         self._check_identity(env, result)
 
-    def test_accounting_identity_on_generic_world(self):
-        env = Environment.build(env_config("env2", 0.75, seed=9, n_decisions=120))
+    def test_accounting_identity_on_generic_world(self, template_world):
+        env = template_world("env2", 0.75, 9, n_decisions=120)
         result = run_maddm(env, MaddmConfig(), np.random.default_rng(2), trace=True)
         self._check_identity(env, result)
 
@@ -110,8 +108,8 @@ class TestRunMaddm:
         assert result.total_cost == pytest.approx(fees, abs=1e-9 * scale)
         assert result.correct_count == sum(row["correct"] for row in result.trace)
 
-    def test_exploration_first_consults_whole_pool(self):
-        env = Environment.build(env_config("env1", 0.8, seed=2, n_decisions=25))
+    def test_exploration_first_consults_whole_pool(self, template_world):
+        env = template_world("env1", 0.8, 2, n_decisions=25)
         config = MaddmConfig(exploration_first_rounds=10)
         result = run_maddm(env, config, np.random.default_rng(3), exploration_first=True, trace=True)
         full_cost = math.fsum(env.costs)
@@ -128,9 +126,8 @@ class TestRunMaddm:
             accuracy_params=ErgdParams(0.9, 0.0, lower=0.0, upper=1.0),
             cost_mean_factor=1000.0,
             cost_std=0.0,
-            seed=6,
         )
-        env = Environment.build(config)
+        env = Environment.build(config, np.random.default_rng(6))
         result = run_maddm(env, MaddmConfig(), np.random.default_rng(4), trace=True)
         assert result.total_cost == 0.0
         assert result.correct_count == 0
@@ -154,9 +151,8 @@ class TestRunMaddm:
                     accuracy_params=ErgdParams(accuracy, 0.3, lower=0.0, upper=1.0),
                     cost_mean_factor=0.0,
                     cost_std=0.0,
-                    seed=100 + rep,
                 )
-                env = Environment.build(config)
+                env = Environment.build(config, np.random.default_rng(100 + rep))
                 result = run_maddm(
                     env,
                     MaddmConfig(exploration_first_rounds=env.n_decisions,
@@ -200,13 +196,18 @@ class TestPairedDesign:
     @pytest.mark.parametrize("name", sorted(ENV_TEMPLATES))
     def test_cell_world_matches_named_template_config(self, name):
         plan = replace(tiny_plan(), environments=(EnvironmentTemplate.named(name),))
-        config = env_config(name, 0.8, n_decisions=plan.n_decisions, n_advisors=plan.n_advisors)
+        config = EnvironmentConfig(
+            n_decisions=plan.n_decisions,
+            n_advisors=plan.n_advisors,
+            value_params=ErgdParams(*ENV_TEMPLATES[name], lower=0.0),
+            accuracy_params=accuracy_spread(0.8),
+        )
         expected = Environment.build(config, _environment_rng(plan, 0, 0, 1))
         assert build_cell_environment(plan, 0, 0, 1).digest() == expected.digest()
 
     @pytest.mark.parametrize("method", ["maddm", "fna"])
-    def test_run_method_keeps_the_variant(self, method):
-        env = Environment.build(env_config("env1", 0.8, seed=1, n_decisions=15, n_advisors=6))
+    def test_run_method_keeps_the_variant(self, method, template_world):
+        env = template_world("env1", 0.8, 1, n_decisions=15, n_advisors=6)
         spec = MethodSpec(method, "exploration_first")
         assert run_method(spec, env, np.random.default_rng(0)).variant == "exploration_first"
 
@@ -477,11 +478,12 @@ class TestPlanSerialization:
             plan_from_dict(data)
 
     @pytest.mark.parametrize("name", [5, None, ["x"]])
-    @pytest.mark.parametrize("values", [{"value_mean": 1, "value_std": 1}, {}])
+    @pytest.mark.parametrize("values", [{"value_mean": 1, "value_std": 1}, {}, None])
     def test_non_string_template_name_rejected_at_load(self, name, values):
-        # with values the entry is a custom template, without them a named one
+        # with values the entry is a custom template, without them a named
+        # one; with None the entry is the bare name, neither text nor object
         data = plan_to_dict(tiny_plan())
-        data["environments"] = [{"name": name, **values}]
+        data["environments"] = [name if values is None else {"name": name, **values}]
         with pytest.raises(ValueError, match="name must be a string|unknown environment template"):
             plan_from_dict(data)
 
@@ -514,6 +516,13 @@ class TestPlanSerialization:
                            accuracy_mean=0.8, repetition=3)
         write_results_csv(tmp_path / "results.csv", [result])
         assert read_results_csv(tmp_path / "results.csv") == [result]
+
+    def test_paper_plan_is_the_default_plan_on_the_paper_grid(self):
+        path = Path(__file__).resolve().parents[1] / "plans" / "paper.json"
+        plan = plan_from_dict(json.loads(path.read_text()))
+        grid = tuple(round(0.51 + 0.01 * k, 2) for k in range(50))
+        assert grid[0] == 0.51 and grid[-1] == 1.0
+        assert plan == replace(default_plan(), accuracy_means=grid)
 
     def test_readme_plan_loads_and_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

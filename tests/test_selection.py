@@ -7,7 +7,6 @@ import pytest
 
 from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, ensemble_decide
-from maddm.environment import Environment, env_config
 from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
 from maddm.selection import DecisionValue, _hypothetical_gain, select_advisors
@@ -179,12 +178,12 @@ class TestSelectAdvisors:
 
 
 class TestPoolSizeTracksStakes:
-    def test_bigger_values_hire_more_advisors(self):
+    def test_bigger_values_hire_more_advisors(self, template_world):
         # same advisor pools, tenfold decision values: the marginal-value
         # bar clears more often when the stakes are higher
         hires = {}
         for name in ("env1", "env2"):
-            env = Environment.build(env_config(name, 0.8, seed=5, n_decisions=250))
+            env = template_world(name, 0.8, 5, n_decisions=250)
             result = run_maddm(
                 env,
                 MaddmConfig(review=ReviewConfig(frequency=5)),
