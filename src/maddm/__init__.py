@@ -29,7 +29,6 @@ from maddm.environment import (
     Environment,
     EnvironmentConfig,
     ErgdParams,
-    SimulatedDecision,
     ergd_sample,
 )
 from maddm.harness import (
@@ -47,11 +46,7 @@ from maddm.harness import (
 )
 from maddm.results import RunResult
 from maddm.review import ReviewConfig, ReviewOutcome, review_update
-from maddm.selection import (
-    DecisionValue,
-    SelectionOutcome,
-    select_advisors,
-)
+from maddm.selection import SelectionOutcome, select_advisors
 from maddm.stats import mann_whitney_u
 from maddm.trust import TrustVector, apply_confidence_update
 

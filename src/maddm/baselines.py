@@ -26,7 +26,7 @@ import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
 from maddm.ensemble import LOG_PRIOR
-from maddm.environment import Environment
+from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult
 from maddm.selection import pool_costs
 from maddm.trust import TrustVector, apply_confidence_update
@@ -313,13 +313,12 @@ def run_baseline(
     accuracy estimates before the method's own selection takes over.
     The perfect-information bound ``bu`` ignores advisors entirely.
     """
-    decisions = environment.decisions
-    n_advisors = environment.n_advisors
+    n_decisions, n_advisors = environment.n_decisions, environment.n_advisors
 
-    ledger = RunLedger(trace)
+    ledger = RunLedger(environment, trace)
     if config.method == "bu":
-        for decision in decisions:
-            ledger.record(decision, decision.truth, 0.0, (), 0, 1.0, 1.0)
+        for index in range(n_decisions):
+            ledger.record(index, TRUTH, 0.0, (), 0, 1.0, 1.0)
         return ledger.result("bu")
 
     costs = environment.costs
@@ -329,7 +328,8 @@ def run_baseline(
     trust = TrustVector.fresh(n_advisors)
     aggregator = EmAggregator(n_advisors)
 
-    for index, decision in enumerate(decisions):
+    stakes = (environment.profits + environment.losses).tolist()
+    for index in range(n_decisions):
         if index < ef_rounds:
             chosen = all_ids
         elif config.method == "rv":
@@ -340,14 +340,14 @@ def run_baseline(
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         else:  # bc
-            budget = config.bc_budget_fraction * decision.value.total
+            budget = config.bc_budget_fraction * stakes[index]
             chosen = select_budget_constrained(
                 costs, trust, strategy, budget, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
 
         paid = float(costs[chosen].sum()) if chosen else 0.0
-        answers = environment.answer_set(decision.id, chosen)
+        answers = environment.answer_set(index, chosen)
 
         if config.method == "rv":
             vote = len(answers.positives) - len(answers.negatives)
@@ -367,6 +367,6 @@ def run_baseline(
             p_positive = q_plus
             trust = apply_confidence_update(trust, answers, answer, confidence)
 
-        ledger.record(decision, answer, paid, chosen, 1, p_positive, confidence)
+        ledger.record(index, answer, paid, chosen, 1, p_positive, confidence)
 
     return ledger.result(config.method)

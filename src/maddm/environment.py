@@ -4,11 +4,12 @@ A world is a batch of decisions with values drawn from a rectified
 Gaussian, plus an advisor pool whose hidden accuracies come from the
 same family and whose prices correlate with accuracy (better advice
 costs more, which is what makes the selection trade-off interesting).
-Advisors are the ids ``0..n-1``: the pool is two float arrays indexed
-by id, hidden accuracies and prices, and the prices alone are what a
-decision method sees. Ground truth is fixed to the positive answer for
-every decision; the decision methods never see it, only the scoring
-ledger does.
+Decisions are the ids ``0..N-1`` and advisors the ids ``0..n-1``: a
+world is float arrays indexed by id (each decision's profit and loss,
+each advisor's hidden accuracy and price) plus the answer matrix, and
+the prices alone are what a decision method sees of the pool. Ground
+truth is :data:`TRUTH` for every decision; the decision methods never
+see it, only the scoring ledger does.
 
 All randomness flows through one generator, so a seed pins the entire
 world including every advisor's answer to every decision. That is what
@@ -26,7 +27,13 @@ from typing import Callable
 import numpy as np
 
 from maddm.answers import AnswerSet
-from maddm.selection import DecisionValue
+
+#: The ground truth of every decision.
+TRUTH = 1
+#: An advisor's price is a normal draw with mean COST_MEAN_FACTOR times
+#: its accuracy and spread COST_STD, clamped at zero.
+COST_MEAN_FACTOR = 20.0
+COST_STD = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,21 +75,17 @@ class EnvironmentConfig:
     Decision profits and losses are sampled independently from
     ``value_params``; advisor accuracy from ``accuracy_params`` (clamped
     to [0, 1] so genuinely bad advisors exist); each advisor's price from
-    a rectified Gaussian centered at ``accuracy * cost_mean_factor``.
+    a rectified Gaussian centered at ``accuracy * COST_MEAN_FACTOR``.
     """
 
     n_decisions: int = 1000
     n_advisors: int = 30
     value_params: ErgdParams = field(default=ErgdParams(100.0, 100.0, lower=0.0))
     accuracy_params: ErgdParams = field(default=accuracy_spread(0.8))
-    cost_mean_factor: float = 20.0
-    cost_std: float = 10.0
 
     def __post_init__(self) -> None:
         if self.n_decisions <= 0 or self.n_advisors <= 0:
             raise ValueError("world sizes must be positive")
-        if self.cost_mean_factor < 0.0 or self.cost_std < 0.0:
-            raise ValueError("cost parameters must be non-negative")
 
 
 #: Value-distribution templates: (mean, std) of decision profits and losses.
@@ -92,27 +95,20 @@ ENV_TEMPLATES: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class SimulatedDecision:
-    """A task with stakes and a hidden ground truth (always positive)."""
-
-    id: int
-    value: DecisionValue
-    truth: int = 1
-
-
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """A fully realized world: decisions, the advisor pool, and every answer.
+    """A fully realized world: decision values, the advisor pool, and every answer.
 
-    The answer matrix is drawn up front from the same stream, one entry
-    per (decision, advisor): the truth with the advisor's hidden accuracy
-    and the flipped answer otherwise. Realizing answers as part of the
-    world keeps them identical no matter which method asks, and asking
-    twice trivially returns the same answer.
+    Decision ``i`` is worth ``profits[i]`` if answered right and costs
+    ``losses[i]`` if answered wrong. The answer matrix is drawn up front
+    from the same stream, one entry per (decision, advisor): the truth
+    with the advisor's hidden accuracy and the flipped answer otherwise.
+    Realizing answers as part of the world keeps them identical no matter
+    which method asks, and asking twice trivially returns the same answer.
     """
 
-    decisions: tuple[SimulatedDecision, ...]
+    profits: np.ndarray  # float, profit per decision id
+    losses: np.ndarray  # float, loss per decision id
     accuracies: np.ndarray  # float, hidden accuracy per advisor id
     costs: np.ndarray  # float, price per advisor id
     answers: np.ndarray  # int8, shape (n_decisions, n_advisors), entries in {-1, 1}
@@ -123,23 +119,21 @@ class Environment:
 
         Draw order is pinned (profits, losses, accuracies, costs, then
         answers) so a seeded generator reproduces the world bit for bit.
+        Raises ValueError if a drawn profit or loss is negative.
         """
         profits = ergd_sample(config.value_params, rng, config.n_decisions)
         losses = ergd_sample(config.value_params, rng, config.n_decisions)
+        if not (profits.min() >= 0.0 and losses.min() >= 0.0):
+            raise ValueError("decision values must be non-negative")
         accuracies = ergd_sample(config.accuracy_params, rng, config.n_advisors)
-        costs = np.clip(rng.normal(accuracies * config.cost_mean_factor, config.cost_std), 0.0, None)
-        decisions = tuple(
-            SimulatedDecision(i, DecisionValue(float(profits[i]), float(losses[i])))
-            for i in range(config.n_decisions)
-        )
-        truths = np.array([d.truth for d in decisions], dtype=np.int8)
-        correct = rng.random((len(decisions), accuracies.size)) < accuracies[None, :]
-        answers = np.where(correct, truths[:, None], -truths[:, None]).astype(np.int8)
-        return cls(decisions=decisions, accuracies=accuracies, costs=costs, answers=answers)
+        costs = np.clip(rng.normal(accuracies * COST_MEAN_FACTOR, COST_STD), 0.0, None)
+        correct = rng.random((profits.size, accuracies.size)) < accuracies[None, :]
+        answers = np.where(correct, TRUTH, -TRUTH).astype(np.int8)
+        return cls(profits=profits, losses=losses, accuracies=accuracies, costs=costs, answers=answers)
 
     @property
     def n_decisions(self) -> int:
-        return len(self.decisions)
+        return self.profits.size
 
     @property
     def n_advisors(self) -> int:
@@ -168,8 +162,10 @@ class Environment:
                     )
                 ],
                 "decisions": [
-                    {"id": d.id, "profit": d.value.profit, "loss": d.value.loss}
-                    for d in self.decisions
+                    {"id": i, "profit": profit, "loss": loss}
+                    for i, (profit, loss) in enumerate(
+                        zip(self.profits.tolist(), self.losses.tolist())
+                    )
                 ],
             },
             indent=2,

@@ -98,20 +98,21 @@ def run_maddm(
     all_ids = list(range(n_advisors))
     ef_rounds = config.exploration_first_rounds if exploration_first else 0
 
+    stakes = (environment.profits + environment.losses).tolist()
     trust = TrustVector.fresh(n_advisors)
     history = AnswerLog()
-    ledger = RunLedger(trace)
+    ledger = RunLedger(environment, trace)
 
-    for index, decision in enumerate(environment.decisions):
+    for index in range(environment.n_decisions):
         if index < ef_rounds:
-            answers = environment.answer_set(decision.id, all_ids)
+            answers = environment.answer_set(index, all_ids)
             paid = math.fsum(environment.costs)
             rounds = 0
             hired: tuple[int, ...] = tuple(all_ids)
         else:
             outcome_sel = select_advisors(
-                decision.value, environment.costs, trust,
-                oracle=environment.oracle(decision.id), rng=rng,
+                stakes[index], environment.costs, trust,
+                oracle=environment.oracle(index), rng=rng,
             )
             answers = outcome_sel.answers
             paid = outcome_sel.total_cost
@@ -128,7 +129,7 @@ def run_maddm(
         if len(history) and (index + 1) % config.review.frequency == 0:
             trust = review_update(history, trust, config.review).trust
 
-        ledger.record(decision, answer, paid, hired, rounds, p_positive, confidence)
+        ledger.record(index, answer, paid, hired, rounds, p_positive, confidence)
 
     return ledger.result("maddm")
 
@@ -588,9 +589,11 @@ def _number(kind: type, value, key: str):
 
     Numbers arrive loosely typed: 1000.0 in JSON for an int, text in a
     CSV. A bool, or a float with a fraction for an int, raises ValueError
-    rather than being cast to 1 or truncated.
+    rather than being cast to 1 or truncated; so does a value that is
+    neither a number nor text, such as null or a list.
     """
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
 
@@ -621,16 +624,24 @@ def _template_from_entry(entry) -> EnvironmentTemplate:
     return _load(EnvironmentTemplate, entry)
 
 
-def _method_from_dict(entry: dict) -> MethodSpec:
-    knobs = dict(entry)
+def _shaped(value, kind: type, section: str):
+    """``value`` if it is a ``kind`` (dict or list); else ValueError naming ``section``."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{section} must be {shape}, got {value!r}")
+    return value
+
+
+def _method_from_dict(entry) -> MethodSpec:
+    knobs = dict(_shaped(entry, dict, "methods entry"))
     spec = _load(
         MethodSpec,
         {key: knobs.pop(key) for key in ("method", "variant") if key in knobs},
-        strategy=_load(StrategyConfig, knobs.pop("strategy", {})),
+        strategy=_load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy")),
     )
     if spec.method != "maddm":
         return replace(spec, baseline=_load(BaselineConfig, knobs, method=spec.method))
-    review = dict(knobs.pop("review", {}))
+    review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
     # older plan files carry the one remaining review mode explicitly
     mode = review.pop("mode", "rebuild")
     if mode != "rebuild":
@@ -640,13 +651,20 @@ def _method_from_dict(entry: dict) -> MethodSpec:
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
-    """Parse the declarative plan format used by config files."""
+    """Parse the declarative plan format used by config files.
+
+    Raises ValueError, naming the section, for a section of the wrong shape.
+    """
     parsers = {
         "environments": _template_from_entry,
         "accuracy_means": lambda mean: _number(float, mean, "accuracy_means"),
         "methods": _method_from_dict,
     }
-    given = {key: tuple(map(parse, data[key])) for key, parse in parsers.items() if key in data}
+    _shaped(data, dict, "plan")
+    given = {
+        key: tuple(map(parse, _shaped(data[key], (list, tuple), key)))
+        for key, parse in parsers.items() if key in data
+    }
     return _load(ExperimentPlan, {k: v for k, v in data.items() if k not in parsers}, **given)
 
 

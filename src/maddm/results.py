@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from maddm.environment import TRUTH, Environment
+
 
 @dataclass
 class RunResult:
@@ -32,7 +34,9 @@ class RunResult:
 class RunLedger:
     """Per-decision value, fees, hits and trace rows of one method's run."""
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self, environment: Environment, trace: bool = False) -> None:
+        self.profits = environment.profits.tolist()
+        self.losses = environment.losses.tolist()
         self.values: list[float] = []
         self.fees: list[float] = []
         self.correct_count = 0
@@ -40,7 +44,7 @@ class RunLedger:
 
     def record(
         self,
-        decision,
+        decision_id: int,
         answer: int,
         paid: float,
         hired: Sequence[int],
@@ -48,14 +52,14 @@ class RunLedger:
         p_positive: float,
         confidence: float,
     ) -> None:
-        """Score ``answer`` against the decision's truth and book the fees."""
-        correct = answer == decision.truth
+        """Score ``answer`` to decision ``decision_id`` against the truth and book the fees."""
+        correct = answer == TRUTH
         self.correct_count += int(correct)
-        self.values.append(decision.value.profit if correct else -decision.value.loss)
+        self.values.append(self.profits[decision_id] if correct else -self.losses[decision_id])
         self.fees.append(paid)
         if self.rows is not None:
             self.rows.append(
-                {"decision_id": decision.id, "rounds": rounds, "hired": list(hired),
+                {"decision_id": decision_id, "rounds": rounds, "hired": list(hired),
                  "advisors_polled": len(hired), "total_cost": paid,
                  "p_positive": p_positive, "answer": answer,
                  "confidence": confidence, "correct": correct}

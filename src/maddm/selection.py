@@ -40,24 +40,6 @@ from maddm.trust import TAU_EPS, TrustVector
 AnswerOracle = Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class DecisionValue:
-    """What one decision is worth: profit if right, loss paid if wrong."""
-
-    profit: float
-    loss: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.profit) and math.isfinite(self.loss)):
-            raise ValueError("decision values must be finite")
-        if self.profit < 0.0 or self.loss < 0.0:
-            raise ValueError("decision values must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.profit + self.loss
-
-
 def pool_costs(costs, trust: TrustVector) -> np.ndarray:
     """``costs`` as a float array after checking it prices ``trust``'s pool.
 
@@ -96,7 +78,7 @@ def _hypothetical_gain(
     sums: EnsembleSums,
     pe_plus: float,
     pe_minus: float,
-    value: DecisionValue,
+    stakes: float,
 ):
     """Expected contribution of candidates with the given sampled accuracies.
 
@@ -124,12 +106,12 @@ def _hypothetical_gain(
     )
     swing = np.abs(hyp - np.array([[pe_plus], [pe_minus]]))
     # each camp weighted by its answer's uniform prior probability
-    gain = 0.5 * swing * value.total
+    gain = 0.5 * swing * stakes
     return (2.0 * draws - 1.0) * (gain[0] + gain[1])
 
 
 def select_advisors(
-    value: DecisionValue,
+    stakes: float,
     costs: np.ndarray,
     trust: TrustVector,
     oracle: AnswerOracle,
@@ -139,9 +121,10 @@ def select_advisors(
 
     Parameters
     ----------
-    value : DecisionValue
-        Stakes of the decision being answered. Its two answers are equally
-        likely a priori (a fixed prior of 1/2).
+    stakes : float
+        Profit plus loss of the decision being answered: what swings
+        between answering it right and wrong. Finite and non-negative.
+        Its two answers are equally likely a priori (a fixed prior of 1/2).
     costs : array of float
         Price of each advisor, indexed by advisor id; one finite,
         non-negative entry per advisor ``trust`` covers.
@@ -159,6 +142,9 @@ def select_advisors(
         Possibly-empty answer set, the exact cost paid, sweep count, and
         the hire order.
     """
+    # a NaN fails the comparison too
+    if not 0.0 <= stakes < math.inf:
+        raise ValueError(f"decision stakes must be finite and non-negative, got {stakes!r}")
     costs = pool_costs(costs, trust)
     alpha, beta = trust.alpha, trust.beta
     totals = alpha + beta
@@ -178,7 +164,7 @@ def select_advisors(
         rounds += 1
         live = np.asarray(remaining, dtype=np.intp)
         draws = rng.beta(alpha[live], beta[live])
-        contribution = _hypothetical_gain(draws, theta[live], sums, pe_plus, pe_minus, value)
+        contribution = _hypothetical_gain(draws, theta[live], sums, pe_plus, pe_minus, stakes)
         utilities = contribution - costs[live]
         best = int(utilities.argmax())
         if not utilities[best] > 0.0:

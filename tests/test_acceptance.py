@@ -31,7 +31,7 @@ from maddm.harness import (
     MethodSpec,
     execute_plan,
 )
-from maddm.selection import DecisionValue, select_advisors
+from maddm.selection import select_advisors
 from maddm.stats import mann_whitney_u
 from maddm.trust import TrustVector, apply_confidence_update
 
@@ -232,14 +232,14 @@ def test_criterion_selection_termination_and_bound():
         mass = rng.uniform(2.0, 30.0, size=n)
         alpha = 1.0 + rng.random(n) * (mass - 2.0)
         trust = TrustVector(np.maximum(alpha, 1.0), np.maximum(mass - alpha, 1.0))
-        value = DecisionValue(float(rng.uniform(0.0, 300.0)), float(rng.uniform(0.0, 300.0)))
+        stakes = float(rng.uniform(0.0, 300.0)) + float(rng.uniform(0.0, 300.0))
         expensive = trial % 2 == 1
         if expensive:
-            costs = value.total + rng.uniform(0.01, 10.0, size=n)
+            costs = stakes + rng.uniform(0.01, 10.0, size=n)
         else:
             costs = rng.uniform(0.0, 30.0, size=n)
         row = rng.integers(0, 2, size=n) * 2 - 1
-        outcome = select_advisors(value, costs, trust, lambda i: int(row[i]), rng)
+        outcome = select_advisors(stakes, costs, trust, lambda i: int(row[i]), rng)
         assert len(outcome.hired) <= n
         assert len(set(outcome.hired)) == len(outcome.hired)
         if expensive:

@@ -302,7 +302,7 @@ class TestRunBaseline:
         result = run_baseline(
             BaselineConfig(method="bu"), StrategyConfig(), small_env, np.random.default_rng(0)
         )
-        assert result.utility == math.fsum(d.value.profit for d in small_env.decisions)
+        assert result.utility == math.fsum(small_env.profits)
         assert result.correct_count == small_env.n_decisions
         assert result.total_cost == 0.0
 
@@ -329,8 +329,8 @@ class TestRunBaseline:
             BaselineConfig(method="bc", bc_budget_fraction=fraction), StrategyConfig(),
             small_env, np.random.default_rng(3), trace=True,
         )
-        for row, decision in zip(result.trace, small_env.decisions):
-            assert row["total_cost"] <= fraction * decision.value.total + 1e-9
+        for row, profit, loss in zip(result.trace, small_env.profits, small_env.losses):
+            assert row["total_cost"] <= fraction * (profit + loss) + 1e-9
 
     def test_exploration_first_hires_everyone_early(self, small_env):
         full_cost = sum(small_env.costs)
@@ -361,10 +361,10 @@ class TestRunBaseline:
             np.random.default_rng(7), trace=True,
         )
         won = math.fsum(
-            d.value.profit for d, row in zip(small_env.decisions, result.trace) if row["correct"]
+            profit for profit, row in zip(small_env.profits, result.trace) if row["correct"]
         )
         lost = math.fsum(
-            d.value.loss for d, row in zip(small_env.decisions, result.trace) if not row["correct"]
+            loss for loss, row in zip(small_env.losses, result.trace) if not row["correct"]
         )
         fees = math.fsum(row["total_cost"] for row in result.trace)
         assert result.utility == pytest.approx(won - lost - fees, abs=1e-9)

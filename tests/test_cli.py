@@ -62,8 +62,8 @@ class TestGenerate:
         environment = build_cell_environment(plan_from_dict(json.loads(plan_file.read_text())), 0, 0, 1)
         assert payload["digest"] == environment.digest()
         assert payload["decisions"] == [
-            {"id": d.id, "profit": d.value.profit, "loss": d.value.loss}
-            for d in environment.decisions
+            {"id": i, "profit": profit, "loss": loss}
+            for i, (profit, loss) in enumerate(zip(environment.profits, environment.losses))
         ]
         # the trace replays this world: one row per decision, and every
         # decision's fees are the dumped prices of the advisors it hired

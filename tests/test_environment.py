@@ -8,12 +8,14 @@ import pytest
 
 from maddm.environment import (
     ENV_TEMPLATES,
+    TRUTH,
     Environment,
     EnvironmentConfig,
     ErgdParams,
     accuracy_spread,
     ergd_sample,
 )
+from maddm.harness import build_cell_environment, default_plan
 
 
 def rectified_gaussian_mean(mean: float, std: float, lower: float, upper: float) -> float:
@@ -64,12 +66,11 @@ class TestGenerateEnvironment:
     def test_sizes_and_bounds(self, template_world):
         env = template_world("env1", 0.6, 3, n_decisions=200, n_advisors=25)
         accuracies, costs = env.accuracies, env.costs
-        assert len(env.decisions) == 200
+        assert env.profits.shape == env.losses.shape == (200,)
         assert accuracies.shape == costs.shape == (25,)
-        for d in env.decisions:
-            assert d.value.profit >= 0.0
-            assert d.value.loss >= 0.0
-            assert d.truth == 1
+        assert np.all(env.profits >= 0.0)
+        assert np.all(env.losses >= 0.0)
+        assert TRUTH == 1
         assert np.all((accuracies >= 0.0) & (accuracies <= 1.0))
         assert np.all(costs >= 0.0)
 
@@ -81,6 +82,13 @@ class TestGenerateEnvironment:
         assert np.array_equal(first.answers, second.answers)
         different = Environment.build(config, np.random.default_rng(12))
         assert different.digest() != first.digest()
+
+    def test_pinned_world_digests(self):
+        # a world's bytes, answers included, are fixed by its generator
+        world = Environment.build(EnvironmentConfig(n_decisions=50), np.random.default_rng(11))
+        assert world.digest() == "b96cba878fec31efc7192cd96341d9f8eb266675ef60c7f481f30a723b6de6d9"
+        cell = build_cell_environment(default_plan(), 1, 5, 0)
+        assert cell.digest() == "6c097c0885184abc5cdaec1c3498eb41ce6c0cbbc28e0589d234a148efb0ed21"
 
     def test_cost_tracks_accuracy(self):
         config = EnvironmentConfig(
@@ -94,8 +102,10 @@ class TestGenerateEnvironment:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             EnvironmentConfig(n_decisions=0)
-        with pytest.raises(ValueError):
-            EnvironmentConfig(cost_std=-1.0)
+        # a value distribution with no lower bound draws negative profits
+        config = EnvironmentConfig(n_decisions=20, value_params=ErgdParams(-100.0, 1.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            Environment.build(config, np.random.default_rng(0))
 
 
 class TestEnvironment:

@@ -29,7 +29,7 @@ from maddm.baselines import (
 from maddm.ensemble import EnsembleSums, p_side
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
 from maddm.review import ReviewConfig, review_update
-from maddm.selection import DecisionValue, _hypothetical_gain
+from maddm.selection import _hypothetical_gain
 from maddm.trust import TAU_EPS, TrustVector
 
 # Pools of up to 30 advisors, as in the benchmark worlds, where an
@@ -223,10 +223,10 @@ def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, l
     for tau, theta, answer in hired:
         sums.add(tau, theta, answer)
     pe_plus, pe_minus = sums.probabilities()
-    value = DecisionValue(profit, loss)
+    stakes = profit + loss
     draws = np.array(draws)
     candidate_theta = np.full(draws.size, thetas)
-    got = _hypothetical_gain(draws, candidate_theta, sums, pe_plus, pe_minus, value)
+    got = _hypothetical_gain(draws, candidate_theta, sums, pe_plus, pe_minus, stakes)
 
     clamped = np.clip(draws, TAU_EPS, 1.0 - TAU_EPS)
     log_tau, log_one_minus = np.log(clamped), np.log1p(-clamped)
@@ -238,8 +238,8 @@ def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, l
     hyp_minus = p_side(
         log_minus + log_tau, log_plus + log_one_minus, sums.tau_neg + clamped, sums.tau_pos, theta_bar
     )
-    gain_plus = 0.5 * np.abs(hyp_plus - pe_plus) * value.total
-    gain_minus = 0.5 * np.abs(hyp_minus - pe_minus) * value.total
+    gain_plus = 0.5 * np.abs(hyp_plus - pe_plus) * stakes
+    gain_minus = 0.5 * np.abs(hyp_minus - pe_minus) * stakes
     assert np.array_equal(got, (2.0 * draws - 1.0) * (gain_plus + gain_minus))
 
 

@@ -38,6 +38,9 @@ from maddm.results import RunResult
 from maddm.review import ReviewConfig
 
 
+MINIMAL_PLAN = {"environments": ["env1"], "accuracy_means": [0.8], "methods": [{"method": "bu"}]}
+
+
 def tiny_plan(out_methods=None, base_seed=7) -> ExperimentPlan:
     methods = out_methods or (
         MethodSpec(method="maddm", maddm=MaddmConfig(review=ReviewConfig(frequency=10))),
@@ -65,16 +68,12 @@ class TestRunMaddm:
             n_advisors=6,
             value_params=ErgdParams(100.0, 100.0, lower=5.0),
             accuracy_params=ErgdParams(1.0, 0.0, lower=0.0, upper=1.0),
-            cost_mean_factor=0.0,
-            cost_std=0.0,
         )
-        env = Environment.build(config, np.random.default_rng(3))
+        env = replace(Environment.build(config, np.random.default_rng(3)), costs=np.zeros(6))
         result = run_maddm(env, MaddmConfig(), np.random.default_rng(0), exploration_first=True)
         assert result.total_cost == 0.0
         assert result.correct_count == env.n_decisions
-        assert result.utility == pytest.approx(
-            math.fsum(d.value.profit for d in env.decisions), abs=1e-9
-        )
+        assert result.utility == pytest.approx(math.fsum(env.profits), abs=1e-9)
 
     def test_adversarial_pool_keeps_accounting_identity(self):
         config = EnvironmentConfig(
@@ -96,12 +95,8 @@ class TestRunMaddm:
 
     @staticmethod
     def _check_identity(env, result):
-        won = math.fsum(
-            d.value.profit for d, row in zip(env.decisions, result.trace) if row["correct"]
-        )
-        lost = math.fsum(
-            d.value.loss for d, row in zip(env.decisions, result.trace) if not row["correct"]
-        )
+        won = math.fsum(profit for profit, row in zip(env.profits, result.trace) if row["correct"])
+        lost = math.fsum(loss for loss, row in zip(env.losses, result.trace) if not row["correct"])
         fees = math.fsum(row["total_cost"] for row in result.trace)
         scale = max(1.0, abs(result.utility))
         assert result.utility == pytest.approx(won - lost - fees, abs=1e-9 * scale)
@@ -124,10 +119,9 @@ class TestRunMaddm:
             n_advisors=5,
             value_params=ErgdParams(10.0, 0.0, lower=0.0),
             accuracy_params=ErgdParams(0.9, 0.0, lower=0.0, upper=1.0),
-            cost_mean_factor=1000.0,
-            cost_std=0.0,
         )
         env = Environment.build(config, np.random.default_rng(6))
+        env = replace(env, costs=1000.0 * env.accuracies)
         result = run_maddm(env, MaddmConfig(), np.random.default_rng(4), trace=True)
         assert result.total_cost == 0.0
         assert result.correct_count == 0
@@ -149,10 +143,9 @@ class TestRunMaddm:
                     n_decisions=60,
                     n_advisors=10,
                     accuracy_params=ErgdParams(accuracy, 0.3, lower=0.0, upper=1.0),
-                    cost_mean_factor=0.0,
-                    cost_std=0.0,
                 )
                 env = Environment.build(config, np.random.default_rng(100 + rep))
+                env = replace(env, costs=np.zeros(env.n_advisors))
                 result = run_maddm(
                     env,
                     MaddmConfig(exploration_first_rounds=env.n_decisions,
@@ -444,6 +437,20 @@ class TestPlanSerialization:
         data["n_advisors"] = 3
         data["methods"][0][knob] = 4
         with pytest.raises(ValueError, match=knob):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("data, section", [
+        ({**MINIMAL_PLAN, "accuracy_means": 0.8}, "accuracy_means"),
+        ({**MINIMAL_PLAN, "accuracy_means": [None]}, "accuracy_means"),
+        ({**MINIMAL_PLAN, "environments": "env1"}, "environments"),
+        ({**MINIMAL_PLAN, "methods": [5]}, "methods entry"),
+        ({**MINIMAL_PLAN, "methods": {"method": "bu"}}, "methods"),
+        ({**MINIMAL_PLAN, "methods": [{"method": "maddm", "review": 5}]}, "review"),
+        ({**MINIMAL_PLAN, "methods": [{"method": "fna", "strategy": 5}]}, "strategy"),
+        ([MINIMAL_PLAN], "plan"),
+    ])
+    def test_section_of_the_wrong_shape_rejected_at_load(self, data, section):
+        with pytest.raises(ValueError, match=f"^{section} must be"):
             plan_from_dict(data)
 
     def test_unknown_template_name_rejected(self):

@@ -9,24 +9,24 @@ from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, ensemble_decide
 from maddm.harness import MaddmConfig, run_maddm
 from maddm.review import ReviewConfig
-from maddm.selection import DecisionValue, _hypothetical_gain, select_advisors
+from maddm.selection import _hypothetical_gain, select_advisors
 from maddm.trust import TrustVector
 
 
 class TestValueTypes:
-    def test_decision_value_validation(self):
-        with pytest.raises(ValueError):
-            DecisionValue(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            DecisionValue(1.0, math.inf)
-        assert DecisionValue(30.0, 70.0).total == 100.0
+    def test_decision_value_validation(self, rng):
+        # a decision's stakes (profit plus loss) are finite and non-negative
+        trust = TrustVector.fresh(2)
+        for stakes in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="stakes"):
+                select_advisors(stakes, np.ones(2), trust, lambda i: 1, rng)
 
     def test_offer_validation(self, rng):
         # one finite, non-negative price per advisor the trust vector covers
         trust = TrustVector.fresh(2)
         for costs in ([0.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(ValueError):
-                select_advisors(DecisionValue(1, 1), np.array(costs), trust, lambda i: 1, rng)
+                select_advisors(2.0, np.array(costs), trust, lambda i: 1, rng)
 
 
 def hiring_gain(
@@ -34,7 +34,7 @@ def hiring_gain(
     sampled: float,
     current: AnswerSet,
     trust: TrustVector,
-    value: DecisionValue,
+    stakes: float,
 ) -> float:
     """The hiring loop's expected contribution of ``candidate`` joining ``current``.
 
@@ -45,28 +45,25 @@ def hiring_gain(
     pe_plus, pe_minus = sums.probabilities()
     draws = np.array([sampled])
     theta = trust.uncertainty()[candidate]
-    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, value)[0])
+    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, stakes)[0])
 
 
 class TestMarginalContribution:
     def test_coin_flip_draw_contributes_nothing(self):
         trust = TrustVector.fresh(3)
-        value = DecisionValue(100.0, 100.0)
         for current in (AnswerSet.empty(), AnswerSet({1}, {2})):
-            assert hiring_gain(0, 0.5, current, trust, value) == 0.0
+            assert hiring_gain(0, 0.5, current, trust, 200.0) == 0.0
 
     def test_fresh_candidate_on_empty_set(self):
         # single-member hypothetical vote is one-sided, so each side's swing
         # is 0.5 * |1 - 0.5| * 200 = 50 and the draw scales it by 2*0.9-1
         trust = TrustVector.fresh(1)
-        value = DecisionValue(100.0, 100.0)
-        got = hiring_gain(0, 0.9, AnswerSet.empty(), trust, value)
+        got = hiring_gain(0, 0.9, AnswerSet.empty(), trust, 200.0)
         assert got == pytest.approx(80.0, rel=1e-12)
 
     def test_low_draw_prices_negative(self):
         trust = TrustVector.fresh(1)
-        value = DecisionValue(100.0, 100.0)
-        got = hiring_gain(0, 0.2, AnswerSet.empty(), trust, value)
+        got = hiring_gain(0, 0.2, AnswerSet.empty(), trust, 200.0)
         assert got < 0.0
 
     def test_matches_public_ensemble_hypotheticals(self, rng):
@@ -87,7 +84,7 @@ class TestMarginalContribution:
             split = int(rng.integers(0, len(members) + 1))
             current = AnswerSet(set(members[:split]), set(members[split:]))
             sampled = float(rng.uniform(0.15, 0.85))
-            value = DecisionValue(float(rng.uniform(0, 300)), float(rng.uniform(0, 300)))
+            stakes = float(rng.uniform(0, 300)) + float(rng.uniform(0, 300))
 
             if current.is_empty:
                 pe_plus, pe_minus = 0.5, 0.5
@@ -106,12 +103,12 @@ class TestMarginalContribution:
             as_no = AnswerSet(current.positives, current.negatives | {candidate_id})
             hyp_plus = ensemble_decide(as_yes, synth).p_positive
             hyp_minus = ensemble_decide(as_no, synth).p_negative
-            swing_plus = 0.5 * abs(hyp_plus - pe_plus) * value.total
-            swing_minus = 0.5 * abs(hyp_minus - pe_minus) * value.total
+            swing_plus = 0.5 * abs(hyp_plus - pe_plus) * stakes
+            swing_minus = 0.5 * abs(hyp_minus - pe_minus) * stakes
             expected = (2.0 * sampled - 1.0) * (swing_plus + swing_minus)
 
-            got = hiring_gain(candidate_id, sampled, current, trust, value)
-            assert got == pytest.approx(expected, abs=1e-12 * max(1.0, value.total))
+            got = hiring_gain(candidate_id, sampled, current, trust, stakes)
+            assert got == pytest.approx(expected, abs=1e-12 * max(1.0, stakes))
 
 
 class TestSelectAdvisors:
@@ -119,10 +116,9 @@ class TestSelectAdvisors:
         return lambda advisor_id: answer
 
     def test_unaffordable_pool_hires_nobody(self, rng):
-        value = DecisionValue(50.0, 50.0)
         costs = np.full(5, 101.0)
         trust = TrustVector.fresh(5)
-        outcome = select_advisors(value, costs, trust, self.oracle_always(1), rng)
+        outcome = select_advisors(100.0, costs, trust, self.oracle_always(1), rng)
         assert outcome.answers.is_empty
         assert outcome.total_cost == 0.0
         assert outcome.hired == ()
@@ -132,7 +128,7 @@ class TestSelectAdvisors:
         # an advisor with overwhelming evidence draws near 1, clearing cost 0
         trust = TrustVector([1000.0], [1.0])
         outcome = select_advisors(
-            DecisionValue(100.0, 100.0), np.zeros(1), trust, self.oracle_always(1), rng
+            200.0, np.zeros(1), trust, self.oracle_always(1), rng
         )
         assert outcome.hired == (0,)
         assert outcome.answers.positives == frozenset({0})
@@ -144,7 +140,7 @@ class TestSelectAdvisors:
         costs = rng.uniform(0.0, 8.0, size=n)
         answers = {i: 1 if rng.random() < 0.7 else -1 for i in range(n)}
         outcome = select_advisors(
-            DecisionValue(200.0, 200.0), costs, trust, lambda i: answers[i], rng,
+            400.0, costs, trust, lambda i: answers[i], rng,
         )
         assert len(outcome.hired) == len(set(outcome.hired))
         assert frozenset(outcome.hired) == outcome.answers.members
@@ -161,19 +157,18 @@ class TestSelectAdvisors:
         n = 10
         trust = TrustVector.fresh(n)
         costs = 2.0 + 0.3 * np.arange(n)
-        value = DecisionValue(120.0, 80.0)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
             runs.append(
-                select_advisors(value, costs, trust, self.oracle_always(-1), rng)
+                select_advisors(200.0, costs, trust, self.oracle_always(-1), rng)
             )
         assert runs[0] == runs[1]
 
     def test_empty_pool_rejected(self, rng):
         with pytest.raises(ValueError, match="non-empty"):
             select_advisors(
-                DecisionValue(1, 1), [], TrustVector.fresh(0), self.oracle_always(1), rng,
+                2.0, [], TrustVector.fresh(0), self.oracle_always(1), rng,
             )
 
 
