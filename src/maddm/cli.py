@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``generate``: emit the world one plan cell plays as JSON for audits.
+* ``generate``: emit the world one plan cell plays as JSON for audits,
+  answer matrix included, so a dump can replay a run by itself.
 * ``run``: execute a plan from a config file, writing results.csv,
   summary.csv and significance.csv into an output directory.
 * ``report``: rebuild summary.csv and significance.csv from an existing
@@ -64,7 +65,11 @@ def _write_text(text: str, output: str | None) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     plan, cell = _plan_cell(args)
     environment = build_cell_environment(plan, *cell)
-    payload = {"digest": environment.digest(), **json.loads(environment.to_json())}
+    payload = {
+        "digest": environment.digest(),
+        **json.loads(environment.to_json()),
+        "answers": environment.answers.tolist(),
+    }
     _write_text(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -138,11 +137,6 @@ class Environment:
     @property
     def n_advisors(self) -> int:
         return len(self.costs)
-
-    def oracle(self, decision_id: int) -> Callable[[int], int]:
-        """Per-decision answer oracle for the selection loop."""
-        row = self.answers[decision_id]
-        return lambda advisor_id: int(row[advisor_id])
 
     def answer_set(self, decision_id: int, advisor_ids) -> AnswerSet:
         """Partition the given advisors by their realized answers."""

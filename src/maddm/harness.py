@@ -95,7 +95,7 @@ def run_maddm(
     for is answered negative with zero confidence at zero cost.
     """
     n_advisors = environment.n_advisors
-    all_ids = list(range(n_advisors))
+    all_ids = tuple(range(n_advisors))
     ef_rounds = config.exploration_first_rounds if exploration_first else 0
 
     stakes = (environment.profits + environment.losses).tolist()
@@ -105,19 +105,12 @@ def run_maddm(
 
     for index in range(environment.n_decisions):
         if index < ef_rounds:
-            answers = environment.answer_set(index, all_ids)
-            paid = math.fsum(environment.costs)
-            rounds = 0
-            hired: tuple[int, ...] = tuple(all_ids)
+            hired, paid, rounds = all_ids, math.fsum(environment.costs), 0
         else:
-            outcome_sel = select_advisors(
-                stakes[index], environment.costs, trust,
-                oracle=environment.oracle(index), rng=rng,
-            )
-            answers = outcome_sel.answers
-            paid = outcome_sel.total_cost
-            rounds = outcome_sel.rounds
-            hired = outcome_sel.hired
+            votes = environment.answers[index]
+            hiring = select_advisors(stakes[index], environment.costs, trust, votes, rng)
+            hired, paid, rounds = hiring.hired, hiring.total_cost, hiring.rounds
+        answers = environment.answer_set(index, hired)
 
         if answers.is_empty:
             answer, confidence, p_positive = -1, 0.0, 0.5
@@ -206,8 +199,9 @@ class ExperimentPlan:
             raise ValueError("base_seed must be non-negative")
         if self.n_decisions < 1 or self.n_advisors < 1:
             raise ValueError("n_decisions and n_advisors must be at least 1")
-        if not all(math.isfinite(mean) for mean in self.accuracy_means):
-            raise ValueError("accuracy_means must be finite")
+        # a NaN fails the comparison too
+        if not all(0.0 <= mean <= 1.0 for mean in self.accuracy_means):
+            raise ValueError("accuracy_means must be finite and lie in [0, 1]")
         # summaries group runs by environment name and accuracy mean, so a
         # repeated coordinate would merge two grid points into one row
         names = [template.name for template in self.environments]

@@ -19,25 +19,19 @@ of maddm.ensemble.
 An advisor is an id into the pool's arrays: the price of advisor ``i``
 is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
 dense range ``0..n-1`` that the trust vector covers. A hired advisor's
-answer comes from a per-decision oracle; the simulated environment
-realises every answer up front and serves it.
+answer is read from the decision's row of the world's answer matrix,
+which the simulated environment realises up front.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, p_side
 from maddm.trust import TAU_EPS, TrustVector
-
-# Per-decision oracle: advisor id -> answer in {-1, 1}. The answer is only
-# requested once the advisor has been hired.
-AnswerOracle = Callable[[int], int]
 
 
 def pool_costs(costs, trust: TrustVector) -> np.ndarray:
@@ -66,7 +60,6 @@ class SelectionOutcome:
     (unless the pool was exhausted first). ``hired`` preserves hire order.
     """
 
-    answers: AnswerSet
     total_cost: float
     rounds: int
     hired: tuple[int, ...]
@@ -114,7 +107,7 @@ def select_advisors(
     stakes: float,
     costs: np.ndarray,
     trust: TrustVector,
-    oracle: AnswerOracle,
+    votes: np.ndarray,
     rng: np.random.Generator,
 ) -> SelectionOutcome:
     """Hire advisors one at a time while somebody's utility stays positive.
@@ -130,22 +123,25 @@ def select_advisors(
         non-negative entry per advisor ``trust`` covers.
     trust : TrustVector
         Current evidence; supplies both the Thompson posteriors and the
-        stored trustworthiness used for the realized answer set.
-    oracle : callable
-        Maps advisor id to its answer; consulted only on hire.
+        stored trustworthiness the hired advisors vote with.
+    votes : array of int
+        The decision's answer by advisor id, one entry per advisor; an
+        entry is read only on hire and must then be -1 or 1.
     rng : numpy Generator
         Source for the Thompson draws; fresh draws every round.
 
     Returns
     -------
     SelectionOutcome
-        Possibly-empty answer set, the exact cost paid, sweep count, and
-        the hire order.
+        The exact cost paid, sweep count, and the (possibly empty) hire
+        order.
     """
     # a NaN fails the comparison too
     if not 0.0 <= stakes < math.inf:
         raise ValueError(f"decision stakes must be finite and non-negative, got {stakes!r}")
     costs = pool_costs(costs, trust)
+    if len(votes) != costs.size:
+        raise ValueError(f"need one vote per advisor ({costs.size}), got {len(votes)}")
     alpha, beta = trust.alpha, trust.beta
     totals = alpha + beta
     stored_tau = alpha / totals
@@ -154,8 +150,6 @@ def select_advisors(
     remaining = list(range(costs.size))  # advisor ids not hired yet
     sums = EnsembleSums()
     pe_plus, pe_minus = 0.5, 0.5
-    positives: list[int] = []
-    negatives: list[int] = []
     hired: list[int] = []
     total_cost = 0.0
     rounds = 0
@@ -171,17 +165,11 @@ def select_advisors(
             break
         advisor_id = remaining.pop(best)
         total_cost += float(costs[advisor_id])
-        answer = int(oracle(advisor_id))
+        answer = int(votes[advisor_id])
         if answer not in (-1, 1):
-            raise ValueError(f"oracle returned {answer!r} for advisor {advisor_id}")
+            raise ValueError(f"advisor {advisor_id} voted {answer!r}, not -1 or 1")
         hired.append(advisor_id)
-        (positives if answer == 1 else negatives).append(advisor_id)
         sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), answer)
         pe_plus, pe_minus = sums.probabilities()
 
-    return SelectionOutcome(
-        answers=AnswerSet(frozenset(positives), frozenset(negatives)),
-        total_cost=total_cost,
-        rounds=rounds,
-        hired=tuple(hired),
-    )
+    return SelectionOutcome(total_cost=total_cost, rounds=rounds, hired=tuple(hired))

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from maddm.cli import main
-from maddm.harness import build_cell_environment, plan_from_dict
+from maddm.environment import Environment
+from maddm.harness import _method_rng, build_cell_environment, plan_from_dict, run_cell, run_method
 
 
 @pytest.fixture
@@ -59,7 +62,8 @@ class TestGenerate:
         main(["generate", *cell_flags, "--output", str(world)])
         main(["trace", *cell_flags, "--method", "maddm", "--output", str(trace)])
         payload = json.loads(world.read_text())
-        environment = build_cell_environment(plan_from_dict(json.loads(plan_file.read_text())), 0, 0, 1)
+        plan = plan_from_dict(json.loads(plan_file.read_text()))
+        environment = build_cell_environment(plan, 0, 0, 1)
         assert payload["digest"] == environment.digest()
         assert payload["decisions"] == [
             {"id": i, "profit": profit, "loss": loss}
@@ -72,6 +76,20 @@ class TestGenerate:
         costs = [advisor["cost"] for advisor in payload["advisors"]]
         for row in rows:
             assert row["total_cost"] == pytest.approx(math.fsum(costs[i] for i in row["hired"]))
+        # the dump alone rebuilds the world, answer matrix included, and
+        # replays the cell's maddm run
+        dumped = Environment(
+            profits=np.array([d["profit"] for d in payload["decisions"]]),
+            losses=np.array([d["loss"] for d in payload["decisions"]]),
+            accuracies=np.array([a["hidden_accuracy"] for a in payload["advisors"]]),
+            costs=np.array(costs),
+            answers=np.array(payload["answers"], dtype=np.int8),
+        )
+        assert dumped.digest() == payload["digest"]
+        spec = next(spec for spec in plan.methods if spec.method == "maddm")
+        replayed = run_method(spec, dumped, _method_rng(plan, 0, 0, 1, spec.label))
+        cell_row = next(row for row in run_cell(plan, 0, 0, 1) if row.method == "maddm")
+        assert replace(replayed, environment="env1", accuracy_mean=0.8, repetition=1) == cell_row
 
 
 class TestRunAndReport:

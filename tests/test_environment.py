@@ -114,12 +114,6 @@ class TestEnvironment:
         assert set(np.unique(env.answers).tolist()) <= {-1, 1}
         assert env.answers.shape == (40, 30)
 
-    def test_oracle_matches_matrix(self, template_world):
-        env = template_world("env1", 0.8, 4, n_decisions=10)
-        oracle = env.oracle(3)
-        for advisor in range(env.n_advisors):
-            assert oracle(advisor) == env.answers[3, advisor]
-
     def test_answer_set_partition(self, template_world):
         env = template_world("env1", 0.8, 4, n_decisions=10)
         chosen = [0, 5, 7, 12]

@@ -469,6 +469,13 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="accuracy_means must be finite"):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("mean", [80, -0.5, 1.01])
+    def test_accuracy_mean_outside_unit_interval_rejected_at_load(self, mean):
+        # accuracy_spread clamps every advisor into [0, 1], so a mean of 80
+        # would otherwise run silently with every advisor at accuracy 1
+        with pytest.raises(ValueError, match=r"accuracy_means must be finite and lie in \[0, 1\]"):
+            plan_from_dict({**MINIMAL_PLAN, "accuracy_means": [mean]})
+
     @pytest.mark.parametrize("key, value", [
         # a custom template under a named template's name
         ("environments", ["env1", {"name": "env1", "value_mean": 500, "value_std": 500}]),
