@@ -1,4 +1,8 @@
-"""Answer sets: who said yes and who said no, singly and as a flat log."""
+"""Answer sets, singly and as a flat log, in one layout.
+
+Both hold the members' ids in increasing order and, aligned with them,
+each member's vote as a sign: +1 for yes, -1 for no.
+"""
 
 from __future__ import annotations
 
@@ -18,39 +22,39 @@ def _coerce_ids(ids: Iterable) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnswerSet:
-    """Advisors that answered yes (``positives``) and no (``negatives``).
+    """The advisors consulted on one decision (``ids``) and their votes (``signs``).
 
-    The two sides are disjoint by construction; their union is the full
-    set of advisors consulted for one decision. An empty set is a legal
-    value (nobody was hired) but most aggregation operations reject it.
+    Built from the two disjoint camps, yes and no. Equal sets hold equal
+    tuples. An empty set is a legal value (nobody was hired) but most
+    aggregation operations reject it.
     """
 
-    positives: frozenset[int]
-    negatives: frozenset[int]
+    ids: tuple[int, ...]
+    signs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positives", _coerce_ids(self.positives))
-        object.__setattr__(self, "negatives", _coerce_ids(self.negatives))
-        overlap = self.positives & self.negatives
-        if overlap:
-            raise ValueError(f"advisors {sorted(overlap)} appear on both sides of the answer set")
+    def __init__(self, positives: Iterable, negatives: Iterable) -> None:
+        yes, no = _coerce_ids(positives), _coerce_ids(negatives)
+        if yes & no:
+            raise ValueError(f"advisors {sorted(yes & no)} appear on both sides of the answer set")
+        object.__setattr__(self, "ids", tuple(sorted(yes | no)))
+        object.__setattr__(self, "signs", tuple(1 if i in yes else -1 for i in self.ids))
 
     @classmethod
-    def empty(cls) -> "AnswerSet":
-        return cls(frozenset(), frozenset())
-
-    @property
-    def members(self) -> frozenset[int]:
-        return self.positives | self.negatives
+    def _of(cls, ids: tuple[int, ...], signs: tuple[int, ...]) -> "AnswerSet":
+        """Wrap increasing non-negative ids and their +1/-1 votes; no checks."""
+        answers = cls.__new__(cls)
+        object.__setattr__(answers, "ids", ids)
+        object.__setattr__(answers, "signs", signs)
+        return answers
 
     @property
     def is_empty(self) -> bool:
-        return not (self.positives or self.negatives)
+        return not self.ids
 
     def __len__(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return len(self.ids)
 
 
 def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
@@ -72,12 +76,12 @@ class _Segments:
         self.size = 0  # members logged
         self.count = 0  # segments logged
 
-    def append(self, members: list[int], signs: list[int]) -> None:
-        end = self.size + len(members)
+    def append(self, ids: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        end = self.size + len(ids)
         self.ids = _grown(self.ids, end)
         self.signs = _grown(self.signs, end)
         self.starts = _grown(self.starts, self.count + 2)
-        self.ids[self.size : end] = members
+        self.ids[self.size : end] = ids
         self.signs[self.size : end] = signs
         self.size = end
         self.count += 1
@@ -90,10 +94,10 @@ class _Segments:
 class AnswerLog:
     """Append-only flat log of answer sets, one segment per set.
 
-    Member ids and vote signs (+1 yes, -1 no) live in growable arrays, id
-    sorted inside each segment, so whole-history passes run as array
-    operations instead of walking Python sets. The id-sorted layout keeps
-    the likelihood sums order-identical when every answer is flipped.
+    Each set's ``ids`` and ``signs`` are copied as they are into growable
+    arrays, so whole-history passes run as array operations instead of
+    walking the sets one by one. The id-sorted layout keeps the likelihood
+    sums order-identical when every answer is flipped.
 
     Each set is also interned: a set seen for the first time is appended
     to a second flat log of distinct sets, and every logged member records
@@ -112,27 +116,18 @@ class AnswerLog:
     def __len__(self) -> int:
         return self._log.count
 
-    def __getitem__(self, index: int) -> AnswerSet:
-        if not 0 <= index < self._log.count:
-            raise IndexError(f"segment {index} outside the log of {self._log.count}")
-        span = slice(self._log.starts[index], self._log.starts[index + 1])
-        ids, signs = self._log.ids[span], self._log.signs[span]
-        return AnswerSet(frozenset(ids[signs > 0].tolist()), frozenset(ids[signs < 0].tolist()))
-
     def append(self, answers: AnswerSet) -> None:
         if answers.is_empty:
             raise ValueError("cannot log an empty answer set")
-        members = sorted(answers.members)
-        signs = [1 if m in answers.positives else -1 for m in members]
         index = self._index.get(answers)
         if index is None:
             index = self._index[answers] = self._distinct.count
-            self._distinct.append(members, signs)
+            self._distinct.append(answers.ids, answers.signs)
         start = self._log.size
-        self._log.append(members, signs)
+        self._log.append(answers.ids, answers.signs)
         self._member = _grown(self._member, self._log.size)
         self._member[start : self._log.size] = index
-        self.max_advisor_id = max(self.max_advisor_id, members[-1])
+        self.max_advisor_id = max(self.max_advisor_id, answers.ids[-1])
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel)."""

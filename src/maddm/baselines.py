@@ -226,6 +226,10 @@ class EmAggregator:
             raise ValueError("initial accuracy must lie strictly inside (0, 1)")
         if n_advisors < 1:
             raise ValueError("need at least one advisor")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        if type(max_iterations) is not int or max_iterations < 1:
+            raise ValueError(f"max_iterations must be an int of at least 1, got {max_iterations!r}")
         self.n_advisors = n_advisors
         self.tol = tol
         self.max_iterations = max_iterations
@@ -241,7 +245,7 @@ class EmAggregator:
     def observe(self, answers: AnswerSet) -> None:
         if answers.is_empty:
             raise ValueError("cannot observe an empty answer set")
-        if max(answers.members) >= self.n_advisors:
+        if answers.ids[-1] >= self.n_advisors:
             raise ValueError("answer set references advisors outside the pool")
         self._log.append(answers)
 
@@ -350,8 +354,7 @@ def run_baseline(
         answers = environment.answer_set(index, chosen)
 
         if config.method == "rv":
-            vote = len(answers.positives) - len(answers.negatives)
-            answer = 1 if vote > 0 else -1
+            answer = 1 if sum(answers.signs) > 0 else -1
             confidence = 1.0
             p_positive = float(answer == 1)
         elif answers.is_empty:

@@ -89,9 +89,9 @@ class EnsembleSums:
         trust.check_covers(answers)
         sums = cls()
         alpha, beta = trust.alpha.tolist(), trust.beta.tolist()
-        for i in sorted(answers.members):
+        for i, sign in zip(answers.ids, answers.signs):
             total = alpha[i] + beta[i]
-            sums.add(alpha[i] / total, 2.0 / total, 1 if i in answers.positives else -1)
+            sums.add(alpha[i] / total, 2.0 / total, sign)
         return sums
 
     def add(self, tau: float, theta: float, answer: int) -> None:

@@ -98,10 +98,10 @@ class TrustVector:
     def check_covers(self, answers: AnswerSet) -> None:
         """Raise ValueError unless every advisor in ``answers`` has a record."""
         n = len(self)
-        unknown = [i for i in answers.members if i >= n]
+        unknown = [i for i in answers.ids if i >= n]
         if unknown:
             raise ValueError(
-                f"answer set references unknown advisor ids {sorted(unknown)}; "
+                f"answer set references unknown advisor ids {unknown}; "
                 f"trust vector covers [0, {n})"
             )
 
@@ -125,12 +125,8 @@ def apply_confidence_update(
     trust.check_covers(answers)
     alpha = trust.alpha.copy()
     beta = trust.beta.copy()
-    pos = sorted(answers.positives)
-    neg = sorted(answers.negatives)
-    if answer == 1:
-        alpha[pos] += confidence
-        beta[neg] += confidence
-    else:
-        beta[pos] += confidence
-        alpha[neg] += confidence
+    ids = np.array(answers.ids, dtype=np.intp)
+    agree = np.array(answers.signs) == answer
+    alpha[ids[agree]] += confidence
+    beta[ids[~agree]] += confidence
     return TrustVector._of(alpha, beta)

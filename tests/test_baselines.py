@@ -249,12 +249,28 @@ class TestEmAggregate:
             with pytest.raises(ValueError, match="initial accuracy"):
                 EmAggregator(2, init_accuracy=init_accuracy)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_iterations", 0),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("tol", math.nan),
+            ("tol", -1.0),
+            ("tol", 0.0),
+            ("tol", math.inf),
+        ],
+    )
+    def test_invalid_convergence_knobs_rejected_when_built(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            EmAggregator(2, **{knob: value})
+
     def test_empty_input_rejected(self):
         aggregator = EmAggregator(3)
         with pytest.raises(ValueError):
             aggregator.infer()
         with pytest.raises(ValueError):
-            aggregator.observe(AnswerSet.empty())
+            aggregator.observe(AnswerSet((), ()))
 
     def test_objective_never_decreases(self, rng):
         for _ in range(20):

@@ -29,10 +29,11 @@ class TestAnswerSet:
 
     def test_members_and_len(self):
         answers = AnswerSet({0, 2}, {1})
-        assert answers.members == frozenset({0, 1, 2})
+        assert answers.ids == (0, 1, 2)
+        assert answers.signs == (1, -1, 1)
         assert len(answers) == 3
         assert not answers.is_empty
-        assert AnswerSet.empty().is_empty
+        assert AnswerSet((), ()).is_empty
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ class TestBayesian:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            bayesian_probabilities(AnswerSet.empty(), TrustVector.fresh(2))
+            bayesian_probabilities(AnswerSet((), ()), TrustVector.fresh(2))
 
     def test_unknown_advisor_rejected(self):
         with pytest.raises(ValueError, match="unknown advisor"):
@@ -159,6 +160,12 @@ class TestDecideAndUpdate:
 tau_values = st.floats(min_value=0.1, max_value=0.9, allow_nan=False)
 
 
+def camps(answers: AnswerSet) -> tuple[frozenset[int], frozenset[int]]:
+    """The advisors that voted yes and those that voted no."""
+    yes = frozenset(i for i, sign in zip(answers.ids, answers.signs) if sign == 1)
+    return yes, frozenset(answers.ids) - yes
+
+
 @st.composite
 def answer_cases(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -185,7 +192,8 @@ class TestProperties:
     @given(answer_cases())
     def test_swapping_sides_swaps_probabilities(self, case):
         answers, trust = case
-        swapped = AnswerSet(answers.negatives, answers.positives)
+        yes, no = camps(answers)
+        swapped = AnswerSet(no, yes)
         for op in (bayesian_probabilities, weighted_voting_probabilities):
             p_plus, p_minus = op(answers, trust)
             s_plus, s_minus = op(swapped, trust)
@@ -199,7 +207,8 @@ class TestProperties:
         extra = len(trust)
         taus = [float(t) for t in trust.trustworthiness()] + [tau_extra]
         grown_trust = vector_for(taus)
-        grown = AnswerSet(answers.positives | {extra}, answers.negatives)
+        yes, no = camps(answers)
+        grown = AnswerSet(yes | {extra}, no)
         before, _ = bayesian_probabilities(answers, grown_trust)
         after, _ = bayesian_probabilities(grown, grown_trust)
         assert after >= before - 1e-12

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from maddm.answers import AnswerLog, AnswerSet
 from maddm.environment import (
     ENV_TEMPLATES,
     TRUTH,
@@ -118,11 +119,46 @@ class TestEnvironment:
         env = template_world("env1", 0.8, 4, n_decisions=10)
         chosen = [0, 5, 7, 12]
         answers = env.answer_set(2, chosen)
-        assert answers.members == frozenset(chosen)
-        for advisor in answers.positives:
-            assert env.answers[2, advisor] == 1
-        for advisor in answers.negatives:
-            assert env.answers[2, advisor] == -1
+        assert answers.ids == tuple(chosen)
+        for advisor, sign in zip(answers.ids, answers.signs):
+            assert env.answers[2, advisor] == sign
+
+    def test_answer_set_in_hire_order_equals_the_constructor_set(self, template_world):
+        env = template_world("env1", 0.8, 4, n_decisions=10)
+        hired = (7, 3, 12)
+        from_run = env.answer_set(5, hired)
+        row = env.answers[5]
+        from_camps = AnswerSet([i for i in hired if row[i] == 1], [i for i in hired if row[i] == -1])
+        assert from_run == from_camps
+        assert hash(from_run) == hash(from_camps)
+        assert all(type(i) is int for i in from_run.ids)
+        assert from_run.ids == (3, 7, 12)
+        assert list(from_run.signs) == env.answers[5, list(from_run.ids)].tolist()
+        log = AnswerLog()
+        log.append(from_run)
+        log.append(from_camps)
+        assert log.distinct_arrays()[3].tolist() == [0] * 6
+        # repeated ids merge, numpy ints included
+        assert env.answer_set(5, hired + (3, np.int64(7))) == from_run
+
+    @pytest.mark.parametrize(
+        "decision_id, advisor_ids, message",
+        [
+            (-1, [0], "decision id -1 is not an int in 0..9"),
+            (10, [0], "decision id 10 is not an int in 0..9"),
+            (1.0, [0], "decision id 1.0 is not an int in 0..9"),
+            (True, [0], "decision id True is not an int in 0..9"),
+            (0, [0, -1], "advisor id -1 is not an int in 0..29"),
+            (0, [30], "advisor id 30 is not an int in 0..29"),
+            (0, [1.0], "advisor id 1.0 is not an int in 0..29"),
+            (0, [True], "advisor id True is not an int in 0..29"),
+        ],
+    )
+    def test_answer_set_rejects_ids_outside_the_world(self, template_world, decision_id, advisor_ids, message):
+        env = template_world("env1", 0.8, 4, n_decisions=10)
+        with pytest.raises(ValueError) as error:
+            env.answer_set(decision_id, advisor_ids)
+        assert str(error.value) == message
 
     def test_accuracy_governs_answer_frequency(self):
         config = EnvironmentConfig(

@@ -30,7 +30,7 @@ from maddm.ensemble import EnsembleSums, p_side
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import _hypothetical_gain
-from maddm.trust import TAU_EPS, TrustVector
+from maddm.trust import TAU_EPS, TrustVector, apply_confidence_update
 
 # Pools of up to 30 advisors, as in the benchmark worlds, where an
 # exploration-first round logs all 30: long segments are where the order in
@@ -241,6 +241,28 @@ def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, l
     gain_plus = 0.5 * np.abs(hyp_plus - pe_plus) * stakes
     gain_minus = 0.5 * np.abs(hyp_minus - pe_minus) * stakes
     assert np.array_equal(got, (2.0 * draws - 1.0) * (gain_plus + gain_minus))
+
+
+@given(
+    data=st.data(),
+    n_advisors=st.integers(1, MAX_ADVISORS),
+    answer=st.sampled_from([-1, 1]),
+    confidence=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_confidence_update_equals_per_camp_formula(data, n_advisors, answer, confidence):
+    evidence = per_advisor(st.floats(1.0, 50.0), n_advisors)
+    alpha, beta = np.array(data.draw(evidence)), np.array(data.draw(evidence))
+    members = data.draw(st.lists(st.integers(0, n_advisors - 1), max_size=n_advisors, unique=True))
+    split = data.draw(st.integers(0, len(members)))
+    yes, no = members[:split], members[split:]
+    got = apply_confidence_update(TrustVector(alpha, beta), AnswerSet(yes, no), answer, confidence)
+
+    agree, disagree = (sorted(yes), sorted(no)) if answer == 1 else (sorted(no), sorted(yes))
+    ref_alpha, ref_beta = alpha.copy(), beta.copy()
+    ref_alpha[agree] += confidence
+    ref_beta[disagree] += confidence
+    assert np.array_equal(got.alpha, ref_alpha)
+    assert np.array_equal(got.beta, ref_beta)
 
 
 def reference_cost_effectiveness(costs, estimates) -> np.ndarray:

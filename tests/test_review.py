@@ -22,13 +22,14 @@ class TestDecisionHistory:
     def test_append_and_entries(self):
         history = history_of(AnswerSet({0}, {1}), AnswerSet({2}, set()))
         assert len(history) == 2
-        assert history[0] == AnswerSet({0}, {1})
+        ids, signs, starts = history.flat_arrays()
+        assert (ids.tolist(), signs.tolist(), starts.tolist()) == ([0, 1, 2], [1, -1, 1], [0, 2, 3])
         assert history.max_advisor_id == 2
 
     def test_empty_answer_set_rejected(self):
         history = AnswerLog()
         with pytest.raises(ValueError, match="empty"):
-            history.append(AnswerSet.empty())
+            history.append(AnswerSet((), ()))
 
     def test_flat_arrays_layout(self):
         history = history_of(AnswerSet({3, 1}, {2}), AnswerSet({0}, set()))
@@ -44,7 +45,12 @@ class TestDecisionHistory:
         ids, signs, starts = history.flat_arrays()
         assert ids.size == 500
         assert starts.tolist() == list(range(0, 501, 5))
-        assert history[99] == AnswerSet({0, 1, 2}, {3, 4})
+        assert ids[495:].tolist() == [0, 1, 2, 3, 4]
+        assert signs[495:].tolist() == [1, 1, 1, -1, -1]
+        d_ids, d_signs, d_starts, member = history.distinct_arrays()
+        assert d_ids.tolist() == [0, 1, 2, 3, 4]
+        assert (d_signs.tolist(), d_starts.tolist()) == ([1, 1, 1, -1, -1], [0, 5])
+        assert member.tolist() == [0] * 500
 
 
 class TestAnswerLogInterning:
@@ -142,11 +148,13 @@ class TestReviewUpdate:
         history = history_of(
             AnswerSet({0, 2}, {1}), AnswerSet({1}, {0}), AnswerSet({2}, set())
         )
-        before = list(history)
+        before = [a.copy() for a in (*history.flat_arrays(), *history.distinct_arrays())]
         outcome = review_update(history, TrustVector.fresh(3))
         assert np.all(outcome.trust.alpha >= 1.0)
         assert np.all(outcome.trust.beta >= 1.0)
-        assert list(history) == before
+        after = [*history.flat_arrays(), *history.distinct_arrays()]
+        assert len(history) == 3
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     def test_unknown_advisor_rejected(self):
         history = history_of(AnswerSet({5}, set()))

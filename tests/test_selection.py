@@ -52,19 +52,19 @@ def hiring_gain(
 class TestMarginalContribution:
     def test_coin_flip_draw_contributes_nothing(self):
         trust = TrustVector.fresh(3)
-        for current in (AnswerSet.empty(), AnswerSet({1}, {2})):
+        for current in (AnswerSet((), ()), AnswerSet({1}, {2})):
             assert hiring_gain(0, 0.5, current, trust, 200.0) == 0.0
 
     def test_fresh_candidate_on_empty_set(self):
         # single-member hypothetical vote is one-sided, so each side's swing
         # is 0.5 * |1 - 0.5| * 200 = 50 and the draw scales it by 2*0.9-1
         trust = TrustVector.fresh(1)
-        got = hiring_gain(0, 0.9, AnswerSet.empty(), trust, 200.0)
+        got = hiring_gain(0, 0.9, AnswerSet((), ()), trust, 200.0)
         assert got == pytest.approx(80.0, rel=1e-12)
 
     def test_low_draw_prices_negative(self):
         trust = TrustVector.fresh(1)
-        got = hiring_gain(0, 0.2, AnswerSet.empty(), trust, 200.0)
+        got = hiring_gain(0, 0.2, AnswerSet((), ()), trust, 200.0)
         assert got < 0.0
 
     def test_matches_public_ensemble_hypotheticals(self, rng):
@@ -83,7 +83,8 @@ class TestMarginalContribution:
             members = list(rng.permutation(n))
             candidate_id = members.pop()
             split = int(rng.integers(0, len(members) + 1))
-            current = AnswerSet(set(members[:split]), set(members[split:]))
+            yes, no = set(members[:split]), set(members[split:])
+            current = AnswerSet(yes, no)
             sampled = float(rng.uniform(0.15, 0.85))
             stakes = float(rng.uniform(0, 300)) + float(rng.uniform(0, 300))
 
@@ -100,8 +101,8 @@ class TestMarginalContribution:
             synth_beta[candidate_id] = total_cand - synth_alpha[candidate_id]
             synth = TrustVector(synth_alpha, synth_beta)
 
-            as_yes = AnswerSet(current.positives | {candidate_id}, current.negatives)
-            as_no = AnswerSet(current.positives, current.negatives | {candidate_id})
+            as_yes = AnswerSet(yes | {candidate_id}, no)
+            as_no = AnswerSet(yes, no | {candidate_id})
             hyp_plus = ensemble_decide(as_yes, synth).p_positive
             hyp_minus = ensemble_decide(as_no, synth).p_negative
             swing_plus = 0.5 * abs(hyp_plus - pe_plus) * stakes
@@ -137,7 +138,7 @@ class TestSelectAdvisors:
         env = one_decision_world(np.zeros(1), [1])
         outcome = select_advisors(200.0, env.costs, trust, env.answers[0], rng)
         assert outcome.hired == (0,)
-        assert env.answer_set(0, outcome.hired).positives == frozenset({0})
+        assert env.answer_set(0, outcome.hired) == AnswerSet({0}, ())
         assert outcome.rounds == 1  # pool exhausted right after the hire
 
     def test_votes_row_must_cover_the_pool(self, rng):
@@ -161,15 +162,13 @@ class TestSelectAdvisors:
         outcome = select_advisors(400.0, env.costs, trust, env.answers[0], rng)
         hired_answers = env.answer_set(0, outcome.hired)
         assert len(outcome.hired) == len(set(outcome.hired))
-        assert frozenset(outcome.hired) == hired_answers.members
+        assert hired_answers.ids == tuple(sorted(outcome.hired))
         assert outcome.total_cost == pytest.approx(
             sum(costs[i] for i in outcome.hired), abs=1e-12
         )
         assert len(outcome.hired) <= n
-        for advisor in hired_answers.positives:
-            assert answers[advisor] == 1
-        for advisor in hired_answers.negatives:
-            assert answers[advisor] == -1
+        for advisor, sign in zip(hired_answers.ids, hired_answers.signs):
+            assert answers[advisor] == sign
 
     def test_deterministic_under_fixed_seed(self):
         n = 10

@@ -187,7 +187,7 @@ class TestEvidenceConservation:
         applied = [[] for _ in range(n_advisors)]
         for answers, answer, confidence in updates:
             vec = apply_confidence_update(vec, answers, answer, confidence)
-            for member in answers.members:
+            for member in answers.ids:
                 applied[member].append(confidence)
         for advisor in range(n_advisors):
             total = float(vec.alpha[advisor] + vec.beta[advisor])
