@@ -12,14 +12,14 @@ from typing import Iterable
 import numpy as np
 
 
-def _coerce_ids(ids: Iterable) -> frozenset[int]:
-    out = set()
-    for advisor_id in ids:
-        value = int(advisor_id)
-        if value != advisor_id or value < 0:
-            raise ValueError(f"advisor ids must be non-negative ints, got {advisor_id!r}")
-        out.add(value)
-    return frozenset(out)
+def checked_id(value, kind: str = "advisor", size: int | None = None) -> int:
+    """``value`` as an int id, non-negative and below ``size`` if given; ValueError otherwise."""
+    # a bool is an int subclass but not of type int, nor a numpy integer
+    is_int = type(value) is int or isinstance(value, np.integer)
+    if is_int and 0 <= value and (size is None or value < size):
+        return int(value)
+    span = "a non-negative int" if size is None else f"an int in 0..{size - 1}"
+    raise ValueError(f"{kind} id {value!r} is not {span}")
 
 
 @dataclass(frozen=True, init=False)
@@ -35,7 +35,7 @@ class AnswerSet:
     signs: tuple[int, ...]
 
     def __init__(self, positives: Iterable, negatives: Iterable) -> None:
-        yes, no = _coerce_ids(positives), _coerce_ids(negatives)
+        yes, no = {checked_id(i) for i in positives}, {checked_id(i) for i in negatives}
         if yes & no:
             raise ValueError(f"advisors {sorted(yes & no)} appear on both sides of the answer set")
         object.__setattr__(self, "ids", tuple(sorted(yes | no)))

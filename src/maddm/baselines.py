@@ -27,7 +27,7 @@ import numpy as np
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
 from maddm.ensemble import LOG_PRIOR
 from maddm.environment import TRUTH, Environment
-from maddm.results import RunLedger, RunResult
+from maddm.results import RunLedger, RunResult, play
 from maddm.selection import pool_costs
 from maddm.trust import TrustVector, apply_confidence_update
 
@@ -312,31 +312,24 @@ def run_baseline(
 ) -> RunResult:
     """Play one baseline method through an entire environment.
 
-    With ``exploration_first`` the whole pool is hired for the first
-    ``config.exploration_first_rounds`` decisions to bootstrap the
-    accuracy estimates before the method's own selection takes over.
-    The perfect-information bound ``bu`` ignores advisors entirely.
+    Supplies the method's steps to :func:`results.play`: rv hires at
+    random and takes the majority; fna and bc hire by their ranking,
+    answer by EM and credit the hires' trust. The exploration-first
+    warm-up pays the numpy sum of the prices. ``bu`` ignores advisors.
     """
-    n_decisions, n_advisors = environment.n_decisions, environment.n_advisors
-
-    ledger = RunLedger(environment, trace)
     if config.method == "bu":
-        for index in range(n_decisions):
+        ledger = RunLedger(environment, trace)
+        for index in range(environment.n_decisions):
             ledger.record(index, TRUTH, 0.0, (), 0, 1.0, 1.0)
         return ledger.result("bu")
 
-    costs = environment.costs
-    all_ids = list(range(n_advisors))
-    ef_rounds = config.exploration_first_rounds if exploration_first else 0
-
+    costs, n_advisors = environment.costs, environment.n_advisors
+    stakes = (environment.profits + environment.losses).tolist()
     trust = TrustVector.fresh(n_advisors)
     aggregator = EmAggregator(n_advisors)
 
-    stakes = (environment.profits + environment.losses).tolist()
-    for index in range(n_decisions):
-        if index < ef_rounds:
-            chosen = all_ids
-        elif config.method == "rv":
+    def hire(index: int) -> tuple[list[int], float, int]:
+        if config.method == "rv":
             chosen = [int(i) for i in rng.choice(n_advisors, size=config.rv_k, replace=False)]
         elif config.method == "fna":
             chosen = select_fixed_number(
@@ -349,27 +342,23 @@ def run_baseline(
                 costs, trust, strategy, budget, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
+        return chosen, float(costs[chosen].sum()) if chosen else 0.0, 1
 
-        paid = float(costs[chosen].sum()) if chosen else 0.0
-        answers = environment.answer_set(index, chosen)
+    def majority(answers: AnswerSet) -> tuple[int, float, float]:
+        answer = 1 if sum(answers.signs) > 0 else -1
+        return answer, 1.0, float(answer == 1)
 
-        if config.method == "rv":
-            answer = 1 if sum(answers.signs) > 0 else -1
-            confidence = 1.0
-            p_positive = float(answer == 1)
-        elif answers.is_empty:
-            # nobody affordable: commit to the default answer, learn nothing
-            answer, confidence, p_positive = -1, 0.0, 0.5
-        else:
-            aggregator.observe(answers)
-            aggregator.infer()
-            q_plus = float(aggregator.posterior_plus[-1])
-            q_minus = float(aggregator.posterior_minus[-1])
-            answer = 1 if q_plus > q_minus else -1
-            confidence = abs(q_plus - q_minus)
-            p_positive = q_plus
-            trust = apply_confidence_update(trust, answers, answer, confidence)
+    def em(answers: AnswerSet) -> tuple[int, float, float]:
+        nonlocal trust
+        aggregator.observe(answers)
+        aggregator.infer()
+        q_plus = float(aggregator.posterior_plus[-1])
+        q_minus = float(aggregator.posterior_minus[-1])
+        answer = 1 if q_plus > q_minus else -1
+        confidence = abs(q_plus - q_minus)
+        trust = apply_confidence_update(trust, answers, answer, confidence)
+        return answer, confidence, q_plus
 
-        ledger.record(index, answer, paid, chosen, 1, p_positive, confidence)
-
-    return ledger.result(config.method)
+    warm_up = (config.exploration_first_rounds if exploration_first else 0, float(costs.sum()))
+    decide = majority if config.method == "rv" else em
+    return play(environment, config.method, hire, decide, warm_up, trace)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerSet, checked_id
 
 #: The ground truth of every decision.
 TRUTH = 1
@@ -94,14 +94,6 @@ ENV_TEMPLATES: dict[str, tuple[float, float]] = {
 }
 
 
-def _checked_id(value, size: int, kind: str) -> int:
-    """``value`` as an int id in ``0..size-1``; ValueError otherwise."""
-    # a bool is an int subclass but not of type int, nor a numpy integer
-    if not (type(value) is int or isinstance(value, np.integer)) or not 0 <= value < size:
-        raise ValueError(f"{kind} id {value!r} is not an int in 0..{size - 1}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class Environment:
     """A fully realized world: decision values, the advisor pool, and every answer.
@@ -148,8 +140,8 @@ class Environment:
 
     def answer_set(self, decision_id: int, advisor_ids) -> AnswerSet:
         """The given advisors' realized answers to one decision; repeated ids merge."""
-        row = self.answers[_checked_id(decision_id, self.n_decisions, "decision")]
-        ids = sorted({_checked_id(i, self.n_advisors, "advisor") for i in advisor_ids})
+        row = self.answers[checked_id(decision_id, "decision", self.n_decisions)]
+        ids = sorted({checked_id(i, "advisor", self.n_advisors) for i in advisor_ids})
         return AnswerSet._of(tuple(ids), tuple(row[ids].tolist()))
 
     def to_json(self) -> str:

@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Sequence, get_type_hints
 
 import numpy as np
 
-from maddm.answers import AnswerLog
+from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
 from maddm.ensemble import decide_and_update
 from maddm.environment import (
@@ -37,7 +37,7 @@ from maddm.environment import (
     ErgdParams,
     accuracy_spread,
 )
-from maddm.results import RunLedger, RunResult
+from maddm.results import RunResult, play
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import select_advisors
 from maddm.stats import mann_whitney_u, mean_confidence_interval
@@ -88,43 +88,35 @@ def run_maddm(
 ) -> RunResult:
     """Play the adaptive method through an entire environment.
 
-    Per decision: hire advisors through the marginal-utility loop (or the
-    whole pool during exploration-first warm-up), commit the ensemble
-    answer, feed its confidence back into the trust records, and
-    periodically review the full history. A decision nobody was hired
-    for is answered negative with zero confidence at zero cost.
+    Supplies maddm's steps to :func:`results.play`: hire through the
+    marginal-utility loop, commit the ensemble answer and feed its
+    confidence back into trust, and review the history every
+    ``config.review.frequency`` decisions, empty ones included. The
+    exploration-first warm-up pays ``math.fsum`` of the prices.
     """
-    n_advisors = environment.n_advisors
-    all_ids = tuple(range(n_advisors))
-    ef_rounds = config.exploration_first_rounds if exploration_first else 0
-
     stakes = (environment.profits + environment.losses).tolist()
-    trust = TrustVector.fresh(n_advisors)
+    trust = TrustVector.fresh(environment.n_advisors)
     history = AnswerLog()
-    ledger = RunLedger(environment, trace)
 
-    for index in range(environment.n_decisions):
-        if index < ef_rounds:
-            hired, paid, rounds = all_ids, math.fsum(environment.costs), 0
-        else:
-            votes = environment.answers[index]
-            hiring = select_advisors(stakes[index], environment.costs, trust, votes, rng)
-            hired, paid, rounds = hiring.hired, hiring.total_cost, hiring.rounds
-        answers = environment.answer_set(index, hired)
+    def hire(index: int) -> tuple[tuple[int, ...], float, int]:
+        hiring = select_advisors(
+            stakes[index], environment.costs, trust, environment.answers[index], rng
+        )
+        return hiring.hired, hiring.total_cost, hiring.rounds
 
-        if answers.is_empty:
-            answer, confidence, p_positive = -1, 0.0, 0.5
-        else:
-            outcome, trust = decide_and_update(answers, trust)
-            answer, confidence, p_positive = outcome.answer, outcome.confidence, outcome.p_positive
-            history.append(answers)
+    def decide(answers: AnswerSet) -> tuple[int, float, float]:
+        nonlocal trust
+        outcome, trust = decide_and_update(answers, trust)
+        history.append(answers)
+        return outcome.answer, outcome.confidence, outcome.p_positive
 
+    def review(index: int) -> None:
+        nonlocal trust
         if len(history) and (index + 1) % config.review.frequency == 0:
             trust = review_update(history, trust, config.review).trust
 
-        ledger.record(index, answer, paid, hired, rounds, p_positive, confidence)
-
-    return ledger.result("maddm")
+    warm_up = (config.exploration_first_rounds if exploration_first else 0, math.fsum(environment.costs))
+    return play(environment, "maddm", hire, decide, warm_up, trace, after=review)
 
 
 @dataclass(frozen=True)
@@ -292,14 +284,7 @@ def run_cell(plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int) -> lis
     for spec in plan.methods:
         rng = _method_rng(plan, env_idx, grid_idx, rep, spec.label)
         result = run_method(spec, environment, rng)
-        out.append(
-            replace(
-                result,
-                environment=template.name,
-                accuracy_mean=accuracy,
-                repetition=rep,
-            )
-        )
+        out.append(replace(result, environment=template.name, accuracy_mean=accuracy, repetition=rep))
     return out
 
 

@@ -1,12 +1,17 @@
-"""Per-run accounting shared by every decision method."""
+"""The decision loop and the per-run accounting shared by every decision method."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
+from maddm.answers import AnswerSet
 from maddm.environment import TRUTH, Environment
+
+#: (answer, confidence, p_positive) of a decision nobody was hired for:
+#: the negative answer, held with no confidence, at even odds.
+EMPTY_DECISION = (-1, 0.0, 0.5)
 
 
 @dataclass
@@ -43,14 +48,8 @@ class RunLedger:
         self.rows: list[dict] | None = [] if trace else None
 
     def record(
-        self,
-        decision_id: int,
-        answer: int,
-        paid: float,
-        hired: Sequence[int],
-        rounds: int,
-        p_positive: float,
-        confidence: float,
+        self, decision_id: int, answer: int, paid: float, hired: Sequence[int],
+        rounds: int, p_positive: float, confidence: float,
     ) -> None:
         """Score ``answer`` to decision ``decision_id`` against the truth and book the fees."""
         correct = answer == TRUTH
@@ -74,3 +73,36 @@ class RunLedger:
             n_decisions=len(self.values),
             trace=self.rows,
         )
+
+
+def play(
+    environment: Environment,
+    method: str,
+    hire: Callable[[int], tuple[Sequence[int], float, int]],
+    decide: Callable[[AnswerSet], tuple[int, float, float]],
+    warm_up: tuple[int, float],
+    trace: bool = False,
+    after: Callable[[int], None] | None = None,
+) -> RunResult:
+    """Play one method through every decision of ``environment``.
+
+    ``warm_up`` is (rounds, fee): the first ``rounds`` decisions hire the
+    whole pool for ``fee``, and each later one hires ``hire(index)``, an
+    (ids, fee, rounds) triple. ``decide`` learns from a non-empty answer
+    set and gives (answer, confidence, p_positive); an empty one is
+    answered :data:`EMPTY_DECISION`. ``after(index)`` runs after every
+    decision, empty ones included.
+    """
+    everyone = tuple(range(environment.n_advisors))
+    ledger = RunLedger(environment, trace)
+    for index in range(environment.n_decisions):
+        if index < warm_up[0]:
+            hired, paid, rounds = everyone, warm_up[1], 0
+        else:
+            hired, paid, rounds = hire(index)
+        answers = environment.answer_set(index, hired)
+        answer, confidence, p_positive = EMPTY_DECISION if answers.is_empty else decide(answers)
+        if after is not None:
+            after(index)
+        ledger.record(index, answer, paid, hired, rounds, p_positive, confidence)
+    return ledger.result(method)

@@ -357,8 +357,10 @@ class TestRunBaseline:
         for row in result.trace[:10]:
             assert len(row["hired"]) == small_env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
+            assert row["rounds"] == 0
         for row in result.trace[10:]:
             assert len(row["hired"]) == 5
+            assert row["rounds"] == 1
 
     def test_bu_dominates_everything(self, small_env):
         bu = run_baseline(

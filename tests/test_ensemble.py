@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,20 @@ class TestAnswerSet:
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
             AnswerSet({-1}, set())
+
+    @pytest.mark.parametrize("bad", [True, 2.0, -1])
+    def test_ids_must_be_non_negative_ints(self, bad):
+        # the same rule as Environment.answer_set, without its pool bound
+        with pytest.raises(ValueError, match=f"advisor id {bad!r} is not a non-negative int"):
+            AnswerSet({bad}, ())
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            AnswerSet((), [bad])
+
+    def test_numpy_int_ids_accepted_as_ints(self):
+        answers = AnswerSet({np.int64(2)}, [np.int32(0)])
+        assert answers.ids == (0, 2)
+        assert answers.signs == (-1, 1)
+        assert all(type(i) is int for i in answers.ids)
 
 
 class TestBayesian:

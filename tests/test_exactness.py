@@ -14,20 +14,24 @@ is required to stay byte-identical.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
 from maddm.baselines import (
+    BaselineConfig,
     EmAggregator,
     StrategyConfig,
     cost_effectiveness,
+    run_baseline,
     select_budget_constrained,
     select_fixed_number,
 )
 from maddm.ensemble import EnsembleSums, p_side
-from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell
+from maddm.environment import Environment, EnvironmentConfig
+from maddm.harness import EnvironmentTemplate, ExperimentPlan, MaddmConfig, MethodSpec, run_cell, run_maddm
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import _hypothetical_gain
 from maddm.trust import TAU_EPS, TrustVector, apply_confidence_update
@@ -382,8 +386,9 @@ def test_epsilon_greedy_ranking_keeps_the_reference_stream(pool, epsilon, criter
 # (environment, method, variant, strategy) -> repr of (utility, total_cost),
 # correct_count; recorded from the code before answer sets were interned
 # (the bc and the ucb and thompson fna entries: before the advisor pool
-# became a cost array), 300 decisions, accuracy 0.8, base_seed 0,
-# repetition 0.
+# became a cost array; the fna, bc and rv exploration-first and the rv and
+# bu standard entries: before every method shared one decision loop),
+# 300 decisions, accuracy 0.8, base_seed 0, repetition 0.
 PINNED = {
     ("env1", "maddm", "standard", "epsilon_greedy"): ("25783.730066846743", "8208.580059850812", 295),
     ("env1", "maddm", "exploration_first", "epsilon_greedy"): ("19700.94911861245", "14291.361008085109", 295),
@@ -393,6 +398,11 @@ PINNED = {
     ("env1", "bc", "standard", "epsilon_greedy"): ("26307.97164828453", "4456.250759033804", 276),
     ("env1", "fna", "standard", "ucb"): ("26275.57145586322", "6320.8607002490235", 295),
     ("env1", "fna", "standard", "thompson"): ("25766.075546951986", "8226.234579745573", 300),
+    ("env1", "fna", "exploration_first", "epsilon_greedy"): ("19304.67685927855", "14687.633267419009", 300),
+    ("env1", "bc", "exploration_first", "epsilon_greedy"): ("20942.2017436195", "9744.653589090325", 278),
+    ("env1", "rv", "standard", "epsilon_greedy"): ("10730.241054945336", "15939.10126831653", 270),
+    ("env1", "rv", "exploration_first", "epsilon_greedy"): ("8320.508523837256", "20951.906044828353", 280),
+    ("env1", "bu", "standard", "epsilon_greedy"): ("33992.31012669756", "0.0", 300),
 }
 
 
@@ -417,9 +427,30 @@ def test_pinned_results_are_unchanged():
         + run(("env1",), (MethodSpec("fna"), MethodSpec("bc")))
         + run(("env1",), (MethodSpec("fna", strategy=StrategyConfig(kind="ucb")),))
         + run(("env1",), (MethodSpec("fna", strategy=StrategyConfig(kind="thompson")),))
+        + run(("env1",), tuple(MethodSpec(m, "exploration_first") for m in ("fna", "bc", "rv")))
+        + run(("env1",), (MethodSpec("rv"), MethodSpec("bu")))
     )
     got = {
         (r.environment, r.method, r.variant, kind): (repr(r.utility), repr(r.total_cost), r.correct_count)
         for r, kind in results
     }
     assert got == PINNED
+
+
+def test_warm_up_fee_is_each_methods_own_sum():
+    # 30 advisors at 0.1 each: math.fsum books exactly 3.0 and numpy's
+    # pairwise sum 3.000000000000001; maddm pays the first, the baselines
+    # the second, and a tolerance could not tell them apart
+    env = Environment.build(EnvironmentConfig(n_decisions=12), np.random.default_rng(0))
+    env = replace(env, costs=np.full(env.n_advisors, 0.1))
+    fsum, numpy_sum = math.fsum(env.costs), float(env.costs.sum())
+    assert fsum == 3.0 and numpy_sum != fsum
+
+    config = MaddmConfig(exploration_first_rounds=10)
+    maddm = run_maddm(env, config, np.random.default_rng(1), exploration_first=True, trace=True)
+    fna = run_baseline(
+        BaselineConfig("fna", exploration_first_rounds=10), StrategyConfig(), env,
+        np.random.default_rng(1), exploration_first=True, trace=True,
+    )
+    assert [row["total_cost"] for row in maddm.trace[:10]] == [fsum] * 10
+    assert [row["total_cost"] for row in fna.trace[:10]] == [numpy_sum] * 10

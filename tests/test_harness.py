@@ -112,7 +112,8 @@ class TestRunMaddm:
             assert len(row["hired"]) == env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
 
-    def test_empty_hire_answers_negative_at_zero_cost(self):
+    @pytest.mark.parametrize("method", ["maddm", "bc"])
+    def test_empty_hire_answers_negative_at_zero_cost(self, method):
         # all advisors cost more than any decision can be worth
         config = EnvironmentConfig(
             n_decisions=30,
@@ -122,13 +123,14 @@ class TestRunMaddm:
         )
         env = Environment.build(config, np.random.default_rng(6))
         env = replace(env, costs=1000.0 * env.accuracies)
-        result = run_maddm(env, MaddmConfig(), np.random.default_rng(4), trace=True)
+        result = run_method(MethodSpec(method), env, np.random.default_rng(4), trace=True)
         assert result.total_cost == 0.0
         assert result.correct_count == 0
         for row in result.trace:
             assert row["hired"] == []
             assert row["answer"] == -1
             assert row["confidence"] == 0.0
+            assert row["p_positive"] == 0.5
 
     def test_monotone_accuracy_sweep_with_free_full_pool(self):
         # whole pool consulted at zero cost: mean correctness should climb

@@ -1,0 +1,49 @@
+"""The one decision loop every method plays through, with fake steps."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from maddm.environment import Environment, EnvironmentConfig
+from maddm.results import EMPTY_DECISION, play
+
+
+def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
+    env = Environment.build(EnvironmentConfig(n_decisions=8, n_advisors=4), np.random.default_rng(0))
+    decided, after = [], []
+
+    def hire(index):
+        # even decisions hire one advisor in 2 rounds; odd ones hire nobody
+        return ((index % 4,), 1.5, 2) if index % 2 == 0 else ((), 0.0, 3)
+
+    def decide(answers):
+        assert not answers.is_empty
+        decided.append(answers)
+        return 1, 0.25, 0.75
+
+    result = play(env, "fake", hire, decide, warm_up=(2, 9.0), trace=True, after=after.append)
+
+    assert after == list(range(8))  # empty decisions included
+    hired = [tuple(range(4)), tuple(range(4)), (2,), (), (0,), (), (2,), ()]
+    assert [tuple(row["hired"]) for row in result.trace] == hired
+    assert decided == [env.answer_set(i, ids) for i, ids in enumerate(hired) if ids]
+    assert [row["rounds"] for row in result.trace] == [0, 0, 2, 3, 2, 3, 2, 3]
+    assert [row["total_cost"] for row in result.trace] == [9.0, 9.0, 1.5, 0.0, 1.5, 0.0, 1.5, 0.0]
+    for row in result.trace:
+        outcome = (row["answer"], row["confidence"], row["p_positive"])
+        assert outcome == (EMPTY_DECISION if not row["hired"] else (1, 0.25, 0.75))
+    values = [env.profits[i] for i in (0, 1, 2, 4, 6)] + [-env.losses[i] for i in (3, 5, 7)]
+    assert result.method == "fake"
+    assert result.correct_count == 5
+    assert result.total_cost == 22.5
+    assert result.utility == math.fsum(values) - 22.5
+
+
+def test_play_without_hooks_or_trace():
+    env = Environment.build(EnvironmentConfig(n_decisions=5, n_advisors=3), np.random.default_rng(1))
+    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: (1, 1.0, 1.0), (0, 0.0))
+    assert result.trace is None
+    assert result.correct_count == 0
+    assert result.n_decisions == 5
