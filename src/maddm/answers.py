@@ -100,10 +100,12 @@ class AnswerLog:
     sums order-identical when every answer is flipped.
 
     Each set is also interned: a set seen for the first time is appended
-    to a second flat log of distinct sets, and every logged member records
-    the index of its distinct set. Equal sets hold the same ids and signs
-    in the same order, so a per-set result computed once per distinct set
-    is bit-identical to one computed for every logged set.
+    to a second flat log of distinct sets, every logged member records
+    the index of its distinct set, every distinct member the index of its
+    own set, and every distinct set counts how often it was logged. Equal
+    sets hold the same ids and signs in the same order, so a per-set
+    result computed once per distinct set is bit-identical to one
+    computed for every logged set.
     """
 
     def __init__(self) -> None:
@@ -111,6 +113,8 @@ class AnswerLog:
         self._distinct = _Segments()
         self._index: dict[AnswerSet, int] = {}
         self._member = np.empty(64, dtype=np.intp)  # distinct index per logged member
+        self._owner = np.empty(64, dtype=np.intp)  # distinct index per distinct member
+        self._counts = np.empty(64, dtype=np.intp)  # times each distinct set was logged
         self.max_advisor_id = -1
 
     def __len__(self) -> int:
@@ -122,7 +126,13 @@ class AnswerLog:
         index = self._index.get(answers)
         if index is None:
             index = self._index[answers] = self._distinct.count
+            start = self._distinct.size
             self._distinct.append(answers.ids, answers.signs)
+            self._owner = _grown(self._owner, self._distinct.size)
+            self._owner[start : self._distinct.size] = index
+            self._counts = _grown(self._counts, index + 1)
+            self._counts[index] = 0
+        self._counts[index] += 1
         start = self._log.size
         self._log.append(answers.ids, answers.signs)
         self._member = _grown(self._member, self._log.size)
@@ -141,6 +151,15 @@ class AnswerLog:
         gives, for each member of :meth:`flat_arrays`, its set's segment.
         """
         return (*self._distinct.arrays(), self._member[: self._log.size])
+
+    def distinct_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times each distinct set was logged, set index per distinct member).
+
+        Both align with :meth:`distinct_arrays`: the first with its
+        segments, the second with its members.
+        """
+        count = self._distinct.count
+        return self._counts[:count], self._owner[: self._distinct.size]
 
 
 def segment_log_likelihoods(

@@ -14,10 +14,11 @@ that pass's evidence. Evidence mass stays proportional to the history
 length, so the loop contracts to a fixed point.
 
 The same trusted advisors are hired again and again, so a long history
-holds few distinct answer sets. A pass decides each distinct set once and
-reads every logged decision's answer and confidence through the log's
-member index; each advisor's evidence is still summed in log order, so
-the result is bit-identical to deciding every logged set.
+holds few distinct answer sets. A pass decides each distinct set once,
+with the posterior in log-odds form, and credits its members with its
+confidence times the number of times it was logged. The sums run in a
+different order than a decision-by-decision pass would add them, so the
+records agree with that pass to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from maddm.answers import AnswerLog, segment_log_likelihoods
-from maddm.ensemble import LOG_PRIOR, p_side
+from maddm.answers import AnswerLog
 from maddm.trust import TAU_EPS, TrustVector
 
 
@@ -62,62 +62,39 @@ class ReviewOutcome:
     delta_tau: float
 
 
-def _decide_all(
-    ids: np.ndarray,
-    signs: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ensemble decision over every stored answer set.
+# A no vote flips the sign of an advisor's logit and of its signed trust.
+_NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
-    Returns the per-decision answers and confidences under the given
-    evidence arrays, from the same statistics and rule as
-    maddm.ensemble.EnsembleSums. ``sizes`` is ``np.diff(starts)``.
+
+def _review_pass(
+    sets: tuple[np.ndarray, ...], tau: np.ndarray, totals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass: prior + evidence from deciding each distinct set once.
+
+    ``tau`` and ``totals`` are each advisor's trustworthiness and evidence
+    mass. ``sets`` holds each distinct member's column (2 id for a yes
+    vote, 2 id + 1 for a no), that column with the vote flipped, and its
+    set's index; then each set's segment starts, size and count. Returns
+    the new alpha and beta and each set's p+ - p-: its sign is the answer
+    (a tie answers no) and its magnitude the confidence.
     """
-    totals = alpha + beta
-    tau = alpha / totals
-    theta = 2.0 / totals
-    clamped = np.clip(tau, TAU_EPS, 1.0 - TAU_EPS)
-
-    member_tau = tau[ids]
-    positive = signs > 0
-    seg = starts[:-1]
-    log_plus, log_minus = segment_log_likelihoods(clamped, ids, positive, starts)
-    log_plus += LOG_PRIOR
-    log_minus += LOG_PRIOR
-    theta_bar = np.add.reduceat(theta[ids], seg) / sizes
-    mass_plus = np.add.reduceat(np.where(positive, member_tau, 0.0), seg)
-    mass_minus = np.add.reduceat(np.where(positive, 0.0, member_tau), seg)
-    p_plus = p_side(log_plus, log_minus, mass_plus, mass_minus, theta_bar)
-    p_minus = p_side(log_minus, log_plus, mass_minus, mass_plus, theta_bar)
-
-    answers = np.where(p_plus > p_minus, 1, -1).astype(np.int8)
-    confidence = np.abs(p_plus - p_minus)
-    return answers, confidence
-
-
-def _rebuild_pass(
-    ids: np.ndarray,
-    signs: np.ndarray,
-    distinct: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    alpha: np.ndarray,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pass: prior + evidence from re-deciding the history.
-
-    ``ids`` and ``signs`` are the logged members; ``distinct`` is the
-    distinct sets' (ids, signs, starts, sizes) plus the member index.
-    """
-    d_ids, d_signs, d_starts, d_sizes, member = distinct
-    answers, confidence = _decide_all(d_ids, d_signs, d_starts, d_sizes, alpha, beta)
-    n = alpha.size
-    # bin id for agreeing votes, n + id for disagreeing ones; bincount
-    # adds each bin's weights in log order, as two masked bincounts would
-    key = ids + n * (signs != answers[member])
-    evidence = np.bincount(key, weights=confidence[member], minlength=2 * n)
-    return 1.0 + evidence[:n], 1.0 + evidence[n:]
+    column, flipped, owner, seg, sizes, counts = sets
+    clamped = np.minimum(np.maximum(tau, TAU_EPS), 1.0 - TAU_EPS)
+    # rows: logit of the clamped tau, theta, tau and signed tau, per vote column
+    table = np.empty((4, tau.size, 2))
+    np.log(clamped / (1.0 - clamped), out=table[0, :, 0])
+    np.divide(2.0, totals, out=table[1, :, 0])
+    table[2:, :, 0] = tau
+    np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
+    logit, theta, mass, signed_mass = np.add.reduceat(table.reshape(4, -1).take(column, axis=1), seg, axis=1)
+    # p+ - p- is tanh(logit / 2) for the posterior, which cannot overflow,
+    # and signed_mass / mass for the vote; theta / sizes mixes the two
+    bayes = np.tanh(0.5 * logit)
+    margin = bayes + theta / sizes * (signed_mass / mass - bayes)
+    # a vote that agrees with its set's answer credits alpha (even bins), else beta
+    agreed = np.where((margin > 0.0)[owner], column, flipped)
+    evidence = np.bincount(agreed, weights=(np.abs(margin) * counts)[owner], minlength=2 * tau.size)
+    return 1.0 + evidence[::2], 1.0 + evidence[1::2], margin
 
 
 def review_update(
@@ -140,20 +117,22 @@ def review_update(
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
 
-    ids, signs, _ = history.flat_arrays()
-    d_ids, d_signs, d_starts, member = history.distinct_arrays()
-    distinct = (d_ids, d_signs, d_starts, np.diff(d_starts), member)
-    alpha, beta = trust.alpha, trust.beta  # never written: each pass builds new arrays
-    tau_before = alpha / (alpha + beta)
+    ids, signs, starts, _ = history.distinct_arrays()
+    counts, owner = history.distinct_counts()
+    column = 2 * ids + (signs < 0)
+    sets = (column, column ^ 1, owner, starts[:-1], starts[1:] - starts[:-1], counts)
+    totals = trust.alpha + trust.beta
+    tau = trust.alpha / totals
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta = _rebuild_pass(ids, signs, distinct, alpha, beta)
+        alpha, beta, _ = _review_pass(sets, tau, totals)
         passes += 1
-        tau_after = alpha / (alpha + beta)
-        delta = float(np.abs(tau_after - tau_before).sum())
+        totals = alpha + beta
+        tau_after = alpha / totals
+        delta = float(np.add.reduce(np.abs(tau_after - tau)))
+        tau = tau_after
         if delta <= config.threshold:
             break
-        tau_before = tau_after
     # both arrays are 1 + bincount of confidences in [0, 1]: valid by construction
     return ReviewOutcome(trust=TrustVector._of(alpha, beta), passes=passes, delta_tau=delta)

@@ -13,8 +13,8 @@ weighted by that answer's prior probability, a fixed 1/2. Inside the
 hypothetical the candidate contributes its sampled accuracy while
 already-hired advisors contribute their stored trustworthiness; real
 decisions after hiring always use stored trustworthiness only. Both the
-running probabilities and the hypotheticals go through the ensemble rule
-of maddm.ensemble.
+running probabilities and the hypotheticals follow the ensemble rule of
+maddm.ensemble; the hypotheticals take its posterior in log-odds form.
 
 An advisor is an id into the pool's arrays: the price of advisor ``i``
 is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maddm.ensemble import EnsembleSums, p_side
+from maddm.ensemble import EnsembleSums
 from maddm.trust import TAU_EPS, TrustVector
 
 
@@ -84,23 +84,24 @@ def _hypothetical_gain(
     # Clamped everywhere it is used so a saturated draw cannot produce
     # log(0) or an empty 0/0 vote. Draws are finite, so this equals np.clip.
     clamped = np.minimum(np.maximum(draws, TAU_EPS), 1.0 - TAU_EPS)
-    log_tau = np.log(clamped)
-    log_one_minus = np.log1p(-clamped)
     theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
-    log_plus, log_minus = sums.log_joint()
-
     # Row 0: the candidate joins the yes camp; row 1: the no camp. Each row
-    # takes the same elementwise steps as a separate per-camp call would.
-    camp_log = np.array([[log_plus], [log_minus]])
-    camp_mass = np.array([[sums.tau_pos], [sums.tau_neg]])
-    hyp = p_side(
-        camp_log + log_tau, camp_log[::-1] + log_one_minus,
-        camp_mass + clamped, camp_mass[::-1], theta_bar,
-    )
-    swing = np.abs(hyp - np.array([[pe_plus], [pe_minus]]))
-    # each camp weighted by its answer's uniform prior probability
-    gain = 0.5 * swing * stakes
-    return (2.0 * draws - 1.0) * (gain[0] + gain[1])
+    # is its answer's p - (1 - p), first of the posterior, where it is the
+    # tanh of half the log-odds and cannot overflow, then of the mixture.
+    half_odds = 0.5 * (sums.log_pos - sums.log_neg)
+    margin = np.add.outer((half_odds, -half_odds), 0.5 * np.log(clamped / (1.0 - clamped)))
+    np.tanh(margin, out=margin)
+    tau_gap = sums.tau_pos - sums.tau_neg
+    vote = np.add.outer((tau_gap, -tau_gap), clamped)
+    vote /= clamped + (sums.tau_pos + sums.tau_neg)
+    vote -= margin
+    vote *= theta_bar
+    margin += vote
+    # a probability's swing is half its margin's; each camp is weighted by
+    # its answer's uniform prior probability, 1/2
+    margin -= ((2.0 * pe_plus - 1.0,), (2.0 * pe_minus - 1.0,))
+    np.abs(margin, out=margin)
+    return (draws - 0.5) * (0.5 * stakes) * (margin[0] + margin[1])
 
 
 def select_advisors(

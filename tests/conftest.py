@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
+from maddm.trust import TAU_EPS
 
 settings.register_profile(
     "suite",
@@ -33,3 +36,35 @@ def template_world():
         return Environment.build(config, np.random.default_rng(seed))
 
     return build
+
+
+@pytest.fixture(scope="session")
+def exact_ensemble():
+    """The ensemble rule in exact fractions, its posterior a ratio of likelihood products.
+
+    The returned function takes one (tau, vote mass, theta, vote) tuple per
+    member, each number a float or a Fraction, and returns (p_yes, p_no).
+    As in the float rule, tau is clamped to [TAU_EPS, 1 - TAU_EPS] for the
+    likelihoods only, and the uniform prior cancels. No log or exp is taken.
+    """
+    low, high = Fraction(TAU_EPS), Fraction(1.0 - TAU_EPS)
+
+    def ensemble(members: list) -> tuple[Fraction, Fraction]:
+        likelihood = {1: Fraction(1), -1: Fraction(1)}
+        mass = {1: Fraction(0), -1: Fraction(0)}
+        theta_sum = Fraction(0)
+        for tau, vote_mass, theta, vote in members:
+            clamped = min(max(Fraction(tau), low), high)
+            likelihood[vote] *= clamped
+            likelihood[-vote] *= 1 - clamped
+            mass[vote] += Fraction(vote_mass)
+            theta_sum += Fraction(theta)
+        theta_bar = theta_sum / len(members)
+
+        def p(side: int) -> Fraction:
+            bayes = likelihood[side] / (likelihood[1] + likelihood[-1])
+            return (1 - theta_bar) * bayes + theta_bar * mass[side] / (mass[1] + mass[-1])
+
+        return p(1), p(-1)
+
+    return ensemble

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from maddm.answers import AnswerLog, AnswerSet
-from maddm.ensemble import ensemble_decide
-from maddm.review import ReviewConfig, review_update, _decide_all
+from maddm.review import ReviewConfig, _review_pass, review_update
+from maddm.selection import select_advisors
 from maddm.trust import TrustVector
 
 
@@ -95,6 +98,23 @@ class TestAnswerLogInterning:
         last = slice(starts[149], starts[150])
         assert ids[last].tolist() == [0, 1, 156]  # sets[149] is ({0, 1}, {156})
         assert signs[last].tolist() == [1, 1, -1]
+
+    def test_counts_and_owners_past_the_initial_capacity(self, rng):
+        # 90 distinct sets of 2 members each: both arrays grow past 64 entries
+        log = AnswerLog()
+        pool = [AnswerSet({k}, {100 + k % 3}) for k in range(90)]
+        logged = [pool[i] for i in rng.integers(0, len(pool), size=600)]
+        for answers in logged:
+            log.append(answers)
+        counts, owner = log.distinct_counts()
+        ids, signs, starts, member = log.distinct_arrays()
+        assert counts.sum() == len(log) == 600
+        # distinct sets are indexed in order of first appearance
+        first_seen = list(dict.fromkeys(logged))
+        assert counts.tolist() == [Counter(logged)[answers] for answers in first_seen]
+        assert owner.tolist() == np.repeat(np.arange(len(first_seen)), np.diff(starts)).tolist()
+        rebuilt = [AnswerSet._of(tuple(ids[owner == k]), tuple(signs[owner == k])) for k in range(len(first_seen))]
+        assert rebuilt == first_seen
 
 
 class TestReviewConfig:
@@ -190,12 +210,38 @@ class TestReviewUpdate:
         np.testing.assert_allclose(forward.trust.beta, backward.trust.beta, rtol=1e-12)
 
 
+class TestSaturatedPool:
+    @pytest.mark.parametrize("vote", [1, -1])
+    def test_64_saturated_advisors_raise_no_float_error(self, vote):
+        # 64 log-odds of about 20.7 each sum to about 1326: e**1326 overflows
+        n = 64
+        trust = TrustVector(np.full(n, 1e12), np.ones(n))
+        everyone = range(n)
+        answers = AnswerSet(everyone, ()) if vote == 1 else AnswerSet((), everyone)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outcome = review_update(history_of(answers), trust, ReviewConfig(max_passes=3))
+            hiring = select_advisors(1e6, np.zeros(n), trust, np.full(n, vote), np.random.default_rng(0))
+        assert np.all(outcome.trust.alpha > outcome.trust.beta)
+        assert len(hiring.hired) == n
+
+
+def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
+    """Each distinct set's p+ - p- from one review pass, with review_update's layout."""
+    ids, signs, starts, _ = history.distinct_arrays()
+    counts, owner = history.distinct_counts()
+    column = 2 * ids + (signs < 0)
+    sets = (column, column ^ 1, owner, starts[:-1], np.diff(starts), counts)
+    return _review_pass(sets, trust.trustworthiness(), trust.alpha + trust.beta)[2]
+
+
 class TestVectorizedDecisionsMatchScalar:
-    def test_decide_all_agrees_with_ensemble_decide(self, rng):
+    def test_review_pass_decisions_agree_with_exact_ensemble(self, rng, exact_ensemble):
         n_advisors = 8
         alphas = rng.uniform(1.0, 12.0, size=n_advisors)
         betas = rng.uniform(1.0, 12.0, size=n_advisors)
         trust = TrustVector(alphas, betas)
+        tau = [Fraction(a) / (Fraction(a) + Fraction(b)) for a, b in zip(alphas.tolist(), betas.tolist())]
+        theta = [2 / (Fraction(a) + Fraction(b)) for a, b in zip(alphas.tolist(), betas.tolist())]
         history = AnswerLog()
         expected = []
         for d in range(40):
@@ -203,12 +249,15 @@ class TestVectorizedDecisionsMatchScalar:
             split = rng.integers(0, members.size + 1)
             answers = AnswerSet(set(members[:split].tolist()), set(members[split:].tolist()))
             history.append(answers)
-            outcome = ensemble_decide(answers, trust)
-            expected.append((outcome.answer, outcome.confidence))
-        ids, signs, starts = history.flat_arrays()
-        answers_vec, confidence_vec = _decide_all(
-            ids, signs, starts, np.diff(starts), trust.alpha, trust.beta
-        )
+            p_plus, p_minus = exact_ensemble(
+                [(tau[i], tau[i], theta[i], sign) for i, sign in zip(answers.ids, answers.signs)]
+            )
+            expected.append((1 if p_plus > p_minus else -1, abs(p_plus - p_minus)))
+        margin = review_margins(history, trust)
+        distinct_set = history.distinct_arrays()[3][history.flat_arrays()[2][:-1]]
         for d in range(40):
-            assert answers_vec[d] == expected[d][0]
-            assert confidence_vec[d] == pytest.approx(expected[d][1], abs=1e-12)
+            got = margin[distinct_set[d]]
+            # a near-tie may be decided either way in floats
+            if expected[d][1] >= 1e-12:
+                assert (1 if got > 0.0 else -1) == expected[d][0]
+            assert abs(got) == pytest.approx(float(expected[d][1]), abs=1e-12)
