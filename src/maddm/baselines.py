@@ -25,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
-from maddm.ensemble import LOG_PRIOR
 from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult, play
 from maddm.selection import pool_costs
 from maddm.trust import TrustVector, apply_confidence_update
+
+#: Log prior probability of either answer in the EM: yes and no
+#: are equally likely before any advisor speaks.
+LOG_PRIOR = math.log(0.5)
 
 _STRATEGIES = ("epsilon_greedy", "ucb", "thompson")
 _CRITERIA = ("trustworthiness", "cost_effectiveness")
@@ -66,12 +69,14 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.fna_k < 1 or self.rv_k < 1:
-            raise ValueError("advisor counts must be at least 1")
+        for knob in (self.fna_k, self.rv_k):
+            if type(knob) is not int or knob < 1:
+                raise ValueError(f"advisor counts must be ints of at least 1, got {knob!r}")
         if not (0.0 < self.bc_budget_fraction <= 1.0):
             raise ValueError("budget fraction must lie in (0, 1]")
-        if self.exploration_first_rounds < 0:
-            raise ValueError("exploration-first round count must be non-negative")
+        rounds = self.exploration_first_rounds
+        if type(rounds) is not int or rounds < 0:
+            raise ValueError(f"exploration-first round count must be a non-negative int, got {rounds!r}")
 
 
 def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:

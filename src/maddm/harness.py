@@ -75,8 +75,9 @@ class MaddmConfig:
     exploration_first_rounds: int = 10
 
     def __post_init__(self) -> None:
-        if self.exploration_first_rounds < 0:
-            raise ValueError("exploration-first round count must be non-negative")
+        rounds = self.exploration_first_rounds
+        if type(rounds) is not int or rounds < 0:
+            raise ValueError(f"exploration-first round count must be a non-negative int, got {rounds!r}")
 
 
 def run_maddm(

@@ -15,7 +15,8 @@ length, so the loop contracts to a fixed point.
 
 The same trusted advisors are hired again and again, so a long history
 holds few distinct answer sets. A pass decides each distinct set once,
-with the posterior in log-odds form, and credits its members with its
+summing its members' log-odds, uncertainty and trust mass and passing
+them to :func:`maddm.ensemble.margin`, and credits its members with its
 confidence times the number of times it was logged. The sums run in a
 different order than a decision-by-decision pass would add them, so the
 records agree with that pass to rounding, not bit for bit.
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from maddm import ensemble
 from maddm.answers import AnswerLog
 from maddm.trust import TAU_EPS, TrustVector
 
@@ -47,10 +49,10 @@ class ReviewConfig:
     def __post_init__(self) -> None:
         if not (self.threshold > 0.0):
             raise ValueError("threshold must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
-        if self.frequency < 1:
-            raise ValueError("frequency must be at least 1")
+        for name in ("max_passes", "frequency"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,7 @@ def _review_pass(
     table[2:, :, 0] = tau
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
     logit, theta, mass, signed_mass = np.add.reduceat(table.reshape(4, -1).take(column, axis=1), seg, axis=1)
-    # p+ - p- is tanh(logit / 2) for the posterior, which cannot overflow,
-    # and signed_mass / mass for the vote; theta / sizes mixes the two
-    bayes = np.tanh(0.5 * logit)
-    margin = bayes + theta / sizes * (signed_mass / mass - bayes)
+    margin = ensemble.margin(0.5 * logit, theta / sizes, signed_mass, mass)
     # a vote that agrees with its set's answer credits alpha (even bins), else beta
     agreed = np.where((margin > 0.0)[owner], column, flipped)
     evidence = np.bincount(agreed, weights=(np.abs(margin) * counts)[owner], minlength=2 * tau.size)

@@ -12,9 +12,10 @@ sides: once as if it joined the yes camp and once the no camp, each
 weighted by that answer's prior probability, a fixed 1/2. Inside the
 hypothetical the candidate contributes its sampled accuracy while
 already-hired advisors contribute their stored trustworthiness; real
-decisions after hiring always use stored trustworthiness only. Both the
-running probabilities and the hypotheticals follow the ensemble rule of
-maddm.ensemble; the hypotheticals take its posterior in log-odds form.
+decisions after hiring always use stored trustworthiness only. The
+running set's margin p+ - p- and both hypothetical ones come from the
+one ensemble rule, :func:`maddm.ensemble.margin`; a swing in a
+probability is half the swing in the margin.
 
 An advisor is an id into the pool's arrays: the price of advisor ``i``
 is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maddm.ensemble import EnsembleSums
+from maddm.ensemble import EnsembleSums, margin
 from maddm.trust import TAU_EPS, TrustVector
 
 
@@ -65,43 +66,33 @@ class SelectionOutcome:
     hired: tuple[int, ...]
 
 
-def _hypothetical_gain(
-    draws: np.ndarray,
-    candidate_theta,
-    sums: EnsembleSums,
-    pe_plus: float,
-    pe_minus: float,
-    stakes: float,
-):
+# The candidate's vote in each hypothetical: row 0 joins the yes camp, row 1 the no camp.
+_SIDES = np.array([[1.0], [-1.0]])
+
+
+def _hypothetical_gain(draws: np.ndarray, candidate_theta, sums: EnsembleSums, stakes: float):
     """Expected contribution of candidates with the given sampled accuracies.
 
     ``draws`` is a 1-d array with one sampled accuracy per candidate, and
     ``candidate_theta`` their stored uncertainties, so one call scores a
     whole pool sweep. The candidate's sampled accuracy enters both the
     likelihood and the vote mass; its stored uncertainty enters the mixing
-    weight.
+    weight. Each camp's swing is the distance of its hypothetical margin
+    from the running set's, ``sums.margin()``.
     """
     # Clamped everywhere it is used so a saturated draw cannot produce
     # log(0) or an empty 0/0 vote. Draws are finite, so this equals np.clip.
     clamped = np.minimum(np.maximum(draws, TAU_EPS), 1.0 - TAU_EPS)
-    theta_bar = (sums.theta + candidate_theta) / (sums.count + 1.0)
-    # Row 0: the candidate joins the yes camp; row 1: the no camp. Each row
-    # is its answer's p - (1 - p), first of the posterior, where it is the
-    # tanh of half the log-odds and cannot overflow, then of the mixture.
-    half_odds = 0.5 * (sums.log_pos - sums.log_neg)
-    margin = np.add.outer((half_odds, -half_odds), 0.5 * np.log(clamped / (1.0 - clamped)))
-    np.tanh(margin, out=margin)
-    tau_gap = sums.tau_pos - sums.tau_neg
-    vote = np.add.outer((tau_gap, -tau_gap), clamped)
-    vote /= clamped + (sums.tau_pos + sums.tau_neg)
-    vote -= margin
-    vote *= theta_bar
-    margin += vote
+    joined = margin(
+        0.5 * (sums.log_odds + _SIDES * np.log(clamped / (1.0 - clamped))),
+        (sums.theta + candidate_theta) / (sums.count + 1.0),
+        sums.signed_mass + _SIDES * clamped,
+        sums.mass + clamped,
+    )
     # a probability's swing is half its margin's; each camp is weighted by
     # its answer's uniform prior probability, 1/2
-    margin -= ((2.0 * pe_plus - 1.0,), (2.0 * pe_minus - 1.0,))
-    np.abs(margin, out=margin)
-    return (draws - 0.5) * (0.5 * stakes) * (margin[0] + margin[1])
+    swing = np.abs(joined - sums.margin())
+    return (draws - 0.5) * (0.5 * stakes) * (swing[0] + swing[1])
 
 
 def select_advisors(
@@ -150,7 +141,6 @@ def select_advisors(
 
     remaining = list(range(costs.size))  # advisor ids not hired yet
     sums = EnsembleSums()
-    pe_plus, pe_minus = 0.5, 0.5
     hired: list[int] = []
     total_cost = 0.0
     rounds = 0
@@ -159,7 +149,7 @@ def select_advisors(
         rounds += 1
         live = np.asarray(remaining, dtype=np.intp)
         draws = rng.beta(alpha[live], beta[live])
-        contribution = _hypothetical_gain(draws, theta[live], sums, pe_plus, pe_minus, stakes)
+        contribution = _hypothetical_gain(draws, theta[live], sums, stakes)
         utilities = contribution - costs[live]
         best = int(utilities.argmax())
         if not utilities[best] > 0.0:
@@ -171,6 +161,5 @@ def select_advisors(
             raise ValueError(f"advisor {advisor_id} voted {answer!r}, not -1 or 1")
         hired.append(advisor_id)
         sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), answer)
-        pe_plus, pe_minus = sums.probabilities()
 
     return SelectionOutcome(total_cost=total_cost, rounds=rounds, hired=tuple(hired))

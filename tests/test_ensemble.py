@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from maddm.ensemble import (
     bayesian_probabilities,
     decide_and_update,
     ensemble_decide,
+    margin,
     weighted_voting_probabilities,
 )
 from maddm.trust import TrustVector
@@ -53,6 +56,36 @@ class TestAnswerSet:
         assert answers.ids == (0, 2)
         assert answers.signs == (-1, 1)
         assert all(type(i) is int for i in answers.ids)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestMargin:
+    @pytest.fixture
+    def stats(self, rng):
+        """Half log-odds, mixing weights, signed masses and masses, zeros and saturation included."""
+        half_log_odds = np.r_[0.0, -0.0, 40.0, -40.0, rng.normal(0.0, 3.0, 200)]
+        mass = rng.uniform(0.05, 20.0, half_log_odds.size)
+        signed_mass = mass * np.r_[0.0, 1.0, -1.0, 0.5, rng.uniform(-1.0, 1.0, 200)]
+        theta_bar = rng.uniform(0.0, 1.0, half_log_odds.size)
+        return half_log_odds, theta_bar, signed_mass, mass
+
+    def test_exact_ends_and_odd_symmetry_on_arrays(self, stats):
+        h, theta_bar, s, m = stats
+        # equal values: the ends may differ from the pure rule in the sign of a zero
+        assert np.array_equal(margin(h, 0.0, s, m), np.tanh(h))
+        assert np.array_equal(margin(h, 1.0, s, m), s / m)
+        assert bits(margin(-h, theta_bar, -s, m)) == bits(-margin(h, theta_bar, s, m))
+
+    def test_exact_ends_and_odd_symmetry_on_floats(self, stats):
+        for h, theta_bar, s, m in zip(*(column.tolist() for column in stats)):
+            got = margin(h, theta_bar, s, m)
+            assert type(got) is float
+            assert margin(h, 0.0, s, m) == math.tanh(h)
+            assert margin(h, 1.0, s, m) == s / m
+            assert bits(margin(-h, theta_bar, -s, m)) == bits(-got)
 
 
 class TestBayesian:

@@ -272,11 +272,10 @@ def test_hypothetical_gain_equals_per_camp_calls(hired, draws, thetas, profit, l
     sums = EnsembleSums()
     for tau, theta, answer in hired:
         sums.add(tau, theta, answer)
-    pe_plus, pe_minus = sums.probabilities()
     stakes = profit + loss
     draws = np.array(draws)
     candidate_theta = np.full(draws.size, thetas)
-    got = _hypothetical_gain(draws, candidate_theta, sums, pe_plus, pe_minus, stakes)
+    got = _hypothetical_gain(draws, candidate_theta, sums, stakes)
 
     members = [(tau, tau, theta, answer) for tau, theta, answer in hired]
     pe = exact_ensemble(members) if members else (Fraction(1, 2), Fraction(1, 2))

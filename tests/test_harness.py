@@ -112,6 +112,25 @@ class TestRunMaddm:
             assert len(row["hired"]) == env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
 
+    @pytest.mark.parametrize("exploration_first", [False, True])
+    def test_label_flip_symmetry_is_exact(self, template_world, exploration_first):
+        # negating every answer in the world negates every ensemble margin
+        # bit for bit, so the run must repeat its hires, sweeps, fees and
+        # confidences exactly and negate each answer; a zero-confidence tie
+        # answers no on both sides (with exploration first, env1 at 0.55 and
+        # seed 0 splits the whole pool evenly at decision 1)
+        for name, accuracy, seed in (("env1", 0.55, 0), ("env2", 0.8, 1)):
+            env = template_world(name, accuracy, seed, n_decisions=400)
+            straight, mirrored = (
+                run_maddm(world, MaddmConfig(), np.random.default_rng(seed + 100), exploration_first, trace=True)
+                for world in (env, replace(env, answers=-env.answers))
+            )
+            for row, flipped in zip(straight.trace, mirrored.trace, strict=True):
+                for key in ("hired", "rounds", "total_cost", "confidence"):
+                    assert flipped[key] == row[key]
+                answers = (-1, -1) if row["confidence"] == 0.0 else (row["answer"], -row["answer"])
+                assert (row["answer"], flipped["answer"]) == answers
+
     @pytest.mark.parametrize("method", ["maddm", "bc"])
     def test_empty_hire_answers_negative_at_zero_cost(self, method):
         # all advisors cost more than any decision can be worth
@@ -519,6 +538,22 @@ class TestPlanSerialization:
         {"plan": data, "method": method, "strategy": method["strategy"]}[section][key] = value
         with pytest.raises(ValueError, match=key):
             plan_from_dict(data)
+
+    @pytest.mark.parametrize("make", [
+        lambda value: ReviewConfig(frequency=value),
+        lambda value: ReviewConfig(max_passes=value),
+        lambda value: MaddmConfig(exploration_first_rounds=value),
+        lambda value: BaselineConfig("fna", fna_k=value),
+        lambda value: BaselineConfig("rv", rv_k=value),
+        lambda value: BaselineConfig("fna", exploration_first_rounds=value),
+    ])
+    def test_fractional_count_or_bool_rejected_from_python(self, make):
+        # a count is an int from Python too: only the plan loader converts an
+        # integral 2.0, and it never reaches a constructor as a float
+        make(2)
+        for value in (1.5, 2.0, True, "2", np.int64(2)):
+            with pytest.raises(ValueError, match="int"):
+                make(value)
 
     def test_integral_numbers_load_from_json_floats_and_csv_text(self, tmp_path):
         data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method="fna"),)))

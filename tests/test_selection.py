@@ -43,10 +43,9 @@ def hiring_gain(
     sweep at once, so this passes it as a one-element draw array.
     """
     sums = EnsembleSums.of(current, trust)
-    pe_plus, pe_minus = sums.probabilities()
     draws = np.array([sampled])
     theta = trust.uncertainty()[candidate]
-    return float(_hypothetical_gain(draws, theta, sums, pe_plus, pe_minus, stakes)[0])
+    return float(_hypothetical_gain(draws, theta, sums, stakes)[0])
 
 
 class TestMarginalContribution:
