@@ -1,7 +1,10 @@
-"""Answer sets, singly and as a flat log, in one layout.
+"""Answer sets, singly and as a log of distinct sets, in one layout.
 
 Both hold the members' ids in increasing order and, aligned with them,
-each member's vote as a sign: +1 for yes, -1 for no.
+each member's vote as a sign: +1 for yes, -1 for no. The log keeps each
+distinct set once, with the number of times it was logged.
+``checked_id`` and ``checked_count`` are the one rule for what an id and
+an integer count are.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ def checked_id(value, kind: str = "advisor", size: int | None = None) -> int:
         return int(value)
     span = "a non-negative int" if size is None else f"an int in 0..{size - 1}"
     raise ValueError(f"{kind} id {value!r} is not {span}")
+
+
+def checked_count(value, name: str, minimum: int) -> None:
+    """ValueError unless ``value`` is an int of at least ``minimum``: no bool, float or numpy int."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int of at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -66,100 +75,93 @@ def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
     return out
 
 
-class _Segments:
-    """Growable flat arrays of id-sorted segments: member ids, signs, starts."""
-
-    def __init__(self) -> None:
-        self.ids = np.empty(64, dtype=np.intp)
-        self.signs = np.empty(64, dtype=np.int8)
-        self.starts = np.zeros(64, dtype=np.intp)
-        self.size = 0  # members logged
-        self.count = 0  # segments logged
-
-    def append(self, ids: tuple[int, ...], signs: tuple[int, ...]) -> None:
-        end = self.size + len(ids)
-        self.ids = _grown(self.ids, end)
-        self.signs = _grown(self.signs, end)
-        self.starts = _grown(self.starts, self.count + 2)
-        self.ids[self.size : end] = ids
-        self.signs[self.size : end] = signs
-        self.size = end
-        self.count += 1
-        self.starts[self.count] = end
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.ids[: self.size], self.signs[: self.size], self.starts[: self.count + 1]
-
-
 class AnswerLog:
-    """Append-only flat log of answer sets, one segment per set.
+    """Append-only log of answer sets, kept as its distinct sets and their counts.
 
-    Each set's ``ids`` and ``signs`` are copied as they are into growable
-    arrays, so whole-history passes run as array operations instead of
-    walking the sets one by one. The id-sorted layout keeps the likelihood
-    sums order-identical when every answer is flipped.
-
-    Each set is also interned: a set seen for the first time is appended
-    to a second flat log of distinct sets, every logged member records
-    the index of its distinct set, every distinct member the index of its
-    own set, and every distinct set counts how often it was logged. Equal
-    sets hold the same ids and signs in the same order, so a per-set
-    result computed once per distinct set is bit-identical to one
-    computed for every logged set.
+    A set seen for the first time is copied as it is, ``ids`` and
+    ``signs``, into growable flat arrays, one segment per distinct set in
+    order of first appearance; each of its members records the segment's
+    index. Every logged set adds one to its distinct set's count and
+    records that set's index in log order. Equal sets hold the same ids
+    and signs in the same order, so a per-set result computed once per
+    distinct set equals one computed for every logged set, and the
+    whole-history passes (the review and the EM) run as array operations
+    over the distinct sets, weighted by their counts. The id-sorted layout
+    keeps the likelihood sums order-identical when every answer is
+    flipped.
     """
 
     def __init__(self) -> None:
-        self._log = _Segments()
-        self._distinct = _Segments()
         self._index: dict[AnswerSet, int] = {}
-        self._member = np.empty(64, dtype=np.intp)  # distinct index per logged member
-        self._owner = np.empty(64, dtype=np.intp)  # distinct index per distinct member
+        self._ids = np.empty(64, dtype=np.intp)  # per distinct member
+        self._signs = np.empty(64, dtype=np.int8)
+        self._owner = np.empty(64, dtype=np.intp)  # its set's distinct index
+        self._starts = np.zeros(64, dtype=np.intp)  # segment starts, end sentinel
         self._counts = np.empty(64, dtype=np.intp)  # times each distinct set was logged
+        self._sets = np.empty(64, dtype=np.intp)  # distinct index per logged set
+        self._logged = 0
         self.max_advisor_id = -1
 
     def __len__(self) -> int:
-        return self._log.count
+        return self._logged
 
     def append(self, answers: AnswerSet) -> None:
         if answers.is_empty:
             raise ValueError("cannot log an empty answer set")
         index = self._index.get(answers)
         if index is None:
-            index = self._index[answers] = self._distinct.count
-            start = self._distinct.size
-            self._distinct.append(answers.ids, answers.signs)
-            self._owner = _grown(self._owner, self._distinct.size)
-            self._owner[start : self._distinct.size] = index
+            index = self._index[answers] = len(self._index)
+            start = int(self._starts[index])
+            end = start + len(answers)
+            self._ids, self._signs, self._owner = (
+                _grown(buffer, end) for buffer in (self._ids, self._signs, self._owner)
+            )
+            self._ids[start:end] = answers.ids
+            self._signs[start:end] = answers.signs
+            self._owner[start:end] = index
+            self._starts = _grown(self._starts, index + 2)
+            self._starts[index + 1] = end
             self._counts = _grown(self._counts, index + 1)
             self._counts[index] = 0
         self._counts[index] += 1
-        start = self._log.size
-        self._log.append(answers.ids, answers.signs)
-        self._member = _grown(self._member, self._log.size)
-        self._member[start : self._log.size] = index
+        self._sets = _grown(self._sets, self._logged + 1)
+        self._sets[self._logged] = index
+        self._logged += 1
         self.max_advisor_id = max(self.max_advisor_id, answers.ids[-1])
 
+    def distinct_arrays(self) -> tuple[np.ndarray, ...]:
+        """(ids, signs, starts, counts, owner) of the distinct sets.
+
+        ``ids`` and ``signs`` hold one segment per distinct set, in order
+        of first appearance, and ``starts`` the segment starts with the
+        end sentinel. ``counts`` gives the times each set was logged and
+        ``owner`` each member's set index.
+        """
+        n_sets = len(self._index)
+        size = self._starts[n_sets]
+        return (
+            self._ids[:size], self._signs[:size], self._starts[: n_sets + 1],
+            self._counts[:n_sets], self._owner[:size],
+        )
+
+    def set_index(self) -> np.ndarray:
+        """The distinct-set index of each logged set, in log order."""
+        return self._sets[: self._logged]
+
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(member ids, vote signs, segment starts incl. end sentinel)."""
-        return self._log.arrays()
+        """(member ids, vote signs, segment starts incl. end sentinel) in log order.
 
-    def distinct_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, signs, starts) of the distinct sets, plus the member index.
-
-        The first three are laid out as :meth:`flat_arrays`, one segment
-        per distinct set in order of first appearance; the member index
-        gives, for each member of :meth:`flat_arrays`, its set's segment.
+        One segment per logged set, laid out as :meth:`distinct_arrays`
+        and rebuilt from it on every call.
         """
-        return (*self._distinct.arrays(), self._member[: self._log.size])
-
-    def distinct_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times each distinct set was logged, set index per distinct member).
-
-        Both align with :meth:`distinct_arrays`: the first with its
-        segments, the second with its members.
-        """
-        count = self._distinct.count
-        return self._counts[:count], self._owner[: self._distinct.size]
+        ids, signs, starts, _, _ = self.distinct_arrays()
+        sets = self.set_index()
+        sizes = (starts[1:] - starts[:-1])[sets]
+        flat_starts = np.zeros(sets.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=flat_starts[1:])
+        # each logged member's offset in its segment, moved to its distinct segment
+        gather = np.arange(flat_starts[-1]) + np.repeat(starts[sets] - flat_starts[:-1], sizes)
+        return ids[gather], signs[gather], flat_starts
 
 
 def segment_log_likelihoods(
@@ -168,9 +170,10 @@ def segment_log_likelihoods(
     """Per-segment log-likelihoods of the answers yes (row 0) and no (row 1).
 
     ``p`` is each advisor's probability of answering correctly, indexed by
-    id; ``ids`` and ``positive`` are the logged members and their yes-vote
-    mask, and ``starts`` the segment starts with the end sentinel, as
-    :meth:`AnswerLog.flat_arrays` lays them out. The prior is excluded.
+    id; ``ids`` and ``positive`` are the segments' members and their
+    yes-vote mask, and ``starts`` the segment starts with the end
+    sentinel, as :meth:`AnswerLog.distinct_arrays` lays them out. The
+    prior is excluded.
 
     The logs are taken once per advisor and gathered per member. Each row
     is summed along its contiguous last axis, so every segment adds its

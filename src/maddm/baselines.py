@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.answers import AnswerLog, AnswerSet, checked_count, segment_log_likelihoods
 from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult, play
 from maddm.selection import pool_costs
@@ -69,14 +69,11 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        for knob in (self.fna_k, self.rv_k):
-            if type(knob) is not int or knob < 1:
-                raise ValueError(f"advisor counts must be ints of at least 1, got {knob!r}")
+        for name in ("fna_k", "rv_k"):
+            checked_count(getattr(self, name), name, 1)
         if not (0.0 < self.bc_budget_fraction <= 1.0):
             raise ValueError("budget fraction must lie in (0, 1]")
-        rounds = self.exploration_first_rounds
-        if type(rounds) is not int or rounds < 0:
-            raise ValueError(f"exploration-first round count must be a non-negative int, got {rounds!r}")
+        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
 
 
 def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -233,8 +230,7 @@ class EmAggregator:
             raise ValueError("need at least one advisor")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
-        if type(max_iterations) is not int or max_iterations < 1:
-            raise ValueError(f"max_iterations must be an int of at least 1, got {max_iterations!r}")
+        checked_count(max_iterations, "max_iterations", 1)
         self.n_advisors = n_advisors
         self.tol = tol
         self.max_iterations = max_iterations
@@ -263,24 +259,23 @@ class EmAggregator:
         """
         if not len(self._log):
             raise ValueError("nothing observed yet")
-        ids, signs, starts = self._log.flat_arrays()
-        d_ids, d_signs, d_starts, member = self._log.distinct_arrays()
-        # The E-step runs once per distinct answer set (equal sets get equal
+        ids, signs, starts, counts, owner = self._log.distinct_arrays()
+        # Both steps run once per distinct answer set (equal sets get equal
         # posteriors), with the yes and no answers stacked as rows 0 and 1;
-        # the M-step credits every logged member in log order.
-        decision_set = member[starts[:-1]]
-        d_positive = d_signs > 0
+        # the M-step and the objective weight each set by its count.
+        positive = signs > 0
         # flat index into the (2, distinct) posteriors of each member's vote
-        credit_index = member + (d_starts.size - 1) * (signs < 0)
-        counts = np.bincount(ids, minlength=self.n_advisors)
-        consulted = counts > 0
-        smoothed_counts = counts + 2.0
+        credit_index = owner + (starts.size - 1) * (signs < 0)
+        weight = counts[owner].astype(np.float64)
+        answered = np.bincount(ids, weights=weight, minlength=self.n_advisors)
+        consulted = answered > 0.0
+        smoothed_counts = answered + 2.0
 
         acc = self.accuracies
         q = None
         objective: list[float] = []
         for _ in range(self.max_iterations):
-            log_joint = segment_log_likelihoods(acc, d_ids, d_positive, d_starts)
+            log_joint = segment_log_likelihoods(acc, ids, positive, starts)
             log_joint += LOG_PRIOR
             shift = np.maximum(log_joint[0], log_joint[1])
             e = np.exp(log_joint - shift)
@@ -288,8 +283,7 @@ class EmAggregator:
             new_q = e / total
             if track_objective:
                 penalty = float(np.sum(np.log(acc[consulted]) + np.log1p(-acc[consulted])))
-                log_evidence = (shift + np.log(total))[decision_set]
-                objective.append(float(np.sum(log_evidence)) + penalty)
+                objective.append(float(np.sum(counts * (shift + np.log(total)))) + penalty)
 
             # a max over the distinct sets and both rows is the max over all
             # decisions of the larger of the two answers' deltas
@@ -298,12 +292,13 @@ class EmAggregator:
             if converged:
                 break
 
-            credit = np.bincount(ids, weights=q.ravel()[credit_index], minlength=self.n_advisors)
+            credit = np.bincount(ids, weights=q.ravel()[credit_index] * weight, minlength=self.n_advisors)
             acc = np.where(consulted, (credit + 1.0) / smoothed_counts, acc)
 
         self.accuracies = acc
-        self.posterior_plus = q[0][decision_set]
-        self.posterior_minus = q[1][decision_set]
+        logged = self._log.set_index()
+        self.posterior_plus = q[0][logged]
+        self.posterior_minus = q[1][logged]
         return objective
 
 

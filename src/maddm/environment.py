@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from maddm.answers import AnswerSet, checked_id
+from maddm.answers import AnswerSet, checked_count, checked_id
 
 #: The ground truth of every decision.
 TRUTH = 1
@@ -83,8 +83,8 @@ class EnvironmentConfig:
     accuracy_params: ErgdParams = field(default=accuracy_spread(0.8))
 
     def __post_init__(self) -> None:
-        if self.n_decisions <= 0 or self.n_advisors <= 0:
-            raise ValueError("world sizes must be positive")
+        for name in ("n_decisions", "n_advisors"):
+            checked_count(getattr(self, name), name, 1)
 
 
 #: Value-distribution templates: (mean, std) of decision profits and losses.

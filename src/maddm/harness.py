@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Sequence, get_type_hints
 
 import numpy as np
 
-from maddm.answers import AnswerLog, AnswerSet
+from maddm.answers import AnswerLog, AnswerSet, checked_count
 from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
 from maddm.ensemble import decide_and_update
 from maddm.environment import (
@@ -75,9 +75,7 @@ class MaddmConfig:
     exploration_first_rounds: int = 10
 
     def __post_init__(self) -> None:
-        rounds = self.exploration_first_rounds
-        if type(rounds) is not int or rounds < 0:
-            raise ValueError(f"exploration-first round count must be a non-negative int, got {rounds!r}")
+        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
 
 
 def run_maddm(
@@ -186,12 +184,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.environments or not self.accuracy_means or not self.methods:
             raise ValueError("plan needs at least one environment, grid point, and method")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
-        if self.n_decisions < 1 or self.n_advisors < 1:
-            raise ValueError("n_decisions and n_advisors must be at least 1")
+        for name, minimum in (("repetitions", 1), ("base_seed", 0), ("n_decisions", 1), ("n_advisors", 1)):
+            checked_count(getattr(self, name), name, minimum)
         # a NaN fails the comparison too
         if not all(0.0 <= mean <= 1.0 for mean in self.accuracy_means):
             raise ValueError("accuracy_means must be finite and lie in [0, 1]")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from maddm import ensemble
-from maddm.answers import AnswerLog
+from maddm.answers import AnswerLog, checked_count
 from maddm.trust import TAU_EPS, TrustVector
 
 
@@ -50,9 +50,7 @@ class ReviewConfig:
         if not (self.threshold > 0.0):
             raise ValueError("threshold must be positive")
         for name in ("max_passes", "frequency"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
+            checked_count(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ def review_update(
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
 
-    ids, signs, starts, _ = history.distinct_arrays()
-    counts, owner = history.distinct_counts()
+    ids, signs, starts, counts, owner = history.distinct_arrays()
     column = 2 * ids + (signs < 0)
     sets = (column, column ^ 1, owner, starts[:-1], starts[1:] - starts[:-1], counts)
     totals = trust.alpha + trust.beta

@@ -137,7 +137,7 @@ class TestEnvironment:
         log = AnswerLog()
         log.append(from_run)
         log.append(from_camps)
-        assert log.distinct_arrays()[3].tolist() == [0] * 6
+        assert log.set_index().tolist() == [0, 0]
         # repeated ids merge, numpy ints included
         assert env.answer_set(5, hired + (3, np.int64(7))) == from_run
 

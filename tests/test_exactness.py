@@ -1,21 +1,21 @@
 """The fast paths against reference formulas: exact rationals or bit for bit.
 
 The review pass and the hiring round compute the ensemble rule with the
-posterior in log-odds form, and the review weights each distinct answer
-set by its count. Their references are the rule in exact fractions, as a
-ratio of likelihood products with no log or exp (the ``exact_ensemble``
-fixture): the review re-decides every logged set and credits every
-logged member, the hiring gain prices each camp's hypothetical apart.
-Each float result must lie within a stated bound of the exact one. One EM
-iteration is checked the same way.
+posterior in log-odds form, and the review and the EM weight each
+distinct answer set by its count. Their references are the rule in exact
+fractions, as a ratio of likelihood products with no log or exp (the
+``exact_ensemble`` fixture): the review re-decides every logged set and
+credits every logged member, the hiring gain prices each camp's
+hypothetical apart. Each float result must lie within a stated bound of
+the exact one. One EM iteration is checked the same way, and a whole EM
+call must repeat its single iterations bit for bit.
 
-The EM loop works once per distinct answer set through one stacked yes/no
-kernel, and the baselines score and rank the whole pool as arrays. Their
-references are the straightforward formula over every logged set, with
-per-member logs and one masked sum per answer (or one advisor at a time,
-or the slot-by-slot ranking loop); there the fast path must equal the
-reference bit for bit and leave the rng stream where the reference does.
-The pinned results guard every path's output to the last bit.
+The likelihood kernel stacks the yes and no answers, and the baselines
+score and rank the whole pool as arrays. Their references are per-member
+logs with one masked sum per answer, one advisor at a time, or the
+slot-by-slot ranking loop; there the fast path must equal the reference
+bit for bit and leave the rng stream where the reference does. The
+pinned results guard every path's output to the last bit.
 """
 
 from __future__ import annotations
@@ -137,45 +137,6 @@ def exact_em_iteration(sets, accuracies):
     return new_acc, q_plus, q_minus
 
 
-def reference_em(sets, accuracies, tol, max_iterations):
-    """The EM loop with its E-step over every logged set, yes and no kept apart."""
-    history = AnswerLog()
-    for answers in sets:
-        history.append(answers)
-    ids, signs, starts = history.flat_arrays()
-    sizes = np.diff(starts)
-    positive = signs > 0
-    counts = np.bincount(ids, minlength=accuracies.size)
-    consulted = counts > 0
-    acc = accuracies
-    q_plus = q_minus = None
-    objective = []
-    for _ in range(max_iterations):
-        log_plus, log_minus = reference_log_likelihoods(acc, ids, positive, starts)
-        log_plus += math.log(0.5)
-        log_minus += math.log(0.5)
-        shift = np.maximum(log_plus, log_minus)
-        e_plus = np.exp(log_plus - shift)
-        e_minus = np.exp(log_minus - shift)
-        total = e_plus + e_minus
-        new_q_plus, new_q_minus = e_plus / total, e_minus / total
-        penalty = float(np.sum(np.log(acc[consulted]) + np.log1p(-acc[consulted])))
-        objective.append(float(np.sum(shift + np.log(total))) + penalty)
-        if q_plus is not None:
-            delta = max(
-                float(np.abs(new_q_plus - q_plus).max()),
-                float(np.abs(new_q_minus - q_minus).max()),
-            )
-            if delta < tol:
-                q_plus, q_minus = new_q_plus, new_q_minus
-                break
-        q_plus, q_minus = new_q_plus, new_q_minus
-        member_credit = np.where(positive, np.repeat(q_plus, sizes), np.repeat(q_minus, sizes))
-        credit = np.bincount(ids, weights=member_credit, minlength=accuracies.size)
-        acc = np.where(consulted, (credit + 1.0) / (counts + 2.0), acc)
-    return acc, q_plus, q_minus, objective
-
-
 @given(
     world=histories(),
     data=st.data(),
@@ -228,19 +189,33 @@ def test_em_iteration_equals_exact_reference(world, data):
     tol=st.sampled_from([1e-12, 1e-6, 1e-2]),
     max_iterations=st.integers(1, 30),
 )
-def test_em_infer_equals_full_log_reference(world, data, tol, max_iterations):
+def test_em_infer_equals_repeated_single_iterations(world, data, tol, max_iterations):
     n_advisors, sets = world
     accuracies = np.array(data.draw(per_advisor(st.floats(0.05, 0.95), n_advisors)))
-    aggregator = EmAggregator(n_advisors, tol=tol, max_iterations=max_iterations)
-    aggregator.accuracies = accuracies
-    for answers in sets:
-        aggregator.observe(answers)
-    objective = aggregator.infer(track_objective=True)
-    acc, q_plus, q_minus, ref_objective = reference_em(sets, accuracies, tol, max_iterations)
-    assert np.array_equal(aggregator.accuracies, acc)
-    assert np.array_equal(aggregator.posterior_plus, q_plus)
-    assert np.array_equal(aggregator.posterior_minus, q_minus)
-    assert objective == ref_objective
+
+    def aggregator(iterations: int) -> EmAggregator:
+        em = EmAggregator(n_advisors, tol=tol, max_iterations=iterations)
+        em.accuracies = accuracies
+        for answers in sets:
+            em.observe(answers)
+        return em
+
+    full = aggregator(max_iterations)
+    objective = full.infer(track_objective=True)
+    # the same iterations one call each, up to the one that stopped the loop
+    step = aggregator(1)
+    stepped, posteriors, seen = [], [], [accuracies]
+    for _ in objective:
+        stepped += step.infer(track_objective=True)
+        posteriors.append(np.stack([step.posterior_plus, step.posterior_minus]))
+        seen.append(step.accuracies)
+    assert stepped == objective
+    assert np.array_equal(full.posterior_plus, posteriors[-1][0])
+    assert np.array_equal(full.posterior_minus, posteriors[-1][1])
+    # an iteration whose posteriors moved less than tol stops before its M-step
+    converged = len(posteriors) > 1 and float(np.abs(posteriors[-1] - posteriors[-2]).max()) < tol
+    assert converged or len(objective) == max_iterations
+    assert np.array_equal(full.accuracies, seen[-2] if converged else seen[-1])
 
 
 def test_segment_kernel_sums_long_segments_like_a_1d_reduce():

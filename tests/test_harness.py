@@ -546,6 +546,12 @@ class TestPlanSerialization:
         lambda value: BaselineConfig("fna", fna_k=value),
         lambda value: BaselineConfig("rv", rv_k=value),
         lambda value: BaselineConfig("fna", exploration_first_rounds=value),
+        lambda value: replace(tiny_plan(), repetitions=value),
+        lambda value: replace(tiny_plan(), base_seed=value),
+        lambda value: replace(tiny_plan(), n_decisions=value),
+        lambda value: replace(tiny_plan(out_methods=(MethodSpec(method="bu"),)), n_advisors=value),
+        lambda value: EnvironmentConfig(n_decisions=value),
+        lambda value: EnvironmentConfig(n_advisors=value),
     ])
     def test_fractional_count_or_bool_rejected_from_python(self, make):
         # a count is an int from Python too: only the plan loader converts an

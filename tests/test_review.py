@@ -50,10 +50,22 @@ class TestDecisionHistory:
         assert starts.tolist() == list(range(0, 501, 5))
         assert ids[495:].tolist() == [0, 1, 2, 3, 4]
         assert signs[495:].tolist() == [1, 1, 1, -1, -1]
-        d_ids, d_signs, d_starts, member = history.distinct_arrays()
+        d_ids, d_signs, d_starts, counts, owner = history.distinct_arrays()
         assert d_ids.tolist() == [0, 1, 2, 3, 4]
         assert (d_signs.tolist(), d_starts.tolist()) == ([1, 1, 1, -1, -1], [0, 5])
-        assert member.tolist() == [0] * 500
+        assert (counts.tolist(), owner.tolist()) == ([100], [0] * 5)
+        assert history.set_index().tolist() == [0] * 100
+
+    def test_flat_arrays_rebuild_the_log_in_order(self, rng):
+        # each new set followed by a repeat of an earlier one, well past the
+        # 64 entries every buffer starts with
+        pool = [AnswerSet(set(range(k % 5)), {5 + k}) for k in range(80)]
+        logged = [answers for k in range(80) for answers in (pool[k], pool[rng.integers(0, k + 1)])]
+        history = history_of(*logged)
+        ids, signs, starts = history.flat_arrays()
+        assert ids.tolist() == [i for answers in logged for i in answers.ids]
+        assert signs.tolist() == [s for answers in logged for s in answers.signs]
+        assert starts.tolist() == np.cumsum([0] + [len(answers) for answers in logged]).tolist()
 
 
 class TestAnswerLogInterning:
@@ -62,13 +74,14 @@ class TestAnswerLogInterning:
         log.append(AnswerSet({3, 1}, {2}))
         log.append(AnswerSet({0}, set()))
         log.append(AnswerSet([3, 1], [2]))
-        ids, signs, starts, member = log.distinct_arrays()
+        ids, signs, starts, counts, owner = log.distinct_arrays()
         assert ids.tolist() == [1, 2, 3, 0]
         assert signs.tolist() == [1, -1, 1, 1]
         assert starts.tolist() == [0, 3, 4]
-        assert member.tolist() == [0, 0, 0, 1, 0, 0, 0]
+        assert (counts.tolist(), owner.tolist()) == ([2, 1], [0, 0, 0, 1])
+        assert log.set_index().tolist() == [0, 1, 0]
 
-    def test_distinct_count_and_member_index(self, rng):
+    def test_distinct_count_and_set_index(self, rng):
         log = AnswerLog()
         sets = []
         for _ in range(200):
@@ -76,25 +89,21 @@ class TestAnswerLogInterning:
             split = rng.integers(0, members.size + 1)
             sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
             log.append(sets[-1])
-        ids, signs, starts, member = log.distinct_arrays()
-        flat_ids, flat_signs, flat_starts = log.flat_arrays()
+        ids, signs, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == len(set(sets))
-        assert member.size == flat_ids.size
-        # every logged member reads its own id and sign through its distinct set
-        offset = np.arange(flat_ids.size) - np.repeat(flat_starts[:-1], np.diff(flat_starts))
-        assert np.array_equal(ids[starts[member] + offset], flat_ids)
-        assert np.array_equal(signs[starts[member] + offset], flat_signs)
+        # every logged set reads its own ids and signs through its distinct set
+        for answers, index in zip(sets, log.set_index().tolist(), strict=True):
+            segment = slice(starts[index], starts[index + 1])
+            assert (tuple(ids[segment]), tuple(signs[segment])) == (answers.ids, answers.signs)
 
     def test_interning_survives_growth_beyond_initial_capacity(self):
         log = AnswerLog()
         sets = [AnswerSet(set(range(k % 7)), {7 + k}) for k in range(150)]
         for answers in sets + sets[::-1]:
             log.append(answers)
-        ids, signs, starts, member = log.distinct_arrays()
+        ids, signs, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == 150
-        assert member.size == log.flat_arrays()[0].size
-        segment_index = member[log.flat_arrays()[2][:-1]]
-        assert segment_index.tolist() == list(range(150)) + list(range(149, -1, -1))
+        assert log.set_index().tolist() == list(range(150)) + list(range(149, -1, -1))
         last = slice(starts[149], starts[150])
         assert ids[last].tolist() == [0, 1, 156]  # sets[149] is ({0, 1}, {156})
         assert signs[last].tolist() == [1, 1, -1]
@@ -106,8 +115,7 @@ class TestAnswerLogInterning:
         logged = [pool[i] for i in rng.integers(0, len(pool), size=600)]
         for answers in logged:
             log.append(answers)
-        counts, owner = log.distinct_counts()
-        ids, signs, starts, member = log.distinct_arrays()
+        ids, signs, starts, counts, owner = log.distinct_arrays()
         assert counts.sum() == len(log) == 600
         # distinct sets are indexed in order of first appearance
         first_seen = list(dict.fromkeys(logged))
@@ -227,8 +235,7 @@ class TestSaturatedPool:
 
 def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
     """Each distinct set's p+ - p- from one review pass, with review_update's layout."""
-    ids, signs, starts, _ = history.distinct_arrays()
-    counts, owner = history.distinct_counts()
+    ids, signs, starts, counts, owner = history.distinct_arrays()
     column = 2 * ids + (signs < 0)
     sets = (column, column ^ 1, owner, starts[:-1], np.diff(starts), counts)
     return _review_pass(sets, trust.trustworthiness(), trust.alpha + trust.beta)[2]
@@ -254,7 +261,7 @@ class TestVectorizedDecisionsMatchScalar:
             )
             expected.append((1 if p_plus > p_minus else -1, abs(p_plus - p_minus)))
         margin = review_margins(history, trust)
-        distinct_set = history.distinct_arrays()[3][history.flat_arrays()[2][:-1]]
+        distinct_set = history.set_index()
         for d in range(40):
             got = margin[distinct_set[d]]
             # a near-tie may be decided either way in floats
