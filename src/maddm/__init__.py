@@ -35,7 +35,6 @@ from maddm.harness import (
     ComparisonReport,
     EnvironmentTemplate,
     ExperimentPlan,
-    MaddmConfig,
     MethodSpec,
     default_plan,
     execute_plan,

@@ -36,7 +36,6 @@ LOG_PRIOR = math.log(0.5)
 
 _STRATEGIES = ("epsilon_greedy", "ucb", "thompson")
 _CRITERIA = ("trustworthiness", "cost_effectiveness")
-_METHODS = ("fna", "bc", "rv", "bu")
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,17 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Method choice plus its hiring hyper-parameters."""
+    """The comparison methods' hiring hyper-parameters: fna's and rv's head counts, bc's budget."""
 
-    method: str
     fna_k: int = 5
     bc_budget_fraction: float = 0.10
     rv_k: int = 3
-    exploration_first_rounds: int = 10
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         for name in ("fna_k", "rv_k"):
             checked_count(getattr(self, name), name, 1)
         if not (0.0 < self.bc_budget_fraction <= 1.0):
             raise ValueError("budget fraction must lie in (0, 1]")
-        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
 
 
 def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -236,12 +230,25 @@ class EmAggregator:
         self.max_iterations = max_iterations
         self.accuracies = np.full(n_advisors, float(init_accuracy))
         self._log = AnswerLog()
-        self.posterior_plus = np.empty(0)
-        self.posterior_minus = np.empty(0)
+        self._posteriors = np.empty((2, 0))  # the last infer's, per distinct set: rows yes, no
 
     @property
     def n_decisions(self) -> int:
         return len(self._log)
+
+    @property
+    def posterior_plus(self) -> np.ndarray:
+        """Posterior of the yes answer per observed decision, from the last :meth:`infer`."""
+        return self._posteriors[0][self._log.set_index()]
+
+    @property
+    def posterior_minus(self) -> np.ndarray:
+        """Posterior of the no answer per observed decision, from the last :meth:`infer`."""
+        return self._posteriors[1][self._log.set_index()]
+
+    def last_posteriors(self) -> list[float]:
+        """[yes, no] posteriors of the last observed decision, from the last :meth:`infer`."""
+        return self._posteriors[:, self._log.set_index()[-1]].tolist()
 
     def observe(self, answers: AnswerSet) -> None:
         if answers.is_empty:
@@ -296,28 +303,29 @@ class EmAggregator:
             acc = np.where(consulted, (credit + 1.0) / smoothed_counts, acc)
 
         self.accuracies = acc
-        logged = self._log.set_index()
-        self.posterior_plus = q[0][logged]
-        self.posterior_minus = q[1][logged]
+        self._posteriors = q
         return objective
 
 
 def run_baseline(
+    method: str,
     config: BaselineConfig,
     strategy: StrategyConfig,
     environment: Environment,
     rng: np.random.Generator,
-    exploration_first: bool = False,
+    warm_up_rounds: int = 0,
     trace: bool = False,
 ) -> RunResult:
-    """Play one baseline method through an entire environment.
+    """Play the comparison ``method`` (fna, bc, rv or bu) through an entire environment.
 
-    Supplies the method's steps to :func:`results.play`: rv hires at
+    Supplies the method's steps to :func:`results.play`, which consults
+    the whole pool on the first ``warm_up_rounds`` decisions: rv hires at
     random and takes the majority; fna and bc hire by their ranking,
-    answer by EM and credit the hires' trust. The exploration-first
-    warm-up pays the numpy sum of the prices. ``bu`` ignores advisors.
+    answer by EM and credit the hires' trust. ``bu`` ignores advisors.
     """
-    if config.method == "bu":
+    if method not in ("fna", "bc", "rv", "bu"):
+        raise ValueError(f"unknown comparison method {method!r}")
+    if method == "bu":
         ledger = RunLedger(environment, trace)
         for index in range(environment.n_decisions):
             ledger.record(index, TRUTH, 0.0, (), 0, 1.0, 1.0)
@@ -329,9 +337,9 @@ def run_baseline(
     aggregator = EmAggregator(n_advisors)
 
     def hire(index: int) -> tuple[list[int], float, int]:
-        if config.method == "rv":
+        if method == "rv":
             chosen = [int(i) for i in rng.choice(n_advisors, size=config.rv_k, replace=False)]
-        elif config.method == "fna":
+        elif method == "fna":
             chosen = select_fixed_number(
                 costs, trust, strategy, config.fna_k, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
@@ -352,13 +360,11 @@ def run_baseline(
         nonlocal trust
         aggregator.observe(answers)
         aggregator.infer()
-        q_plus = float(aggregator.posterior_plus[-1])
-        q_minus = float(aggregator.posterior_minus[-1])
+        q_plus, q_minus = aggregator.last_posteriors()
         answer = 1 if q_plus > q_minus else -1
         confidence = abs(q_plus - q_minus)
         trust = apply_confidence_update(trust, answers, answer, confidence)
         return answer, confidence, q_plus
 
-    warm_up = (config.exploration_first_rounds if exploration_first else 0, float(costs.sum()))
-    decide = majority if config.method == "rv" else em
-    return play(environment, config.method, hire, decide, warm_up, trace)
+    decide = majority if method == "rv" else em
+    return play(environment, method, hire, decide, warm_up_rounds, trace)

@@ -17,7 +17,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import tempfile
 from contextlib import nullcontext
@@ -67,31 +66,20 @@ RESULT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class MaddmConfig:
-    """Configuration of the adaptive method's decision loop."""
-
-    review: ReviewConfig = field(default_factory=ReviewConfig)
-    exploration_first_rounds: int = 10
-
-    def __post_init__(self) -> None:
-        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
-
-
 def run_maddm(
     environment: Environment,
-    config: MaddmConfig,
+    config: ReviewConfig,
     rng: np.random.Generator,
-    exploration_first: bool = False,
+    warm_up_rounds: int = 0,
     trace: bool = False,
 ) -> RunResult:
     """Play the adaptive method through an entire environment.
 
-    Supplies maddm's steps to :func:`results.play`: hire through the
+    Supplies maddm's steps to :func:`results.play`, which consults the
+    whole pool on the first ``warm_up_rounds`` decisions: hire through the
     marginal-utility loop, commit the ensemble answer and feed its
     confidence back into trust, and review the history every
-    ``config.review.frequency`` decisions, empty ones included. The
-    exploration-first warm-up pays ``math.fsum`` of the prices.
+    ``config.frequency`` decisions, empty ones included.
     """
     stakes = (environment.profits + environment.losses).tolist()
     trust = TrustVector.fresh(environment.n_advisors)
@@ -111,11 +99,10 @@ def run_maddm(
 
     def review(index: int) -> None:
         nonlocal trust
-        if len(history) and (index + 1) % config.review.frequency == 0:
-            trust = review_update(history, trust, config.review).trust
+        if len(history) and (index + 1) % config.frequency == 0:
+            trust = review_update(history, trust, config).trust
 
-    warm_up = (config.exploration_first_rounds if exploration_first else 0, math.fsum(environment.costs))
-    return play(environment, "maddm", hire, decide, warm_up, trace, after=review)
+    return play(environment, "maddm", hire, decide, warm_up_rounds, trace, after=review)
 
 
 @dataclass(frozen=True)
@@ -142,27 +129,26 @@ class EnvironmentTemplate:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One method entry of a plan: which method, which variant, its knobs."""
+    """One method entry of a plan: which method, which variant, its knobs.
+
+    The ``exploration_first`` variant consults every advisor on the first
+    ``exploration_first_rounds`` decisions. maddm reads ``review``, and
+    the comparison methods ``baseline``; fna and bc rank by ``strategy``.
+    """
 
     method: str
     variant: str = "standard"
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    baseline: BaselineConfig | None = None
-    maddm: MaddmConfig = field(default_factory=MaddmConfig)
+    baseline: BaselineConfig = field(default_factory=BaselineConfig)
+    review: ReviewConfig = field(default_factory=ReviewConfig)
+    exploration_first_rounds: int = 10
 
     def __post_init__(self) -> None:
         if self.method not in ("maddm", "fna", "bc", "rv", "bu"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.variant not in ("standard", "exploration_first"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        # canonical form: baselines always carry their config, the
-        # adaptive method never does; keeps equality checks meaningful
-        if self.method == "maddm":
-            object.__setattr__(self, "baseline", None)
-        elif self.baseline is None:
-            object.__setattr__(self, "baseline", BaselineConfig(method=self.method))
-        elif self.baseline.method != self.method:
-            raise ValueError("baseline config does not match the method")
+        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
 
     @property
     def label(self) -> str:
@@ -257,16 +243,11 @@ def run_method(
 
     The result carries the spec's variant, whichever method ran.
     """
-    exploration_first = spec.variant == "exploration_first"
+    rounds = spec.exploration_first_rounds if spec.variant == "exploration_first" else 0
     if spec.method == "maddm":
-        result = run_maddm(
-            environment, spec.maddm, rng, exploration_first=exploration_first, trace=trace
-        )
+        result = run_maddm(environment, spec.review, rng, rounds, trace)
     else:
-        result = run_baseline(
-            spec.baseline, spec.strategy, environment, rng,
-            exploration_first=exploration_first, trace=trace,
-        )
+        result = run_baseline(spec.method, spec.baseline, spec.strategy, environment, rng, rounds, trace)
     return replace(result, variant=spec.variant)
 
 
@@ -584,9 +565,10 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def _method_to_dict(spec: MethodSpec) -> dict:
-    # a method entry is flat: its method config's knobs sit beside its name
-    config = spec.maddm if spec.method == "maddm" else spec.baseline
-    return {**_to_dict(spec, skip=("baseline", "maddm")), **_to_dict(config, skip=("method",))}
+    # an entry carries only the config its method reads, a comparison method's knobs flat
+    if spec.method == "maddm":
+        return _to_dict(spec, skip=("baseline",))
+    return {**_to_dict(spec, skip=("baseline", "review")), **_to_dict(spec.baseline)}
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
@@ -608,20 +590,18 @@ def _shaped(value, kind: type, section: str):
 
 def _method_from_dict(entry) -> MethodSpec:
     knobs = dict(_shaped(entry, dict, "methods entry"))
-    spec = _load(
-        MethodSpec,
-        {key: knobs.pop(key) for key in ("method", "variant") if key in knobs},
-        strategy=_load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy")),
-    )
-    if spec.method != "maddm":
-        return replace(spec, baseline=_load(BaselineConfig, knobs, method=spec.method))
+    spec = {key: knobs.pop(key) for key in ("method", "variant", "exploration_first_rounds") if key in knobs}
+    strategy = _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy"))
+    if spec.get("method") != "maddm":
+        return _load(MethodSpec, spec, strategy=strategy, baseline=_load(BaselineConfig, knobs))
     review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
     # older plan files carry the one remaining review mode explicitly
     mode = review.pop("mode", "rebuild")
     if mode != "rebuild":
         raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-    maddm = _load(MaddmConfig, knobs, review=_load(ReviewConfig, review))
-    return replace(spec, maddm=maddm)
+    if knobs:
+        raise ValueError(f"unknown keys in a maddm methods entry: {list(knobs)}")
+    return _load(MethodSpec, spec, strategy=strategy, review=_load(ReviewConfig, review))
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:

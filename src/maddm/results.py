@@ -80,24 +80,25 @@ def play(
     method: str,
     hire: Callable[[int], tuple[Sequence[int], float, int]],
     decide: Callable[[AnswerSet], tuple[int, float, float]],
-    warm_up: tuple[int, float],
+    warm_up_rounds: int,
     trace: bool = False,
     after: Callable[[int], None] | None = None,
 ) -> RunResult:
     """Play one method through every decision of ``environment``.
 
-    ``warm_up`` is (rounds, fee): the first ``rounds`` decisions hire the
-    whole pool for ``fee``, and each later one hires ``hire(index)``, an
-    (ids, fee, rounds) triple. ``decide`` learns from a non-empty answer
-    set and gives (answer, confidence, p_positive); an empty one is
-    answered :data:`EMPTY_DECISION`. ``after(index)`` runs after every
-    decision, empty ones included.
+    The first ``warm_up_rounds`` decisions hire the whole pool in 0 rounds
+    for the one warm-up fee, ``math.fsum`` of the prices, and each later
+    one hires ``hire(index)``, an (ids, fee, rounds) triple. ``decide``
+    learns from a non-empty answer set and gives (answer, confidence,
+    p_positive); an empty one is answered :data:`EMPTY_DECISION`.
+    ``after(index)`` runs after every decision, empty ones included.
     """
     everyone = tuple(range(environment.n_advisors))
+    warm_up_fee = math.fsum(environment.costs)
     ledger = RunLedger(environment, trace)
     for index in range(environment.n_decisions):
-        if index < warm_up[0]:
-            hired, paid, rounds = everyone, warm_up[1], 0
+        if index < warm_up_rounds:
+            hired, paid, rounds = everyone, warm_up_fee, 0
         else:
             hired, paid, rounds = hire(index)
         answers = environment.answer_set(index, hired)

@@ -27,13 +27,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             StrategyConfig(criterion="fame")
 
-    def test_baseline_validation(self):
+    def test_baseline_validation(self, template_world):
         with pytest.raises(ValueError):
-            BaselineConfig(method="nope")
+            run_baseline(
+                "nope", BaselineConfig(), StrategyConfig(),
+                template_world("env1", 0.8, 0, n_decisions=5), np.random.default_rng(0),
+            )
         with pytest.raises(ValueError):
-            BaselineConfig(method="fna", fna_k=0)
+            BaselineConfig(fna_k=0)
         with pytest.raises(ValueError):
-            BaselineConfig(method="bc", bc_budget_fraction=0.0)
+            BaselineConfig(bc_budget_fraction=0.0)
 
 
 class TestCostEffectiveness:
@@ -316,7 +319,7 @@ class TestRunBaseline:
 
     def test_bu_is_the_exact_value_sum(self, small_env):
         result = run_baseline(
-            BaselineConfig(method="bu"), StrategyConfig(), small_env, np.random.default_rng(0)
+            "bu", BaselineConfig(), StrategyConfig(), small_env, np.random.default_rng(0)
         )
         assert result.utility == math.fsum(small_env.profits)
         assert result.correct_count == small_env.n_decisions
@@ -324,7 +327,7 @@ class TestRunBaseline:
 
     def test_rv_hires_three_and_decides_every_decision(self, small_env):
         result = run_baseline(
-            BaselineConfig(method="rv"), StrategyConfig(), small_env,
+            "rv", BaselineConfig(), StrategyConfig(), small_env,
             np.random.default_rng(1), trace=True,
         )
         for row in result.trace:
@@ -333,7 +336,7 @@ class TestRunBaseline:
 
     def test_fna_hires_exactly_k(self, small_env):
         result = run_baseline(
-            BaselineConfig(method="fna", fna_k=5), StrategyConfig(), small_env,
+            "fna", BaselineConfig(fna_k=5), StrategyConfig(), small_env,
             np.random.default_rng(2), trace=True,
         )
         for row in result.trace:
@@ -342,7 +345,7 @@ class TestRunBaseline:
     def test_bc_respects_budget(self, small_env):
         fraction = 0.10
         result = run_baseline(
-            BaselineConfig(method="bc", bc_budget_fraction=fraction), StrategyConfig(),
+            "bc", BaselineConfig(bc_budget_fraction=fraction), StrategyConfig(),
             small_env, np.random.default_rng(3), trace=True,
         )
         for row, profit, loss in zip(result.trace, small_env.profits, small_env.losses):
@@ -351,8 +354,8 @@ class TestRunBaseline:
     def test_exploration_first_hires_everyone_early(self, small_env):
         full_cost = sum(small_env.costs)
         result = run_baseline(
-            BaselineConfig(method="fna", exploration_first_rounds=10), StrategyConfig(),
-            small_env, np.random.default_rng(4), exploration_first=True, trace=True,
+            "fna", BaselineConfig(), StrategyConfig(),
+            small_env, np.random.default_rng(4), warm_up_rounds=10, trace=True,
         )
         for row in result.trace[:10]:
             assert len(row["hired"]) == small_env.n_advisors
@@ -364,18 +367,18 @@ class TestRunBaseline:
 
     def test_bu_dominates_everything(self, small_env):
         bu = run_baseline(
-            BaselineConfig(method="bu"), StrategyConfig(), small_env, np.random.default_rng(5)
+            "bu", BaselineConfig(), StrategyConfig(), small_env, np.random.default_rng(5)
         )
         for method in ("fna", "bc", "rv"):
             other = run_baseline(
-                BaselineConfig(method=method), StrategyConfig(), small_env,
+                method, BaselineConfig(), StrategyConfig(), small_env,
                 np.random.default_rng(6),
             )
             assert bu.utility > other.utility
 
     def test_accounting_identity(self, small_env):
         result = run_baseline(
-            BaselineConfig(method="fna"), StrategyConfig(), small_env,
+            "fna", BaselineConfig(), StrategyConfig(), small_env,
             np.random.default_rng(7), trace=True,
         )
         won = math.fsum(

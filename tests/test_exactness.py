@@ -39,7 +39,7 @@ from maddm.baselines import (
 )
 from maddm.ensemble import EnsembleSums
 from maddm.environment import Environment, EnvironmentConfig
-from maddm.harness import EnvironmentTemplate, ExperimentPlan, MaddmConfig, MethodSpec, run_cell, run_maddm
+from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell, run_maddm
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import _hypothetical_gain
 from maddm.trust import TAU_EPS, TrustVector, apply_confidence_update
@@ -455,20 +455,19 @@ def test_pinned_results_are_unchanged():
     assert got == PINNED
 
 
-def test_warm_up_fee_is_each_methods_own_sum():
+def test_every_methods_warm_up_books_the_fsum_of_the_prices():
     # 30 advisors at 0.1 each: math.fsum books exactly 3.0 and numpy's
-    # pairwise sum 3.000000000000001; maddm pays the first, the baselines
-    # the second, and a tolerance could not tell them apart
+    # pairwise sum 3.000000000000001, and a tolerance could not tell them apart
     env = Environment.build(EnvironmentConfig(n_decisions=12), np.random.default_rng(0))
     env = replace(env, costs=np.full(env.n_advisors, 0.1))
     fsum, numpy_sum = math.fsum(env.costs), float(env.costs.sum())
     assert fsum == 3.0 and numpy_sum != fsum
 
-    config = MaddmConfig(exploration_first_rounds=10)
-    maddm = run_maddm(env, config, np.random.default_rng(1), exploration_first=True, trace=True)
-    fna = run_baseline(
-        BaselineConfig("fna", exploration_first_rounds=10), StrategyConfig(), env,
-        np.random.default_rng(1), exploration_first=True, trace=True,
-    )
-    assert [row["total_cost"] for row in maddm.trace[:10]] == [fsum] * 10
-    assert [row["total_cost"] for row in fna.trace[:10]] == [numpy_sum] * 10
+    runs = [run_maddm(env, ReviewConfig(), np.random.default_rng(1), warm_up_rounds=10, trace=True)]
+    runs += [
+        run_baseline(method, BaselineConfig(), StrategyConfig(), env, np.random.default_rng(1),
+                     warm_up_rounds=10, trace=True)
+        for method in ("fna", "bc", "rv")
+    ]
+    for result in runs:
+        assert [row["total_cost"] for row in result.trace[:10]] == [fsum] * 10, result.method

@@ -19,7 +19,6 @@ from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, Erg
 from maddm.harness import (
     EnvironmentTemplate,
     ExperimentPlan,
-    MaddmConfig,
     MethodSpec,
     _environment_rng,
     build_cell_environment,
@@ -43,7 +42,7 @@ MINIMAL_PLAN = {"environments": ["env1"], "accuracy_means": [0.8], "methods": [{
 
 def tiny_plan(out_methods=None, base_seed=7) -> ExperimentPlan:
     methods = out_methods or (
-        MethodSpec(method="maddm", maddm=MaddmConfig(review=ReviewConfig(frequency=10))),
+        MethodSpec(method="maddm", review=ReviewConfig(frequency=10)),
         MethodSpec(method="fna"),
         MethodSpec(method="rv"),
         MethodSpec(method="bu"),
@@ -70,7 +69,7 @@ class TestRunMaddm:
             accuracy_params=ErgdParams(1.0, 0.0, lower=0.0, upper=1.0),
         )
         env = replace(Environment.build(config, np.random.default_rng(3)), costs=np.zeros(6))
-        result = run_maddm(env, MaddmConfig(), np.random.default_rng(0), exploration_first=True)
+        result = run_maddm(env, ReviewConfig(), np.random.default_rng(0), warm_up_rounds=10)
         assert result.total_cost == 0.0
         assert result.correct_count == env.n_decisions
         assert result.utility == pytest.approx(math.fsum(env.profits), abs=1e-9)
@@ -83,14 +82,14 @@ class TestRunMaddm:
         )
         env = Environment.build(config, np.random.default_rng(5))
         result = run_maddm(
-            env, MaddmConfig(review=ReviewConfig(frequency=5)),
+            env, ReviewConfig(frequency=5),
             np.random.default_rng(1), trace=True,
         )
         self._check_identity(env, result)
 
     def test_accounting_identity_on_generic_world(self, template_world):
         env = template_world("env2", 0.75, 9, n_decisions=120)
-        result = run_maddm(env, MaddmConfig(), np.random.default_rng(2), trace=True)
+        result = run_maddm(env, ReviewConfig(), np.random.default_rng(2), trace=True)
         self._check_identity(env, result)
 
     @staticmethod
@@ -105,15 +104,14 @@ class TestRunMaddm:
 
     def test_exploration_first_consults_whole_pool(self, template_world):
         env = template_world("env1", 0.8, 2, n_decisions=25)
-        config = MaddmConfig(exploration_first_rounds=10)
-        result = run_maddm(env, config, np.random.default_rng(3), exploration_first=True, trace=True)
+        result = run_maddm(env, ReviewConfig(), np.random.default_rng(3), warm_up_rounds=10, trace=True)
         full_cost = math.fsum(env.costs)
         for row in result.trace[:10]:
             assert len(row["hired"]) == env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
 
-    @pytest.mark.parametrize("exploration_first", [False, True])
-    def test_label_flip_symmetry_is_exact(self, template_world, exploration_first):
+    @pytest.mark.parametrize("warm_up_rounds", [0, 10])
+    def test_label_flip_symmetry_is_exact(self, template_world, warm_up_rounds):
         # negating every answer in the world negates every ensemble margin
         # bit for bit, so the run must repeat its hires, sweeps, fees and
         # confidences exactly and negate each answer; a zero-confidence tie
@@ -122,7 +120,7 @@ class TestRunMaddm:
         for name, accuracy, seed in (("env1", 0.55, 0), ("env2", 0.8, 1)):
             env = template_world(name, accuracy, seed, n_decisions=400)
             straight, mirrored = (
-                run_maddm(world, MaddmConfig(), np.random.default_rng(seed + 100), exploration_first, trace=True)
+                run_maddm(world, ReviewConfig(), np.random.default_rng(seed + 100), warm_up_rounds, trace=True)
                 for world in (env, replace(env, answers=-env.answers))
             )
             for row, flipped in zip(straight.trace, mirrored.trace, strict=True):
@@ -169,10 +167,9 @@ class TestRunMaddm:
                 env = replace(env, costs=np.zeros(env.n_advisors))
                 result = run_maddm(
                     env,
-                    MaddmConfig(exploration_first_rounds=env.n_decisions,
-                                review=ReviewConfig(frequency=10)),
+                    ReviewConfig(frequency=10),
                     np.random.default_rng(rep),
-                    exploration_first=True,
+                    warm_up_rounds=env.n_decisions,
                 )
                 counts.append(result.correct_count)
             means.append(float(np.mean(counts)))
@@ -364,9 +361,9 @@ class TestExecutePlan:
 
     @pytest.mark.parametrize("first, second", [
         (MethodSpec(method="fna"),
-         MethodSpec(method="fna", baseline=BaselineConfig(method="fna", fna_k=2))),
+         MethodSpec(method="fna", baseline=BaselineConfig(fna_k=2))),
         (MethodSpec(method="maddm"),
-         MethodSpec(method="maddm", maddm=MaddmConfig(review=ReviewConfig(frequency=10)))),
+         MethodSpec(method="maddm", review=ReviewConfig(frequency=10))),
     ])
     def test_cache_is_not_served_for_another_knob(self, tmp_path, first, second):
         execute_plan(tiny_plan(out_methods=(first,)), tmp_path / "out")
@@ -437,11 +434,12 @@ class TestPlanSerialization:
         }
         plan = plan_from_dict(data)
         assert plan.environments[1] == EnvironmentTemplate("mid", 250.0, 250.0)
-        assert plan.methods[0].maddm.review.frequency == 5
+        assert plan.methods[0].review.frequency == 5
         assert plan.methods[1].baseline.fna_k == 7
         assert plan.methods[1].strategy.kind == "ucb"
         assert plan.methods[2].baseline.bc_budget_fraction == 0.25
         assert json.dumps(plan_to_dict(plan))  # serializable
+        assert plan_from_dict(plan_to_dict(plan)) == plan
         assert plan_to_dict(plan)["methods"][0]["review"] == {
             "threshold": 1e-3, "max_passes": 100, "frequency": 5,
         }
@@ -451,6 +449,14 @@ class TestPlanSerialization:
         data["methods"][0]["review"]["mode"] = "accumulate"
         with pytest.raises(ValueError, match="review mode"):
             plan_from_dict(data)
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"method": "fna", "review": {}}, "review"),
+        ({"method": "maddm", "fna_k": 2}, "fna_k"),
+    ])
+    def test_key_the_entrys_method_does_not_read_rejected_at_load(self, entry, key):
+        with pytest.raises(ValueError, match=key):
+            plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
 
     @pytest.mark.parametrize("method, knob", [("fna", "fna_k"), ("rv", "rv_k")])
     def test_advisor_count_beyond_pool_rejected_at_load(self, method, knob):
@@ -530,22 +536,31 @@ class TestPlanSerialization:
         ("plan", "accuracy_means", [True]),
         ("method", "bc_budget_fraction", True),
         ("strategy", "epsilon", False),
+        ("maddm", "exploration_first_rounds", True),
+        ("maddm", "exploration_first_rounds", 1.5),
+        ("maddm", "exploration_first_rounds", -1),
+        ("bu", "exploration_first_rounds", True),
+        ("bu", "exploration_first_rounds", 1.5),
+        ("bu", "exploration_first_rounds", -1),
     ])
     def test_fractional_count_or_bool_rejected_at_load(self, section, key, value):
         # int() truncated 2.7 to 2 and read true as 1; float() read true as 1.0
-        data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method="fna"),)))
-        method = data["methods"][0]
-        {"plan": data, "method": method, "strategy": method["strategy"]}[section][key] = value
+        data = plan_to_dict(tiny_plan(out_methods=(
+            MethodSpec(method="fna"), MethodSpec(method="maddm"), MethodSpec(method="bu"),
+        )))
+        method, maddm, bu = data["methods"]
+        {"plan": data, "method": method, "strategy": method["strategy"],
+         "maddm": maddm, "bu": bu}[section][key] = value
         with pytest.raises(ValueError, match=key):
             plan_from_dict(data)
 
     @pytest.mark.parametrize("make", [
         lambda value: ReviewConfig(frequency=value),
         lambda value: ReviewConfig(max_passes=value),
-        lambda value: MaddmConfig(exploration_first_rounds=value),
-        lambda value: BaselineConfig("fna", fna_k=value),
-        lambda value: BaselineConfig("rv", rv_k=value),
-        lambda value: BaselineConfig("fna", exploration_first_rounds=value),
+        lambda value: MethodSpec("maddm", exploration_first_rounds=value),
+        lambda value: BaselineConfig(fna_k=value),
+        lambda value: BaselineConfig(rv_k=value),
+        lambda value: MethodSpec("bu", exploration_first_rounds=value),
         lambda value: replace(tiny_plan(), repetitions=value),
         lambda value: replace(tiny_plan(), base_seed=value),
         lambda value: replace(tiny_plan(), n_decisions=value),
@@ -557,7 +572,7 @@ class TestPlanSerialization:
         # a count is an int from Python too: only the plan loader converts an
         # integral 2.0, and it never reaches a constructor as a float
         make(2)
-        for value in (1.5, 2.0, True, "2", np.int64(2)):
+        for value in (1.5, 2.0, True, "2", np.int64(2), -1):
             with pytest.raises(ValueError, match="int"):
                 make(value)
 
@@ -618,6 +633,7 @@ class TestPlanSerialization:
             "method": plan["methods"][1],
             "strategy": plan["methods"][0]["strategy"],
             "review": plan["methods"][0]["review"],
+            "maddm": plan["methods"][0],
         }
         unknown = data.draw(st.lists(st.sampled_from(sorted(sections)), unique=True))
         for name in unknown:

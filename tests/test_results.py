@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from maddm.results import EMPTY_DECISION, play
 
 def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
     env = Environment.build(EnvironmentConfig(n_decisions=8, n_advisors=4), np.random.default_rng(0))
+    env = replace(env, costs=np.full(4, 2.25))  # a warm-up fee of 9.0
     decided, after = [], []
 
     def hire(index):
@@ -23,7 +25,7 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
         decided.append(answers)
         return 1, 0.25, 0.75
 
-    result = play(env, "fake", hire, decide, warm_up=(2, 9.0), trace=True, after=after.append)
+    result = play(env, "fake", hire, decide, warm_up_rounds=2, trace=True, after=after.append)
 
     assert after == list(range(8))  # empty decisions included
     hired = [tuple(range(4)), tuple(range(4)), (2,), (), (0,), (), (2,), ()]
@@ -43,7 +45,7 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
 
 def test_play_without_hooks_or_trace():
     env = Environment.build(EnvironmentConfig(n_decisions=5, n_advisors=3), np.random.default_rng(1))
-    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: (1, 1.0, 1.0), (0, 0.0))
+    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: (1, 1.0, 1.0), 0)
     assert result.trace is None
     assert result.correct_count == 0
     assert result.n_decisions == 5

@@ -8,7 +8,7 @@ import pytest
 from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, ensemble_decide
 from maddm.environment import Environment
-from maddm.harness import MaddmConfig, run_maddm
+from maddm.harness import run_maddm
 from maddm.review import ReviewConfig
 from maddm.selection import _hypothetical_gain, select_advisors
 from maddm.trust import TrustVector
@@ -195,7 +195,7 @@ class TestPoolSizeTracksStakes:
             env = template_world(name, 0.8, 5, n_decisions=250)
             result = run_maddm(
                 env,
-                MaddmConfig(review=ReviewConfig(frequency=5)),
+                ReviewConfig(frequency=5),
                 np.random.default_rng(11),
                 trace=True,
             )
