@@ -20,7 +20,7 @@ import json
 import os
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Hashable, Sequence, get_type_hints
 
@@ -127,13 +127,28 @@ class EnvironmentTemplate:
         return cls(name, *ENV_TEMPLATES[name])
 
 
+#: The plan-entry knobs each method reads, beside ``method`` and ``variant``;
+#: ``exploration_first_rounds`` is read only by an ``exploration_first`` spec.
+#: A MethodSpec holds every other knob at its default, the plan writer leaves
+#: it out, and the plan loader rejects an entry that gives it another value.
+METHOD_KNOBS = {
+    "maddm": ("review", "exploration_first_rounds"),
+    "fna": ("strategy", "fna_k", "exploration_first_rounds"),
+    "bc": ("strategy", "bc_budget_fraction", "exploration_first_rounds"),
+    "rv": ("rv_k", "exploration_first_rounds"),
+    "bu": (),
+}
+_KNOBS = frozenset().union(*METHOD_KNOBS.values())
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One method entry of a plan: which method, which variant, its knobs.
 
     The ``exploration_first`` variant consults every advisor on the first
-    ``exploration_first_rounds`` decisions. maddm reads ``review``, and
-    the comparison methods ``baseline``; fna and bc rank by ``strategy``.
+    ``exploration_first_rounds`` decisions. A knob the spec does not read
+    (:data:`METHOD_KNOBS`) is reset to its default, so specs that run the
+    same way are equal.
     """
 
     method: str
@@ -144,11 +159,29 @@ class MethodSpec:
     exploration_first_rounds: int = 10
 
     def __post_init__(self) -> None:
-        if self.method not in ("maddm", "fna", "bc", "rv", "bu"):
+        if self.method not in METHOD_KNOBS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.variant not in ("standard", "exploration_first"):
             raise ValueError(f"unknown variant {self.variant!r}")
         checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
+        knobs = self.knobs
+        unread = {name: value for name, value in vars(BaselineConfig()).items() if name not in knobs}
+        object.__setattr__(self, "baseline", replace(self.baseline, **unread))
+        for f in fields(self):
+            if f.name in _KNOBS and f.name not in knobs:
+                object.__setattr__(self, f.name, f.default if f.default_factory is MISSING else f.default_factory())
+
+    @property
+    def knobs(self) -> tuple[str, ...]:
+        """The plan-entry knobs this spec reads, from :data:`METHOD_KNOBS`."""
+        return tuple(
+            name for name in METHOD_KNOBS[self.method]
+            if name != "exploration_first_rounds" or self.variant == "exploration_first"
+        )
+
+    def knob(self, name: str):
+        """A plan-entry knob's value: a field of ``baseline``, or of the spec itself."""
+        return getattr(self.baseline if name in vars(self.baseline) else self, name)
 
     @property
     def label(self) -> str:
@@ -183,10 +216,10 @@ class ExperimentPlan:
         if len(set(self.accuracy_means)) != len(self.accuracy_means):
             raise ValueError(f"duplicate accuracy_means in plan: {list(self.accuracy_means)}")
         for spec in self.methods:
-            # the advisor count each method hires per decision, where fixed
-            knob = {"fna": "fna_k", "rv": "rv_k"}.get(spec.method)
-            if knob and getattr(spec.baseline, knob) > self.n_advisors:
-                raise ValueError(f"{spec.label}: {knob} exceeds n_advisors={self.n_advisors}")
+            # the head counts, where a method hires a fixed number per decision
+            for knob in ("fna_k", "rv_k"):
+                if knob in spec.knobs and spec.knob(knob) > self.n_advisors:
+                    raise ValueError(f"{spec.label}: {knob} exceeds n_advisors={self.n_advisors}")
         labels = [spec.label for spec in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate method/variant entries in plan")
@@ -422,14 +455,27 @@ def _cell_path(out_dir: Path, env_idx: int, grid_idx: int, rep: int) -> Path:
     return out_dir / "cells" / f"cell_{env_idx}_{grid_idx}_{rep}.json"
 
 
-def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
-    """The stamp of every cell: a hash of the plan and the cell's coordinates.
+@functools.cache
+def _code_digest() -> str:
+    """A hash of the bytes of the package's modules, read once per process on first use."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
-    The plan enters with every field but its repetition count, which
-    changes no cell's world or streams: extending a plan keeps its cached
-    cells.
+
+def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
+    """The stamp of every cell: a hash of the plan, the code and the cell's coordinates.
+
+    The plan enters as :func:`plan_to_dict` writes it, so only the knobs a
+    method reads, and without its repetition count, which changes no
+    cell's world or streams: extending a plan keeps its cached cells. The
+    code enters as :func:`_code_digest`, so a changed module recomputes
+    every cell once.
     """
-    text = json.dumps(_to_dict(plan, skip=("repetitions",)), sort_keys=True)
+    data = plan_to_dict(plan)
+    del data["repetitions"]
+    text = json.dumps(data, sort_keys=True) + _code_digest()
     return {
         cell: hashlib.sha256(f"{text}{list(cell)}".encode("utf-8")).hexdigest()
         for cell in plan.cells()
@@ -528,15 +574,16 @@ def _load(cls, data: dict, **given):
     one without a default, or a number :func:`_number` rejects raises
     ValueError.
     """
-    types = _field_types(cls)
     try:
-        values = {
-            k: _number(types[k], v, k) if types.get(k) in (int, float) else v
-            for k, v in data.items()
-        }
-        return cls(**values, **given)
+        return cls(**_converted(cls, data), **given)
     except TypeError as exc:  # the constructor names the offending key
         raise ValueError(f"bad {cls.__name__} section: {exc}") from exc
+
+
+def _converted(cls, data: dict) -> dict:
+    """``data`` with the value of each int or float field of ``cls`` through :func:`_number`."""
+    types = _field_types(cls)
+    return {k: _number(types[k], v, k) if types.get(k) in (int, float) else v for k, v in data.items()}
 
 
 def _number(kind: type, value, key: str):
@@ -565,10 +612,9 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def _method_to_dict(spec: MethodSpec) -> dict:
-    # an entry carries only the config its method reads, a comparison method's knobs flat
-    if spec.method == "maddm":
-        return _to_dict(spec, skip=("baseline",))
-    return {**_to_dict(spec, skip=("baseline", "review")), **_to_dict(spec.baseline)}
+    # an entry carries only the knobs its spec reads, a BaselineConfig field flat
+    return {"method": spec.method, "variant": spec.variant,
+            **{name: _to_dict(spec.knob(name)) for name in spec.knobs}}
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
@@ -592,16 +638,26 @@ def _method_from_dict(entry) -> MethodSpec:
     knobs = dict(_shaped(entry, dict, "methods entry"))
     spec = {key: knobs.pop(key) for key in ("method", "variant", "exploration_first_rounds") if key in knobs}
     strategy = _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy"))
-    if spec.get("method") != "maddm":
-        return _load(MethodSpec, spec, strategy=strategy, baseline=_load(BaselineConfig, knobs))
-    review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
-    # older plan files carry the one remaining review mode explicitly
-    mode = review.pop("mode", "rebuild")
-    if mode != "rebuild":
-        raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-    if knobs:
-        raise ValueError(f"unknown keys in a maddm methods entry: {list(knobs)}")
-    return _load(MethodSpec, spec, strategy=strategy, review=_load(ReviewConfig, review))
+    review = {}
+    if spec.get("method") == "maddm":
+        review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
+        # older plan files carry the one remaining review mode explicitly
+        mode = review.pop("mode", "rebuild")
+        if mode != "rebuild":
+            raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
+        if knobs:
+            raise ValueError(f"unknown keys in a maddm methods entry: {list(knobs)}")
+    # a comparison entry's other keys must be BaselineConfig fields, which a review is not
+    baseline = _load(BaselineConfig, knobs)
+    loaded = _load(MethodSpec, spec, strategy=strategy, baseline=baseline, review=_load(ReviewConfig, review))
+    # the spec holds each knob it does not read at the default, so the entry
+    # may give such a knob only that value
+    given = {**_converted(MethodSpec, spec), "strategy": strategy, **vars(baseline)}
+    unread = sorted(key for key in entry.keys() - {"method", "variant", *loaded.knobs}
+                    if given[key] != loaded.knob(key))
+    if unread:
+        raise ValueError(f"{loaded.label} does not read {unread}; leave them out or at their defaults")
+    return loaded
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maddm import harness
 from maddm.baselines import BaselineConfig
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
 from maddm.harness import (
     EnvironmentTemplate,
     ExperimentPlan,
     MethodSpec,
+    _cell_stamps,
     _environment_rng,
     build_cell_environment,
     default_plan,
@@ -385,6 +387,18 @@ class TestExecutePlan:
             tmp_path / "fresh" / "results.csv"
         ).read_bytes()
 
+    def test_code_change_recomputes_every_cell(self, tmp_path, monkeypatch):
+        plan = tiny_plan()
+        execute_plan(plan, tmp_path / "out")
+        ran = []
+        run_cell = harness.run_cell
+        monkeypatch.setattr(harness, "run_cell", lambda *args: ran.append(args[1:]) or run_cell(*args))
+        execute_plan(plan, tmp_path / "out")
+        assert ran == []
+        monkeypatch.setattr(harness, "_code_digest", lambda: "an edited module")
+        execute_plan(plan, tmp_path / "out")
+        assert ran == plan.cells()
+
     def test_importing_the_harness_leaves_the_process_pool_unloaded(self):
         # a serial run never needs multiprocessing; execute_plan imports the
         # pool when jobs > 1
@@ -405,6 +419,54 @@ class TestExecutePlan:
         assert (tmp_path / "serial" / "results.csv").read_bytes() == (
             tmp_path / "parallel" / "results.csv"
         ).read_bytes()
+
+
+class TestMethodKnobs:
+    def test_specs_that_run_the_same_way_are_equal_and_share_stamps(self):
+        spec = MethodSpec("maddm", baseline=BaselineConfig(fna_k=2))
+        assert spec == MethodSpec("maddm")
+        assert _cell_stamps(tiny_plan(out_methods=(spec,))) == _cell_stamps(
+            tiny_plan(out_methods=(MethodSpec("maddm"),)))
+
+    @pytest.mark.parametrize("method", ["maddm", "fna", "bu"])
+    def test_warm_up_rounds_reach_the_stamp_only_with_exploration_first(self, method):
+        def stamps(variant, rounds):
+            return _cell_stamps(tiny_plan(out_methods=(MethodSpec(method, variant, exploration_first_rounds=rounds),)))
+
+        assert stamps("standard", 2) == stamps("standard", 10)
+        assert (stamps("exploration_first", 2) == stamps("exploration_first", 10)) == (method == "bu")
+
+    @pytest.mark.parametrize("entry, keys", [
+        ({"method": "rv", "fna_k": 2}, ["fna_k"]),
+        ({"method": "rv", "strategy": {"kind": "thompson"}}, ["strategy"]),
+        ({"method": "bu", "bc_budget_fraction": 0.5, "strategy": {"kind": "ucb"}},
+         ["bc_budget_fraction", "strategy"]),
+        ({"method": "maddm", "exploration_first_rounds": 3}, ["exploration_first_rounds"]),
+    ])
+    def test_knob_the_spec_does_not_read_rejected_at_load(self, entry, keys):
+        with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
+            plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
+
+    def test_knob_the_spec_does_not_read_loads_at_its_default(self):
+        # compared as loaded, so an integral float counts as its int
+        entry = {"method": "bu", "strategy": {"kind": "epsilon_greedy"}, "fna_k": 5.0,
+                 "bc_budget_fraction": 0.1, "rv_k": 3, "exploration_first_rounds": 10.0}
+        assert plan_from_dict({**MINIMAL_PLAN, "methods": [entry]}).methods == (MethodSpec("bu"),)
+
+    def test_writer_gives_each_entry_the_knobs_its_spec_reads(self):
+        entries = plan_to_dict(default_plan())["methods"]
+        assert {(entry["method"], entry["variant"]): set(entry) - {"method", "variant"}
+                for entry in entries} == {
+            ("maddm", "standard"): {"review"},
+            ("fna", "standard"): {"strategy", "fna_k"},
+            ("bc", "standard"): {"strategy", "bc_budget_fraction"},
+            ("rv", "standard"): {"rv_k"},
+            ("maddm", "exploration_first"): {"review", "exploration_first_rounds"},
+            ("fna", "exploration_first"): {"strategy", "fna_k", "exploration_first_rounds"},
+            ("bc", "exploration_first"): {"strategy", "bc_budget_fraction", "exploration_first_rounds"},
+            ("rv", "exploration_first"): {"rv_k", "exploration_first_rounds"},
+            ("bu", "standard"): set(),
+        }
 
 
 class TestPlanSerialization:
