@@ -105,7 +105,8 @@ class AnswerLog:
     def __len__(self) -> int:
         return self._logged
 
-    def append(self, answers: AnswerSet) -> None:
+    def append(self, answers: AnswerSet) -> int:
+        """Log ``answers``; returns its distinct set's index."""
         if answers.is_empty:
             raise ValueError("cannot log an empty answer set")
         index = self._index.get(answers)
@@ -128,6 +129,7 @@ class AnswerLog:
         self._sets[self._logged] = index
         self._logged += 1
         self.max_advisor_id = max(self.max_advisor_id, answers.ids[-1])
+        return index
 
     def distinct_arrays(self) -> tuple[np.ndarray, ...]:
         """(ids, signs, starts, counts, owner) of the distinct sets.
@@ -144,10 +146,6 @@ class AnswerLog:
             self._counts[:n_sets], self._owner[:size],
         )
 
-    def set_index(self) -> np.ndarray:
-        """The distinct-set index of each logged set, in log order."""
-        return self._sets[: self._logged]
-
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel) in log order.
 
@@ -155,7 +153,7 @@ class AnswerLog:
         and rebuilt from it on every call.
         """
         ids, signs, starts, _, _ = self.distinct_arrays()
-        sets = self.set_index()
+        sets = self._sets[: self._logged]
         sizes = (starts[1:] - starts[:-1])[sets]
         flat_starts = np.zeros(sets.size + 1, dtype=np.intp)
         np.cumsum(sizes, out=flat_starts[1:])

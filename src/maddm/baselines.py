@@ -159,6 +159,7 @@ def select_fixed_number(
     covers.
     """
     costs = pool_costs(costs, trust)
+    checked_count(k, "k", 0)
     if k > costs.size:
         raise ValueError(f"cannot select {k} advisors from a pool of {costs.size}")
     return _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)[:k]
@@ -208,7 +209,9 @@ class EmAggregator:
 
     The instance is incremental: observe answer sets as decisions
     happen, call :meth:`infer` to re-converge; accuracies warm-start
-    from the previous call.
+    from the previous call. ``posteriors`` holds the last call's yes (row
+    0) and no (row 1) posteriors per distinct answer set, in the column
+    :meth:`observe` returned.
     """
 
     def __init__(
@@ -230,32 +233,19 @@ class EmAggregator:
         self.max_iterations = max_iterations
         self.accuracies = np.full(n_advisors, float(init_accuracy))
         self._log = AnswerLog()
-        self._posteriors = np.empty((2, 0))  # the last infer's, per distinct set: rows yes, no
+        self.posteriors = np.empty((2, 0))
 
     @property
     def n_decisions(self) -> int:
         return len(self._log)
 
-    @property
-    def posterior_plus(self) -> np.ndarray:
-        """Posterior of the yes answer per observed decision, from the last :meth:`infer`."""
-        return self._posteriors[0][self._log.set_index()]
-
-    @property
-    def posterior_minus(self) -> np.ndarray:
-        """Posterior of the no answer per observed decision, from the last :meth:`infer`."""
-        return self._posteriors[1][self._log.set_index()]
-
-    def last_posteriors(self) -> list[float]:
-        """[yes, no] posteriors of the last observed decision, from the last :meth:`infer`."""
-        return self._posteriors[:, self._log.set_index()[-1]].tolist()
-
-    def observe(self, answers: AnswerSet) -> None:
+    def observe(self, answers: AnswerSet) -> int:
+        """Log ``answers``; returns its column in :attr:`posteriors`."""
         if answers.is_empty:
             raise ValueError("cannot observe an empty answer set")
         if answers.ids[-1] >= self.n_advisors:
             raise ValueError("answer set references advisors outside the pool")
-        self._log.append(answers)
+        return self._log.append(answers)
 
     def infer(self, track_objective: bool = False) -> list[float]:
         """Run EM to convergence; returns the tracked objective if asked.
@@ -303,7 +293,7 @@ class EmAggregator:
             acc = np.where(consulted, (credit + 1.0) / smoothed_counts, acc)
 
         self.accuracies = acc
-        self._posteriors = q
+        self.posteriors = q
         return objective
 
 
@@ -358,9 +348,9 @@ def run_baseline(
 
     def em(answers: AnswerSet) -> tuple[int, float, float]:
         nonlocal trust
-        aggregator.observe(answers)
+        index = aggregator.observe(answers)
         aggregator.infer()
-        q_plus, q_minus = aggregator.last_posteriors()
+        q_plus, q_minus = aggregator.posteriors[:, index].tolist()
         answer = 1 if q_plus > q_minus else -1
         confidence = abs(q_plus - q_minus)
         trust = apply_confidence_update(trust, answers, answer, confidence)

@@ -483,12 +483,16 @@ def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
 
 
 def _load_cell(path: Path, stamp: str) -> list[RunResult] | None:
-    """The cached results of a cell, if its file was written for this stamp."""
+    """The cached results of a cell, if its file was written for this stamp.
+
+    A file that cannot be read, or holds JSON of another shape, is a miss.
+    """
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if payload.get("stamp") != stamp:
+    if not (isinstance(payload, dict) and payload.get("stamp") == stamp
+            and isinstance(payload.get("runs"), list)):
         return None
     return [_load(RunResult, entry["result"]) for entry in payload["runs"]]
 

@@ -33,28 +33,18 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 def _u_counts(n: int, m: int) -> tuple[int, ...]:
     """Null distribution of U as arrangement counts for u = 0 .. n*m.
 
-    Conditioning on whether the largest observation belongs to the first
-    sample gives counts(u; n, m) = counts(u - m; n - 1, m)
-    + counts(u; n, m - 1). Exact integers, so tail sums are exact.
+    The counts are the coefficients of the Gaussian binomial
+    [n + m choose n]_q, the product over i = 1..n of
+    (1 - q^(m+i)) / (1 - q^i), taken mod q^(nm+1) in exact integers, so
+    tail sums are exact.
     """
-    grid: list[list[list[int]]] = [[[1] for _ in range(m + 1)]]
+    counts = [1] + [0] * (n * m)
     for i in range(1, n + 1):
-        row: list[list[int]] = [[1]]
-        for j in range(1, m + 1):
-            size = i * j + 1
-            shifted = grid[i - 1][j]
-            smaller = row[j - 1]
-            counts = [0] * size
-            for u in range(size):
-                total = 0
-                if 0 <= u - j < len(shifted):
-                    total += shifted[u - j]
-                if u < len(smaller):
-                    total += smaller[u]
-                counts[u] = total
-            row.append(counts)
-        grid.append(row)
-    return tuple(grid[n][m])
+        for u in range(n * m, m + i - 1, -1):  # times 1 - q^(m+i)
+            counts[u] -= counts[u - m - i]
+        for u in range(i, n * m + 1):  # over 1 - q^i
+            counts[u] += counts[u - i]
+    return tuple(counts)
 
 
 def _exact_two_sided_p(u_min: int, n: int, m: int) -> float:

@@ -270,8 +270,8 @@ def test_criterion_em_properties():
             worst_drop = max(worst_drop, float(-np.diff(objective).min()))
         mirrored.infer()
         assert np.array_equal(straight.accuracies, mirrored.accuracies)
-        assert np.array_equal(straight.posterior_plus, mirrored.posterior_minus)
-        assert np.array_equal(straight.posterior_minus, mirrored.posterior_plus)
+        assert np.array_equal(straight.posteriors[0], mirrored.posteriors[1])
+        assert np.array_equal(straight.posteriors[1], mirrored.posteriors[0])
     ok = worst_drop <= 1e-9
     verdict(ok, "EM properties",
             f"100 matrices, worst objective drop {worst_drop:.2e}, flip symmetry exact")

@@ -117,6 +117,15 @@ class TestSelectFixedNumber:
                 point_estimates=np.array([0.5]), decisions_elapsed=0,
             )
 
+    @pytest.mark.parametrize("k", [-1, True, 2.0, np.int64(2)])
+    def test_k_that_is_not_a_count_rejected(self, rng, k):
+        # a slice would take k=-1 as "all but the last" and k=True as 1
+        with pytest.raises(ValueError, match="k must be an int"):
+            select_fixed_number(
+                pool_of([1.0] * 5), TrustVector.fresh(5), StrategyConfig(), k, rng,
+                point_estimates=np.full(5, 0.5), decisions_elapsed=0,
+            )
+
     def test_point_estimates_must_cover_the_pool(self, rng):
         # a ranking over more estimates than advisors would hire unknown ids
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
@@ -218,18 +227,18 @@ def em_over(answer_sets: list[AnswerSet], n_advisors: int, **kwargs) -> EmAggreg
 class TestEmAggregate:
     def test_single_advisor_single_decision_stays_uninformative(self):
         em = em_over([AnswerSet({0}, set())], n_advisors=1)
-        assert abs(em.posterior_plus[0] - 0.5) < 1e-4
+        assert abs(em.posteriors[0, 0] - 0.5) < 1e-4
         assert abs(em.accuracies[0] - 0.5) < 1e-4
 
     def test_unanimous_trio_converges_confident(self):
         em = em_over(unanimous_history(3, 50), n_advisors=3)
         assert np.all(em.accuracies > 0.9)
-        assert np.all(em.posterior_plus > 0.99)
+        assert np.all(em.posteriors[0] > 0.99)
 
     def test_perfectly_opposed_pair_stays_split(self):
         sets = [AnswerSet({0}, {1}) for _ in range(50)]
         em = em_over(sets, n_advisors=2)
-        assert np.all(np.abs(em.posterior_plus - 0.5) < 1e-6)
+        assert np.all(np.abs(em.posteriors[0] - 0.5) < 1e-6)
 
     def test_beliefs_stay_probabilities(self, rng):
         sets = []
@@ -239,13 +248,12 @@ class TestEmAggregate:
             sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
         em = em_over(sets, n_advisors=6)
         assert np.all((em.accuracies > 0.0) & (em.accuracies < 1.0))
-        for posteriors in (em.posterior_plus, em.posterior_minus):
-            assert np.all((posteriors >= 0.0) & (posteriors <= 1.0))
+        assert np.all((em.posteriors >= 0.0) & (em.posteriors <= 1.0))
 
     def test_explicit_init_state_is_respected(self):
         assert EmAggregator(2, init_accuracy=0.95).accuracies.tolist() == [0.95, 0.95]
         em = em_over([AnswerSet({0}, {1})], n_advisors=2, init_accuracy=0.95)
-        assert em.posterior_plus[0] == pytest.approx(0.5, abs=1e-9)
+        assert em.posteriors[0, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_invalid_init_state_rejected(self):
         for init_accuracy in (1.0, 0.0, -0.3, np.nan):
@@ -306,8 +314,8 @@ class TestEmAggregate:
             straight.infer()
             mirrored.infer()
             assert np.array_equal(straight.accuracies, mirrored.accuracies)
-            assert np.array_equal(straight.posterior_plus, mirrored.posterior_minus)
-            assert np.array_equal(straight.posterior_minus, mirrored.posterior_plus)
+            assert np.array_equal(straight.posteriors[0], mirrored.posteriors[1])
+            assert np.array_equal(straight.posteriors[1], mirrored.posteriors[0])
 
 
 @pytest.fixture(scope="module")

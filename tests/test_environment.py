@@ -135,9 +135,7 @@ class TestEnvironment:
         assert from_run.ids == (3, 7, 12)
         assert list(from_run.signs) == env.answers[5, list(from_run.ids)].tolist()
         log = AnswerLog()
-        log.append(from_run)
-        log.append(from_camps)
-        assert log.set_index().tolist() == [0, 0]
+        assert [log.append(from_run), log.append(from_camps)] == [0, 0]
         # repeated ids merge, numpy ints included
         assert env.answer_set(5, hired + (3, np.int64(7))) == from_run
 

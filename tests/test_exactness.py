@@ -174,13 +174,12 @@ def test_em_iteration_equals_exact_reference(world, data):
     accuracies = np.array(data.draw(per_advisor(st.floats(0.05, 0.95), n_advisors)))
     aggregator = EmAggregator(n_advisors, max_iterations=1)
     aggregator.accuracies = accuracies
-    for answers in sets:
-        aggregator.observe(answers)
+    indices = [aggregator.observe(answers) for answers in sets]
     aggregator.infer()
     acc, q_plus, q_minus = exact_em_iteration(sets, accuracies)
     assert_within(aggregator.accuracies, acc, EM_BOUND)
-    assert_within(aggregator.posterior_plus, q_plus, EM_BOUND)
-    assert_within(aggregator.posterior_minus, q_minus, EM_BOUND)
+    assert_within(aggregator.posteriors[0, indices], q_plus, EM_BOUND)
+    assert_within(aggregator.posteriors[1, indices], q_minus, EM_BOUND)
 
 
 @given(
@@ -193,25 +192,22 @@ def test_em_infer_equals_repeated_single_iterations(world, data, tol, max_iterat
     n_advisors, sets = world
     accuracies = np.array(data.draw(per_advisor(st.floats(0.05, 0.95), n_advisors)))
 
-    def aggregator(iterations: int) -> EmAggregator:
+    def aggregator(iterations: int) -> tuple[EmAggregator, list[int]]:
         em = EmAggregator(n_advisors, tol=tol, max_iterations=iterations)
         em.accuracies = accuracies
-        for answers in sets:
-            em.observe(answers)
-        return em
+        return em, [em.observe(answers) for answers in sets]
 
-    full = aggregator(max_iterations)
+    full, indices = aggregator(max_iterations)
     objective = full.infer(track_objective=True)
     # the same iterations one call each, up to the one that stopped the loop
-    step = aggregator(1)
+    step, _ = aggregator(1)
     stepped, posteriors, seen = [], [], [accuracies]
     for _ in objective:
         stepped += step.infer(track_objective=True)
-        posteriors.append(np.stack([step.posterior_plus, step.posterior_minus]))
+        posteriors.append(step.posteriors[:, indices])
         seen.append(step.accuracies)
     assert stepped == objective
-    assert np.array_equal(full.posterior_plus, posteriors[-1][0])
-    assert np.array_equal(full.posterior_minus, posteriors[-1][1])
+    assert np.array_equal(full.posteriors[:, indices], posteriors[-1])
     # an iteration whose posteriors moved less than tol stops before its M-step
     converged = len(posteriors) > 1 and float(np.abs(posteriors[-1] - posteriors[-2]).max()) < tol
     assert converged or len(objective) == max_iterations

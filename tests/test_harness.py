@@ -354,6 +354,17 @@ class TestExecutePlan:
             (tmp_path / "out" / "cells" / f"cell_0_0_{rep}.json").write_text(json.dumps(payload))
         assert execute_plan(plan, tmp_path / "out").results == reference
 
+    @pytest.mark.parametrize("stamped", [False, True])
+    def test_cell_file_of_another_shape_is_recomputed(self, tmp_path, stamped):
+        # valid JSON but not a stamped cell: a list, or the cell's stamp with no runs
+        plan = tiny_plan(out_methods=(MethodSpec(method="bu"),))
+        reference = execute_plan(plan, tmp_path / "fresh").results
+        path = tmp_path / "out" / "cells" / "cell_0_0_0.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"stamp": _cell_stamps(plan)[0, 0, 0]} if stamped else []))
+        assert execute_plan(plan, tmp_path / "out").results == reference
+        assert len(json.loads(path.read_text())["runs"]) == 1
+
     def test_cache_is_not_served_for_another_seed(self, tmp_path):
         plan = replace(tiny_plan(out_methods=(MethodSpec(method="maddm"),)), repetitions=1)
         execute_plan(replace(plan, base_seed=0), tmp_path / "out")
@@ -657,6 +668,20 @@ class TestPlanSerialization:
         grid = tuple(round(0.51 + 0.01 * k, 2) for k in range(50))
         assert grid[0] == 0.51 and grid[-1] == 1.0
         assert plan == replace(default_plan(), accuracy_means=grid)
+
+    def test_check_plan_is_the_default_plan_cut_to_the_desk_corners(self):
+        path = Path(__file__).resolve().parents[1] / "plans" / "check.json"
+        plan = plan_from_dict(json.loads(path.read_text()))
+        cut = replace(default_plan(), accuracy_means=(0.55, 0.8, 1.0), repetitions=2, n_decisions=300)
+        assert plan == cut
+
+    def test_check_plan_reproduces_its_recorded_tables_byte_for_byte(self, tmp_path):
+        # plans/check/ may be re-recorded only by a change that declares a
+        # results change and names every row it moves
+        plans = Path(__file__).resolve().parents[1] / "plans"
+        execute_plan(plan_from_dict(json.loads((plans / "check.json").read_text())), tmp_path)
+        for name in ("results.csv", "summary.csv", "significance.csv"):
+            assert (tmp_path / name).read_bytes() == (plans / "check" / name).read_bytes(), name
 
     def test_readme_plan_loads_and_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -19,6 +19,10 @@ PLAN = replace(default_plan(), n_decisions=300, accuracy_means=(0.55, 0.85))
 #: (environment index, grid index) of each cell, repetition 0
 CELLS = ((0, 1), (1, 0))
 SPECS = {spec.label: spec for spec in PLAN.methods}
+#: The label flip's cells: both templates at both grid points, repetition 0
+FLIP_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+#: The specs that answer by EM or by majority, whose answers a flip mirrors
+FLIP_LABELS = [label for label, spec in SPECS.items() if spec.method in ("fna", "bc", "rv")]
 #: Where the causality relation cuts the world: not a round number, so no
 #: review cadence or warm-up boundary lines up with it.
 CUT = 173
@@ -64,3 +68,27 @@ def test_a_run_never_reads_ahead(straight, label, cell):
                        answers=world.answers[:CUT])
 
     assert play(label, cell, cut).trace == straight[label, cell].trace[:CUT]
+
+
+@pytest.mark.parametrize("cell", FLIP_CELLS)
+@pytest.mark.parametrize("label", FLIP_LABELS)
+def test_flipping_every_answer_flips_every_untied_decision(straight, label, cell):
+    # the EM's beliefs mirror exactly under a flip and a majority's count
+    # changes sign, so the hires stay and every answer flips with a
+    # bit-equal confidence; a tie answers -1 on both sides by rule
+    def flipped(world):
+        return replace(world, answers=-world.answers)
+
+    world = build_cell_environment(PLAN, *cell, 0)
+    run = straight[label, cell] if cell in CELLS else play(label, cell)
+    mirror = play(label, cell, flipped)
+    for row, flip_row in zip(run.trace, mirror.trace, strict=True):
+        decision = row["decision_id"]
+        assert flip_row["hired"] == row["hired"], decision
+        assert flip_row["confidence"] == row["confidence"], decision
+        if SPECS[label].method == "rv":  # its confidence is always 1
+            tie = int(world.answers[decision, row["hired"]].sum()) == 0
+        else:
+            tie = row["confidence"] == 0.0
+        assert flip_row["answer"] == (-1 if tie else -row["answer"]), decision
+        assert not tie or row["answer"] == -1, decision

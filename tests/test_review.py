@@ -43,8 +43,7 @@ class TestDecisionHistory:
 
     def test_growth_beyond_initial_capacity(self):
         history = AnswerLog()
-        for _ in range(100):
-            history.append(AnswerSet({0, 1, 2}, {3, 4}))
+        indices = [history.append(AnswerSet({0, 1, 2}, {3, 4})) for _ in range(100)]
         ids, signs, starts = history.flat_arrays()
         assert ids.size == 500
         assert starts.tolist() == list(range(0, 501, 5))
@@ -54,7 +53,7 @@ class TestDecisionHistory:
         assert d_ids.tolist() == [0, 1, 2, 3, 4]
         assert (d_signs.tolist(), d_starts.tolist()) == ([1, 1, 1, -1, -1], [0, 5])
         assert (counts.tolist(), owner.tolist()) == ([100], [0] * 5)
-        assert history.set_index().tolist() == [0] * 100
+        assert indices == [0] * 100
 
     def test_flat_arrays_rebuild_the_log_in_order(self, rng):
         # each new set followed by a repeat of an earlier one, well past the
@@ -71,39 +70,37 @@ class TestDecisionHistory:
 class TestAnswerLogInterning:
     def test_equal_sets_built_in_different_orders_share_one_index(self):
         log = AnswerLog()
-        log.append(AnswerSet({3, 1}, {2}))
-        log.append(AnswerSet({0}, set()))
-        log.append(AnswerSet([3, 1], [2]))
+        logged = (AnswerSet({3, 1}, {2}), AnswerSet({0}, set()), AnswerSet([3, 1], [2]))
+        indices = [log.append(answers) for answers in logged]
         ids, signs, starts, counts, owner = log.distinct_arrays()
         assert ids.tolist() == [1, 2, 3, 0]
         assert signs.tolist() == [1, -1, 1, 1]
         assert starts.tolist() == [0, 3, 4]
         assert (counts.tolist(), owner.tolist()) == ([2, 1], [0, 0, 0, 1])
-        assert log.set_index().tolist() == [0, 1, 0]
+        assert indices == [0, 1, 0]
 
     def test_distinct_count_and_set_index(self, rng):
         log = AnswerLog()
-        sets = []
+        sets, indices = [], []
         for _ in range(200):
             members = rng.permutation(5)[: rng.integers(1, 4)]
             split = rng.integers(0, members.size + 1)
             sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
-            log.append(sets[-1])
+            indices.append(log.append(sets[-1]))
         ids, signs, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == len(set(sets))
         # every logged set reads its own ids and signs through its distinct set
-        for answers, index in zip(sets, log.set_index().tolist(), strict=True):
+        for answers, index in zip(sets, indices, strict=True):
             segment = slice(starts[index], starts[index + 1])
             assert (tuple(ids[segment]), tuple(signs[segment])) == (answers.ids, answers.signs)
 
     def test_interning_survives_growth_beyond_initial_capacity(self):
         log = AnswerLog()
         sets = [AnswerSet(set(range(k % 7)), {7 + k}) for k in range(150)]
-        for answers in sets + sets[::-1]:
-            log.append(answers)
+        indices = [log.append(answers) for answers in sets + sets[::-1]]
         ids, signs, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == 150
-        assert log.set_index().tolist() == list(range(150)) + list(range(149, -1, -1))
+        assert indices == list(range(150)) + list(range(149, -1, -1))
         last = slice(starts[149], starts[150])
         assert ids[last].tolist() == [0, 1, 156]  # sets[149] is ({0, 1}, {156})
         assert signs[last].tolist() == [1, 1, -1]
@@ -250,18 +247,17 @@ class TestVectorizedDecisionsMatchScalar:
         tau = [Fraction(a) / (Fraction(a) + Fraction(b)) for a, b in zip(alphas.tolist(), betas.tolist())]
         theta = [2 / (Fraction(a) + Fraction(b)) for a, b in zip(alphas.tolist(), betas.tolist())]
         history = AnswerLog()
-        expected = []
+        expected, distinct_set = [], []
         for d in range(40):
             members = rng.permutation(n_advisors)[: rng.integers(1, 6)]
             split = rng.integers(0, members.size + 1)
             answers = AnswerSet(set(members[:split].tolist()), set(members[split:].tolist()))
-            history.append(answers)
+            distinct_set.append(history.append(answers))
             p_plus, p_minus = exact_ensemble(
                 [(tau[i], tau[i], theta[i], sign) for i, sign in zip(answers.ids, answers.signs)]
             )
             expected.append((1 if p_plus > p_minus else -1, abs(p_plus - p_minus)))
         margin = review_margins(history, trust)
-        distinct_set = history.set_index()
         for d in range(40):
             got = margin[distinct_set[d]]
             # a near-tie may be decided either way in floats
