@@ -27,7 +27,6 @@ import numpy as np
 from maddm.answers import AnswerLog, AnswerSet, checked_count, segment_log_likelihoods
 from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult, play
-from maddm.selection import pool_costs
 from maddm.trust import TrustVector, apply_confidence_update
 
 #: Log prior probability of either answer in the EM: yes and no
@@ -89,7 +88,7 @@ def _criterion_scores(costs: np.ndarray, estimates: np.ndarray, criterion: str) 
 
 
 def _selection_order(
-    costs: np.ndarray,
+    environment: Environment,
     trust: TrustVector,
     strategy: StrategyConfig,
     rng: np.random.Generator,
@@ -104,6 +103,8 @@ def _selection_order(
     the criterion in place of the point estimate. Score ties break
     toward the lower advisor id (a stable sort).
     """
+    costs = environment.costs
+    trust.check_pool(costs.size)
     estimates = np.asarray(point_estimates, dtype=np.float64)
     if estimates.shape != costs.shape:
         raise ValueError(
@@ -145,7 +146,7 @@ def _selection_order(
 
 
 def select_fixed_number(
-    costs: np.ndarray,
+    environment: Environment,
     trust: TrustVector,
     strategy: StrategyConfig,
     k: int,
@@ -153,20 +154,18 @@ def select_fixed_number(
     point_estimates: np.ndarray,
     decisions_elapsed: int,
 ) -> list[int]:
-    """Ids of exactly ``k`` distinct advisors, in hire-preference order.
+    """Ids of exactly ``k`` distinct advisors of ``environment``'s pool, in hire-preference order.
 
-    ``costs`` prices each advisor by id, one entry per advisor ``trust``
-    covers.
+    ``trust`` and ``point_estimates`` hold one entry per advisor of the pool.
     """
-    costs = pool_costs(costs, trust)
     checked_count(k, "k", 0)
-    if k > costs.size:
-        raise ValueError(f"cannot select {k} advisors from a pool of {costs.size}")
-    return _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)[:k]
+    if k > environment.n_advisors:
+        raise ValueError(f"cannot select {k} advisors from a pool of {environment.n_advisors}")
+    return _selection_order(environment, trust, strategy, rng, point_estimates, decisions_elapsed)[:k]
 
 
 def select_budget_constrained(
-    costs: np.ndarray,
+    environment: Environment,
     trust: TrustVector,
     strategy: StrategyConfig,
     budget: float,
@@ -177,13 +176,14 @@ def select_budget_constrained(
     """Walk the preference order, hiring while the next pick still fits.
 
     Stops at the first advisor that would overshoot the budget; it does
-    not skip ahead to cheaper, lower-ranked candidates. ``costs`` is as
-    in :func:`select_fixed_number`.
+    not skip ahead to cheaper, lower-ranked candidates. Advisors are
+    priced at ``environment.costs``; the other arguments are as in
+    :func:`select_fixed_number`.
     """
-    costs = pool_costs(costs, trust)
     if not budget >= 0.0:  # NaN fails this too
         raise ValueError(f"budget must be non-negative, got {budget!r}")
-    order = _selection_order(costs, trust, strategy, rng, point_estimates, decisions_elapsed)
+    order = _selection_order(environment, trust, strategy, rng, point_estimates, decisions_elapsed)
+    costs = environment.costs
     chosen: list[int] = []
     spent = 0.0
     for advisor_id in order:
@@ -331,13 +331,13 @@ def run_baseline(
             chosen = [int(i) for i in rng.choice(n_advisors, size=config.rv_k, replace=False)]
         elif method == "fna":
             chosen = select_fixed_number(
-                costs, trust, strategy, config.fna_k, rng,
+                environment, trust, strategy, config.fna_k, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         else:  # bc
             budget = config.bc_budget_fraction * stakes[index]
             chosen = select_budget_constrained(
-                costs, trust, strategy, budget, rng,
+                environment, trust, strategy, budget, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         return chosen, float(costs[chosen].sum()) if chosen else 0.0, 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +94,18 @@ ENV_TEMPLATES: dict[str, tuple[float, float]] = {
 }
 
 
+def _checked_column(values, name: str, upper: float = math.inf, size: int | None = None) -> np.ndarray:
+    """``values`` as a non-empty 1-d float64 array, of ``size`` entries if given, finite and in [0, upper]."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != 1 or not array.size or (size is not None and array.size != size):
+        length = "" if size is None else f" of {size} entries"
+        raise ValueError(f"{name} must be a non-empty 1-d array{length}, got shape {array.shape}")
+    if not (np.isfinite(array).all() and array.min() >= 0.0 and array.max() <= upper):
+        bound = "non-negative" if upper == math.inf else f"in [0, {upper:g}]"
+        raise ValueError(f"{name} must be finite and {bound}")
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Environment:
     """A fully realized world: decision values, the advisor pool, and every answer.
@@ -104,6 +116,12 @@ class Environment:
     with the advisor's hidden accuracy and the flipped answer otherwise.
     Realizing answers as part of the world keeps them identical no matter
     which method asks, and asking twice trivially returns the same answer.
+
+    A world checks itself when it is made (by :meth:`build`, directly, or
+    by ``dataclasses.replace``) and raises ValueError unless it has N >= 1
+    decisions and n >= 1 advisors, profits, losses and costs are finite and
+    non-negative, accuracies lie in [0, 1], and every answer is -1 or 1.
+    It holds read-only views of its arrays.
     """
 
     profits: np.ndarray  # float, profit per decision id
@@ -112,18 +130,37 @@ class Environment:
     costs: np.ndarray  # float, price per advisor id
     answers: np.ndarray  # int8, shape (n_decisions, n_advisors), entries in {-1, 1}
 
+    def __post_init__(self) -> None:
+        profits = _checked_column(self.profits, "profits")
+        losses = _checked_column(self.losses, "losses", size=profits.size)
+        accuracies = _checked_column(self.accuracies, "accuracies", upper=1.0)
+        costs = _checked_column(self.costs, "costs", size=accuracies.size)
+        answers = np.asarray(self.answers)
+        shape = (profits.size, costs.size)
+        if answers.shape != shape:
+            raise ValueError(
+                f"answers need one vote per advisor on each decision, shape {shape}, got {answers.shape}"
+            )
+        bad = np.argwhere((answers != 1) & (answers != -1))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValueError(f"advisor {j} voted {answers[i, j].item()!r} on decision {i}, not -1 or 1")
+        columns = (profits, losses, accuracies, costs, answers.astype(np.int8, copy=False))
+        for f, value in zip(fields(self), columns):
+            view = value.view()
+            view.flags.writeable = False  # checked once, so the world never changes after
+            object.__setattr__(self, f.name, view)
+
     @classmethod
     def build(cls, config: EnvironmentConfig, rng: np.random.Generator) -> "Environment":
         """Realize the world ``config`` describes from ``rng``.
 
         Draw order is pinned (profits, losses, accuracies, costs, then
         answers) so a seeded generator reproduces the world bit for bit.
-        Raises ValueError if a drawn profit or loss is negative.
+        Raises ValueError, as any world does, if a value drawn is negative.
         """
         profits = ergd_sample(config.value_params, rng, config.n_decisions)
         losses = ergd_sample(config.value_params, rng, config.n_decisions)
-        if not (profits.min() >= 0.0 and losses.min() >= 0.0):
-            raise ValueError("decision values must be non-negative")
         accuracies = ergd_sample(config.accuracy_params, rng, config.n_advisors)
         costs = np.clip(rng.normal(accuracies * COST_MEAN_FACTOR, COST_STD), 0.0, None)
         correct = rng.random((profits.size, accuracies.size)) < accuracies[None, :]
@@ -146,23 +183,13 @@ class Environment:
 
     def to_json(self) -> str:
         """Audit dump: the advisor table and the decision table."""
-        return json.dumps(
-            {
-                "advisors": [
-                    {"id": i, "hidden_accuracy": accuracy, "cost": cost}
-                    for i, (accuracy, cost) in enumerate(
-                        zip(self.accuracies.tolist(), self.costs.tolist())
-                    )
-                ],
-                "decisions": [
-                    {"id": i, "profit": profit, "loss": loss}
-                    for i, (profit, loss) in enumerate(
-                        zip(self.profits.tolist(), self.losses.tolist())
-                    )
-                ],
-            },
-            indent=2,
-        )
+        advisors = enumerate(zip(self.accuracies.tolist(), self.costs.tolist()))
+        decisions = enumerate(zip(self.profits.tolist(), self.losses.tolist()))
+        tables = {
+            "advisors": [{"id": i, "hidden_accuracy": a, "cost": c} for i, (a, c) in advisors],
+            "decisions": [{"id": i, "profit": p, "loss": q} for i, (p, q) in decisions],
+        }
+        return json.dumps(tables, indent=2)
 
     def digest(self) -> str:
         """Stable fingerprint of the whole world, answers included."""

@@ -81,14 +81,11 @@ def run_maddm(
     confidence back into trust, and review the history every
     ``config.frequency`` decisions, empty ones included.
     """
-    stakes = (environment.profits + environment.losses).tolist()
     trust = TrustVector.fresh(environment.n_advisors)
     history = AnswerLog()
 
     def hire(index: int) -> tuple[tuple[int, ...], float, int]:
-        hiring = select_advisors(
-            stakes[index], environment.costs, trust, environment.answers[index], rng
-        )
+        hiring = select_advisors(environment, index, trust, rng)
         return hiring.hired, hiring.total_cost, hiring.rounds
 
     def decide(answers: AnswerSet) -> tuple[int, float, float]:
@@ -482,19 +479,22 @@ def _cell_stamps(plan: ExperimentPlan) -> dict[tuple[int, int, int], str]:
     }
 
 
-def _load_cell(path: Path, stamp: str) -> list[RunResult] | None:
+def _load_cell(path: Path, stamp: str, labels: Sequence[str]) -> list[RunResult] | None:
     """The cached results of a cell, if its file was written for this stamp.
 
-    A file that cannot be read, or holds JSON of another shape, is a miss.
+    A file that cannot be read, holds JSON of another shape, or does not
+    hold one result per label of ``labels``, in that order, is a miss.
     """
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if not (isinstance(payload, dict) and payload.get("stamp") == stamp
-            and isinstance(payload.get("runs"), list)):
+    runs = payload.get("runs") if isinstance(payload, dict) else None
+    if not (isinstance(runs, list) and payload.get("stamp") == stamp
+            and all(isinstance(entry, dict) and "result" in entry for entry in runs)
+            and [entry.get("label") for entry in runs] == list(labels)):
         return None
-    return [_load(RunResult, entry["result"]) for entry in payload["runs"]]
+    return [_load(RunResult, entry["result"]) for entry in runs]
 
 
 def _store_cell(path: Path, stamp: str, labels: Sequence[str], results: Sequence[RunResult]) -> None:
@@ -532,7 +532,7 @@ def execute_plan(
     cells = plan.cells()
     stamps = _cell_stamps(plan)
 
-    cached = {} if force else {cell: _load_cell(_cell_path(out, *cell), stamps[cell]) for cell in cells}
+    cached = {} if force else {cell: _load_cell(_cell_path(out, *cell), stamps[cell], labels) for cell in cells}
     missing = [cell for cell in cells if cached.get(cell) is None]
 
     pool_context = nullcontext()

@@ -17,39 +17,24 @@ running set's margin p+ - p- and both hypothetical ones come from the
 one ensemble rule, :func:`maddm.ensemble.margin`; a swing in a
 probability is half the swing in the margin.
 
-An advisor is an id into the pool's arrays: the price of advisor ``i``
-is ``costs[i]`` and its evidence is ``trust[i]``, so the pool is the
-dense range ``0..n-1`` that the trust vector covers. A hired advisor's
-answer is read from the decision's row of the world's answer matrix,
-which the simulated environment realises up front.
+An advisor is an id into the world's pool: the price of advisor ``i`` is
+``environment.costs[i]`` and its evidence is ``trust[i]``, so the pool is
+the dense range ``0..n-1`` that the trust vector covers. A hired
+advisor's answer is read from the decision's row of the world's answer
+matrix, which the simulated environment realises, and checks, when it is
+made.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from maddm.answers import checked_id
 from maddm.ensemble import EnsembleSums, margin
+from maddm.environment import Environment
 from maddm.trust import TAU_EPS, TrustVector
-
-
-def pool_costs(costs, trust: TrustVector) -> np.ndarray:
-    """``costs`` as a float array after checking it prices ``trust``'s pool.
-
-    Raises ValueError unless there is exactly one finite, non-negative
-    price per advisor the trust vector covers, and at least one advisor.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (len(trust),):
-        raise ValueError(f"need one cost per advisor ({len(trust)}), got shape {costs.shape}")
-    if not costs.size:
-        raise ValueError("advisor pool must be non-empty")
-    # a NaN price makes min() NaN, which fails the comparison
-    if not (costs.min() >= 0.0 and costs.max() < math.inf):
-        raise ValueError("advisor costs must be finite and non-negative")
-    return costs
 
 
 @dataclass(frozen=True)
@@ -96,44 +81,27 @@ def _hypothetical_gain(draws: np.ndarray, candidate_theta, sums: EnsembleSums, s
 
 
 def select_advisors(
-    stakes: float,
-    costs: np.ndarray,
+    environment: Environment,
+    decision_id: int,
     trust: TrustVector,
-    votes: np.ndarray,
     rng: np.random.Generator,
 ) -> SelectionOutcome:
-    """Hire advisors one at a time while somebody's utility stays positive.
+    """Hire advisors one at a time for ``decision_id`` while somebody's utility stays positive.
 
-    Parameters
-    ----------
-    stakes : float
-        Profit plus loss of the decision being answered: what swings
-        between answering it right and wrong. Finite and non-negative.
-        Its two answers are equally likely a priori (a fixed prior of 1/2).
-    costs : array of float
-        Price of each advisor, indexed by advisor id; one finite,
-        non-negative entry per advisor ``trust`` covers.
-    trust : TrustVector
-        Current evidence; supplies both the Thompson posteriors and the
-        stored trustworthiness the hired advisors vote with.
-    votes : array of int
-        The decision's answer by advisor id, one entry per advisor; an
-        entry is read only on hire and must then be -1 or 1.
-    rng : numpy Generator
-        Source for the Thompson draws; fresh draws every round.
-
-    Returns
-    -------
-    SelectionOutcome
-        The exact cost paid, sweep count, and the (possibly empty) hire
-        order.
+    The decision's stakes are its profit plus its loss, what swings
+    between answering it right and wrong; its two answers are equally
+    likely a priori (a fixed prior of 1/2). Advisors are priced at
+    ``environment.costs`` and answer with the decision's row of
+    ``environment.answers``. ``trust`` holds one record per advisor and
+    supplies both the Thompson posteriors and the stored trustworthiness
+    the hired advisors vote with; ``rng`` gives fresh draws every round.
+    Returns the exact cost paid, the sweep count and the (possibly empty)
+    hire order.
     """
-    # a NaN fails the comparison too
-    if not 0.0 <= stakes < math.inf:
-        raise ValueError(f"decision stakes must be finite and non-negative, got {stakes!r}")
-    costs = pool_costs(costs, trust)
-    if len(votes) != costs.size:
-        raise ValueError(f"need one vote per advisor ({costs.size}), got {len(votes)}")
+    decision_id = checked_id(decision_id, "decision", environment.n_decisions)
+    trust.check_pool(environment.n_advisors)
+    stakes = float(environment.profits[decision_id] + environment.losses[decision_id])
+    costs, votes = environment.costs, environment.answers[decision_id]
     alpha, beta = trust.alpha, trust.beta
     totals = alpha + beta
     stored_tau = alpha / totals
@@ -156,10 +124,7 @@ def select_advisors(
             break
         advisor_id = remaining.pop(best)
         total_cost += float(costs[advisor_id])
-        answer = int(votes[advisor_id])
-        if answer not in (-1, 1):
-            raise ValueError(f"advisor {advisor_id} voted {answer!r}, not -1 or 1")
         hired.append(advisor_id)
-        sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), answer)
+        sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), int(votes[advisor_id]))
 
     return SelectionOutcome(total_cost=total_cost, rounds=rounds, hired=tuple(hired))

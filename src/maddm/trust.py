@@ -95,11 +95,17 @@ class TrustVector:
         """Per-advisor epistemic uncertainty."""
         return 2.0 / (self.alpha + self.beta)
 
+    def check_pool(self, n_advisors: int) -> None:
+        """Raise ValueError unless there is one record per advisor of a pool of ``n_advisors``."""
+        if len(self) != n_advisors:
+            raise ValueError(f"trust covers {len(self)} advisors, the pool has {n_advisors}")
+
     def check_covers(self, answers: AnswerSet) -> None:
         """Raise ValueError unless every advisor in ``answers`` has a record."""
         n = len(self)
-        unknown = [i for i in answers.ids if i >= n]
-        if unknown:
+        # the ids increase, so the last one is the largest
+        if answers.ids and answers.ids[-1] >= n:
+            unknown = [i for i in answers.ids if i >= n]
             raise ValueError(
                 f"answer set references unknown advisor ids {unknown}; "
                 f"trust vector covers [0, {n})"

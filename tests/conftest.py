@@ -68,3 +68,22 @@ def exact_ensemble():
         return p(1), p(-1)
 
     return ensemble
+
+
+@pytest.fixture(scope="session")
+def one_decision_world():
+    """Build a world of one decision with the given advisor prices.
+
+    The decision is worth ``stakes``, half profit and half loss, and each
+    advisor answers it with its entry of ``votes``, yes by default.
+    """
+
+    def build(costs, votes=None, stakes: float = 200.0) -> Environment:
+        costs = np.asarray(costs, dtype=np.float64)
+        return Environment(
+            profits=np.array([stakes / 2]), losses=np.array([stakes / 2]),
+            accuracies=np.full(costs.size, 0.5), costs=costs,
+            answers=np.reshape(np.ones(costs.size) if votes is None else votes, (1, -1)),
+        )
+
+    return build

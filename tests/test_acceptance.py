@@ -222,7 +222,7 @@ def test_criterion_trust_evidence_conservation():
     assert ok
 
 
-def test_criterion_selection_termination_and_bound():
+def test_criterion_selection_termination_and_bound(one_decision_world):
     """1e4 randomized selection calls: never over-hire, and an
     unaffordable pool is never hired from. < 10 s."""
     rng = np.random.default_rng(11)
@@ -239,7 +239,7 @@ def test_criterion_selection_termination_and_bound():
         else:
             costs = rng.uniform(0.0, 30.0, size=n)
         row = rng.integers(0, 2, size=n) * 2 - 1
-        outcome = select_advisors(stakes, costs, trust, row, rng)
+        outcome = select_advisors(one_decision_world(costs, row, stakes), 0, trust, rng)
         assert len(outcome.hired) <= n
         assert len(set(outcome.hired)) == len(outcome.hired)
         if expensive:

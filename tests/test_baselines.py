@@ -51,44 +51,40 @@ class TestCostEffectiveness:
         assert cost_effectiveness(np.array([0.0]), np.array([0.9]))[0] == 0.0
 
 
-def pool_of(costs: list[float]) -> np.ndarray:
-    return np.array(costs, dtype=np.float64)
-
-
 class TestSelectFixedNumber:
-    def test_whole_pool_when_k_equals_size(self, rng):
-        pool = pool_of([1.0, 2.0, 3.0])
+    def test_whole_pool_when_k_equals_size(self, rng, one_decision_world):
+        world = one_decision_world([1.0, 2.0, 3.0])
         trust = TrustVector.fresh(3)
         chosen = select_fixed_number(
-            pool, trust, StrategyConfig(), 3, rng,
+            world, trust, StrategyConfig(), 3, rng,
             point_estimates=trust.trustworthiness(), decisions_elapsed=0,
         )
         assert sorted(chosen) == [0, 1, 2]
 
-    def test_pure_greedy_trustworthiness_takes_top_k(self, rng):
-        pool = pool_of([1.0] * 5)
+    def test_pure_greedy_trustworthiness_takes_top_k(self, rng, one_decision_world):
+        world = one_decision_world([1.0] * 5)
         trust = TrustVector.fresh(5)
         estimates = np.array([0.6, 0.9, 0.6, 0.8, 0.7])
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
         chosen = select_fixed_number(
-            pool, trust, strategy, 3, rng, point_estimates=estimates, decisions_elapsed=0
+            world, trust, strategy, 3, rng, point_estimates=estimates, decisions_elapsed=0
         )
         assert chosen == [1, 3, 4]
         # tie at 0.6 breaks toward the lower id
         chosen = select_fixed_number(
-            pool, trust, strategy, 5, rng, point_estimates=estimates, decisions_elapsed=0
+            world, trust, strategy, 5, rng, point_estimates=estimates, decisions_elapsed=0
         )
         assert chosen == [1, 3, 4, 0, 2]
 
-    def test_full_exploration_is_uniform(self, rng):
+    def test_full_exploration_is_uniform(self, rng, one_decision_world):
         n, k, trials = 10, 3, 10_000
-        pool = pool_of([1.0] * n)
+        world = one_decision_world([1.0] * n)
         trust = TrustVector.fresh(n)
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=1.0, criterion="trustworthiness")
         counts = np.zeros(n)
         for _ in range(trials):
             for advisor in select_fixed_number(
-                pool, trust, strategy, k, rng,
+                world, trust, strategy, k, rng,
                 point_estimates=trust.trustworthiness(), decisions_elapsed=0,
             ):
                 counts[advisor] += 1
@@ -96,117 +92,130 @@ class TestSelectFixedNumber:
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(counts / trials - expected) < 3.0 * sigma + 1e-9)
 
-    def test_exactly_k_distinct_for_every_strategy(self, rng):
-        pool = pool_of(list(np.linspace(0.0, 5.0, 8)))
+    def test_exactly_k_distinct_for_every_strategy(self, rng, one_decision_world):
+        world = one_decision_world(list(np.linspace(0.0, 5.0, 8)))
         trust = TrustVector(np.linspace(1, 4, 8), np.linspace(4, 1, 8))
         for kind in ("epsilon_greedy", "ucb", "thompson"):
             for criterion in ("trustworthiness", "cost_effectiveness"):
                 strategy = StrategyConfig(kind=kind, criterion=criterion)
                 for k in (1, 4, 8):
                     chosen = select_fixed_number(
-                        pool, trust, strategy, k, rng,
+                        world, trust, strategy, k, rng,
                         point_estimates=trust.trustworthiness(), decisions_elapsed=5,
                     )
                     assert len(chosen) == k
                     assert len(set(chosen)) == k
 
-    def test_oversized_k_rejected(self, rng):
+    def test_oversized_k_rejected(self, rng, one_decision_world):
         with pytest.raises(ValueError):
             select_fixed_number(
-                pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), 2, rng,
+                one_decision_world([1.0]), TrustVector.fresh(1), StrategyConfig(), 2, rng,
                 point_estimates=np.array([0.5]), decisions_elapsed=0,
             )
 
     @pytest.mark.parametrize("k", [-1, True, 2.0, np.int64(2)])
-    def test_k_that_is_not_a_count_rejected(self, rng, k):
+    def test_k_that_is_not_a_count_rejected(self, rng, one_decision_world, k):
         # a slice would take k=-1 as "all but the last" and k=True as 1
         with pytest.raises(ValueError, match="k must be an int"):
             select_fixed_number(
-                pool_of([1.0] * 5), TrustVector.fresh(5), StrategyConfig(), k, rng,
+                one_decision_world([1.0] * 5), TrustVector.fresh(5), StrategyConfig(), k, rng,
                 point_estimates=np.full(5, 0.5), decisions_elapsed=0,
             )
 
-    def test_point_estimates_must_cover_the_pool(self, rng):
+    def test_point_estimates_must_cover_the_pool(self, rng, one_decision_world):
         # a ranking over more estimates than advisors would hire unknown ids
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
         with pytest.raises(ValueError, match="one point estimate per advisor"):
             select_fixed_number(
-                pool_of([1.0, 1.0]), TrustVector.fresh(2), strategy, 1, rng,
+                one_decision_world([1.0, 1.0]), TrustVector.fresh(2), strategy, 1, rng,
                 point_estimates=np.array([0.1, 0.2, 0.9]), decisions_elapsed=0,
             )
 
-    def test_ucb_prefers_unexplored(self, rng):
-        pool = pool_of([1.0, 1.0, 1.0])
+    def test_trust_must_cover_the_pool(self, rng, one_decision_world):
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="trust covers"):
+                select_fixed_number(
+                    one_decision_world([1.0, 1.0]), TrustVector.fresh(n), StrategyConfig(), 1, rng,
+                    point_estimates=np.full(2, 0.5), decisions_elapsed=0,
+                )
+            with pytest.raises(ValueError, match="trust covers"):
+                select_budget_constrained(
+                    one_decision_world([1.0, 1.0]), TrustVector.fresh(n), StrategyConfig(), 1.0, rng,
+                    point_estimates=np.full(2, 0.5), decisions_elapsed=0,
+                )
+
+    def test_ucb_prefers_unexplored(self, rng, one_decision_world):
+        world = one_decision_world([1.0, 1.0, 1.0])
         # advisor 1 has plenty of evidence; 0 and 2 have none
         trust = TrustVector([1.0, 9.0, 1.0], [1.0, 3.0, 1.0])
         strategy = StrategyConfig(kind="ucb", criterion="trustworthiness")
         chosen = select_fixed_number(
-            pool, trust, strategy, 2, rng,
+            world, trust, strategy, 2, rng,
             point_estimates=trust.trustworthiness(), decisions_elapsed=10,
         )
         assert set(chosen) == {0, 2}
 
 
 class TestSelectBudgetConstrained:
-    def test_zero_budget_with_costly_pool(self, rng):
+    def test_zero_budget_with_costly_pool(self, rng, one_decision_world):
         chosen = select_budget_constrained(
-            pool_of([2.0, 3.0]), TrustVector.fresh(2), StrategyConfig(), 0.0, rng,
+            one_decision_world([2.0, 3.0]), TrustVector.fresh(2), StrategyConfig(), 0.0, rng,
             point_estimates=np.full(2, 0.5), decisions_elapsed=0,
         )
         assert chosen == []
 
-    def test_zero_cost_advisors_fit_zero_budget(self, rng):
+    def test_zero_cost_advisors_fit_zero_budget(self, rng, one_decision_world):
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="cost_effectiveness")
         estimates = np.array([0.9, 0.8])
         chosen = select_budget_constrained(
-            pool_of([0.0, 1.0]), TrustVector.fresh(2), strategy, 0.0, rng,
+            one_decision_world([0.0, 1.0]), TrustVector.fresh(2), strategy, 0.0, rng,
             point_estimates=estimates, decisions_elapsed=0,
         )
         assert chosen == [0]
 
-    def test_unbounded_budget_takes_whole_pool(self, rng):
+    def test_unbounded_budget_takes_whole_pool(self, rng, one_decision_world):
         costs = [1.0, 2.5, 0.5, 4.0]
         chosen = select_budget_constrained(
-            pool_of(costs), TrustVector.fresh(4), StrategyConfig(), sum(costs), rng,
+            one_decision_world(costs), TrustVector.fresh(4), StrategyConfig(), sum(costs), rng,
             point_estimates=np.full(4, 0.5), decisions_elapsed=0,
         )
         assert sorted(chosen) == [0, 1, 2, 3]
 
-    def test_stops_at_first_overshoot_without_skipping(self, rng):
+    def test_stops_at_first_overshoot_without_skipping(self, rng, one_decision_world):
         # preference order is 0 (tau .9, cost 5), 1 (tau .8, cost 10), 2 (tau .7, cost 1);
         # budget 6 hires 0, then stops at 1 even though 2 would still fit
         strategy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion="trustworthiness")
         estimates = np.array([0.9, 0.8, 0.7])
         chosen = select_budget_constrained(
-            pool_of([5.0, 10.0, 1.0]), TrustVector.fresh(3), strategy, 6.0, rng,
+            one_decision_world([5.0, 10.0, 1.0]), TrustVector.fresh(3), strategy, 6.0, rng,
             point_estimates=estimates, decisions_elapsed=0,
         )
         assert chosen == [0]
 
-    def test_never_exceeds_budget(self, rng):
+    def test_never_exceeds_budget(self, rng, one_decision_world):
         for _ in range(300):
             n = int(rng.integers(1, 9))
             costs = rng.uniform(0.0, 10.0, size=n).tolist()
             budget = float(rng.uniform(0.0, 25.0))
             kind = ("epsilon_greedy", "ucb", "thompson")[int(rng.integers(3))]
             chosen = select_budget_constrained(
-                pool_of(costs), TrustVector.fresh(n), StrategyConfig(kind=kind), budget, rng,
+                one_decision_world(costs), TrustVector.fresh(n), StrategyConfig(kind=kind), budget, rng,
                 point_estimates=np.full(n, 0.5), decisions_elapsed=3,
             )
             assert sum(costs[i] for i in chosen) <= budget + 1e-12
 
-    def test_negative_budget_rejected(self, rng):
+    def test_negative_budget_rejected(self, rng, one_decision_world):
         with pytest.raises(ValueError):
             select_budget_constrained(
-                pool_of([1.0]), TrustVector.fresh(1), StrategyConfig(), -1.0, rng,
+                one_decision_world([1.0]), TrustVector.fresh(1), StrategyConfig(), -1.0, rng,
                 point_estimates=np.array([0.5]), decisions_elapsed=0,
             )
 
-    def test_nan_budget_rejected(self, rng):
+    def test_nan_budget_rejected(self, rng, one_decision_world):
         # every ``spent + cost > nan`` is false, so a NaN budget hired the whole pool
         with pytest.raises(ValueError, match="budget"):
             select_budget_constrained(
-                pool_of([1.0] * 4), TrustVector.fresh(4), StrategyConfig(), math.nan, rng,
+                one_decision_world([1.0] * 4), TrustVector.fresh(4), StrategyConfig(), math.nan, rng,
                 point_estimates=np.full(4, 0.5), decisions_elapsed=0,
             )
 

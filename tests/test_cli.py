@@ -56,13 +56,17 @@ class TestGenerate:
         assert len(payload["decisions"]) == 30
 
     def test_dumps_the_world_the_cell_plays(self, tmp_path, plan_file):
+        # the plan file's methods and the two it leaves out, so every method replays
+        config = json.loads(plan_file.read_text())
+        config["methods"] += [{"method": "fna"}, {"method": "bc"}]
+        plan_file.write_text(json.dumps(config))
         cell_flags = ["--config", str(plan_file), "--environment", "env1",
                       "--accuracy-mean", "0.8", "--repetition", "1"]
         world, trace = tmp_path / "world.json", tmp_path / "trace.jsonl"
         main(["generate", *cell_flags, "--output", str(world)])
         main(["trace", *cell_flags, "--method", "maddm", "--output", str(trace)])
         payload = json.loads(world.read_text())
-        plan = plan_from_dict(json.loads(plan_file.read_text()))
+        plan = plan_from_dict(config)
         environment = build_cell_environment(plan, 0, 0, 1)
         assert payload["digest"] == environment.digest()
         assert payload["decisions"] == [
@@ -77,7 +81,7 @@ class TestGenerate:
         for row in rows:
             assert row["total_cost"] == pytest.approx(math.fsum(costs[i] for i in row["hired"]))
         # the dump alone rebuilds the world, answer matrix included, and
-        # replays the cell's maddm run
+        # replays every run of the cell
         dumped = Environment(
             profits=np.array([d["profit"] for d in payload["decisions"]]),
             losses=np.array([d["loss"] for d in payload["decisions"]]),
@@ -86,10 +90,11 @@ class TestGenerate:
             answers=np.array(payload["answers"], dtype=np.int8),
         )
         assert dumped.digest() == payload["digest"]
-        spec = next(spec for spec in plan.methods if spec.method == "maddm")
-        replayed = run_method(spec, dumped, _method_rng(plan, 0, 0, 1, spec.label))
-        cell_row = next(row for row in run_cell(plan, 0, 0, 1) if row.method == "maddm")
-        assert replace(replayed, environment="env1", accuracy_mean=0.8, repetition=1) == cell_row
+        cell_rows = run_cell(plan, 0, 0, 1)
+        assert [row.method for row in cell_rows] == ["maddm", "rv", "bu", "fna", "bc"]
+        for spec, cell_row in zip(plan.methods, cell_rows):
+            replayed = run_method(spec, dumped, _method_rng(plan, 0, 0, 1, spec.label))
+            assert replace(replayed, environment="env1", accuracy_mean=0.8, repetition=1) == cell_row
 
 
 class TestRunAndReport:

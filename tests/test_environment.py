@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,3 +177,95 @@ class TestEnvironment:
         assert set(payload["advisors"][0]) == {"id", "hidden_accuracy", "cost"}
         assert set(payload["decisions"][0]) == {"id", "profit", "loss"}
         assert payload["advisors"][2]["id"] == 2
+
+
+def spoiled(values: np.ndarray, value, index=0) -> np.ndarray:
+    """A copy of ``values`` with the entry at ``index`` set to ``value``."""
+    out = values.copy()
+    out[index] = value
+    return out
+
+
+class TestWorldChecks:
+    """A world is checked when it is made, so no method can run on a bad one."""
+
+    BAD_WORLDS = {
+        "zero vote": (
+            lambda w: {"answers": spoiled(w.answers, 0, (1, 2))}, "advisor 2 voted 0 on decision 1",
+        ),
+        "vote 3": (
+            lambda w: {"answers": spoiled(w.answers, 3, (2, 0))}, "advisor 0 voted 3 on decision 2",
+        ),
+        "negative profit": (
+            lambda w: {"profits": spoiled(w.profits, -1.0)}, "profits must be finite and non-negative",
+        ),
+        "NaN loss": (
+            lambda w: {"losses": spoiled(w.losses, math.nan, 2)}, "losses must be finite and non-negative",
+        ),
+        "short losses": (
+            lambda w: {"losses": w.losses[:2]}, "losses must be a non-empty 1-d array of 3 entries",
+        ),
+        "answers of the wrong shape": (lambda w: {"answers": w.answers.T}, "one vote per advisor"),
+        "negative cost": (
+            lambda w: {"costs": spoiled(w.costs, -0.5, 3)}, "costs must be finite and non-negative",
+        ),
+        "empty pool": (
+            lambda w: {"accuracies": w.accuracies[:0], "costs": w.costs[:0], "answers": w.answers[:, :0]},
+            "non-empty",
+        ),
+    }
+
+    @pytest.mark.parametrize("made_by", ["constructor", "replace"])
+    @pytest.mark.parametrize("bad", list(BAD_WORLDS))
+    def test_bad_world_rejected_when_made(self, template_world, bad, made_by):
+        world = template_world("env1", 0.8, 0, n_decisions=3, n_advisors=4)
+        spoil, message = self.BAD_WORLDS[bad]
+        with pytest.raises(ValueError, match=message):
+            if made_by == "replace":
+                replace(world, **spoil(world))
+            else:
+                Environment(**{**vars(world), **spoil(world)})
+
+    def test_decision_value_validation(self, one_decision_world):
+        # a decision's profit and loss are finite and non-negative
+        world = one_decision_world(np.ones(2))
+        for value in (-1.0, math.inf, math.nan):
+            for name in ("profits", "losses"):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    replace(world, **{name: np.array([value])})
+
+    def test_offer_validation(self, one_decision_world):
+        # one finite, non-negative price per advisor of the pool
+        world = one_decision_world(np.ones(2))
+        for costs in ([0.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="costs"):
+                replace(world, costs=np.array(costs))
+
+    def test_votes_row_must_cover_the_pool(self, one_decision_world):
+        for votes in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValueError, match="one vote per advisor"):
+                replace(one_decision_world(np.zeros(3)), answers=votes.reshape(1, -1))
+
+    def test_hired_vote_must_be_a_sign(self, one_decision_world):
+        # every vote is checked, hired or not
+        with pytest.raises(ValueError, match="voted 0"):
+            one_decision_world(np.zeros(1), np.zeros(1, dtype=np.int8))
+
+    def test_empty_pool_rejected(self, one_decision_world):
+        with pytest.raises(ValueError, match="non-empty"):
+            one_decision_world([], np.full(0, 1))
+
+    def test_world_rebuilt_from_its_columns_keeps_them(self, template_world):
+        world = template_world("env1", 0.8, 0, n_decisions=3, n_advisors=4)
+        rebuilt = Environment(**{**vars(world), "answers": world.answers.astype(np.int64)})
+        assert rebuilt.answers.dtype == np.int8
+        assert rebuilt.digest() == world.digest()
+        for name in ("profits", "losses", "costs"):
+            assert np.shares_memory(getattr(rebuilt, name), getattr(world, name))
+
+    @pytest.mark.parametrize("name, value", [("answers", 0), ("losses", math.nan), ("costs", -1.0)])
+    def test_checked_world_cannot_be_spoiled_later(self, template_world, name, value):
+        # an entry written after the check would reach every method unchecked
+        world = template_world("env1", 0.8, 0, n_decisions=3, n_advisors=4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(world, name)[0] = value

@@ -312,7 +312,7 @@ def test_cost_effectiveness_equals_scalar_formula(pool):
     criterion=st.sampled_from(["trustworthiness", "cost_effectiveness"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed):
+def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed, one_decision_world):
     # tie-heavy prices and estimates, so the id tie-break decides most slots
     costs = np.array([cost for cost, _ in pool])
     est = np.array([e for _, e in pool])
@@ -327,13 +327,14 @@ def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed):
 
     greedy = StrategyConfig(kind="epsilon_greedy", epsilon=0.0, criterion=criterion)
     rng = np.random.default_rng(seed)
-    got = select_fixed_number(costs, trust, greedy, n, rng, point_estimates=est, decisions_elapsed=0)
+    world = one_decision_world(costs)
+    got = select_fixed_number(world, trust, greedy, n, rng, point_estimates=est, decisions_elapsed=0)
     assert got == reference(est)
     # under cost effectiveness every below-chance Thompson draw scores inf, a tie
     thompson = StrategyConfig(kind="thompson", criterion=criterion)
     draws = np.random.default_rng(seed).beta(trust.alpha, trust.beta)
     got = select_fixed_number(
-        costs, trust, thompson, n, np.random.default_rng(seed),
+        world, trust, thompson, n, np.random.default_rng(seed),
         point_estimates=trust.trustworthiness(), decisions_elapsed=0,
     )
     assert got == reference(draws)
@@ -370,7 +371,9 @@ def reference_epsilon_greedy(costs, estimates, strategy, rng) -> list[int]:
     budget=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_epsilon_greedy_ranking_keeps_the_reference_stream(pool, epsilon, criterion, k, budget, seed):
+def test_epsilon_greedy_ranking_keeps_the_reference_stream(
+    pool, epsilon, criterion, k, budget, seed, one_decision_world
+):
     # tie-heavy pools; each selection must leave the rng where the slot loop does
     costs = np.array([cost for cost, _ in pool])
     est = np.array([e for _, e in pool])
@@ -379,13 +382,14 @@ def test_epsilon_greedy_ranking_keeps_the_reference_stream(pool, epsilon, criter
     trust = TrustVector(np.full(n, 3.0), np.full(n, 2.0))
     strategy = StrategyConfig(kind="epsilon_greedy", epsilon=epsilon, criterion=criterion)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    world = one_decision_world(costs)
 
-    got = select_fixed_number(costs, trust, strategy, k, rng, point_estimates=est, decisions_elapsed=0)
+    got = select_fixed_number(world, trust, strategy, k, rng, point_estimates=est, decisions_elapsed=0)
     assert got == reference_epsilon_greedy(costs, est, strategy, ref_rng)[:k]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     got = select_budget_constrained(
-        costs, trust, strategy, budget, rng, point_estimates=est, decisions_elapsed=0
+        world, trust, strategy, budget, rng, point_estimates=est, decisions_elapsed=0
     )
     want, spent = [], 0.0
     for advisor_id in reference_epsilon_greedy(costs, est, strategy, ref_rng):

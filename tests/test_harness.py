@@ -365,6 +365,22 @@ class TestExecutePlan:
         assert execute_plan(plan, tmp_path / "out").results == reference
         assert len(json.loads(path.read_text())["runs"]) == 1
 
+    @pytest.mark.parametrize("kept", ["no runs", "the first run", "a run without a result"])
+    def test_cell_file_short_of_the_plans_runs_is_recomputed(self, tmp_path, kept):
+        # the cell's stamp over runs that do not hold one result per method, in order
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="bu"), MethodSpec(method="rv"))),
+                       repetitions=1, n_decisions=20)
+        execute_plan(plan, tmp_path)
+        reference = (tmp_path / "results.csv").read_bytes()
+        path = tmp_path / "cells" / "cell_0_0_0.json"
+        payload = json.loads(path.read_text())
+        payload["runs"] = {"no runs": [], "the first run": payload["runs"][:1],
+                           "a run without a result": [{}]}[kept]
+        path.write_text(json.dumps(payload))
+        execute_plan(plan, tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == reference
+        assert [run["label"] for run in json.loads(path.read_text())["runs"]] == ["bu:standard", "rv:standard"]
+
     def test_cache_is_not_served_for_another_seed(self, tmp_path):
         plan = replace(tiny_plan(out_methods=(MethodSpec(method="maddm"),)), repetitions=1)
         execute_plan(replace(plan, base_seed=0), tmp_path / "out")

@@ -217,7 +217,7 @@ class TestReviewUpdate:
 
 class TestSaturatedPool:
     @pytest.mark.parametrize("vote", [1, -1])
-    def test_64_saturated_advisors_raise_no_float_error(self, vote):
+    def test_64_saturated_advisors_raise_no_float_error(self, vote, one_decision_world):
         # 64 log-odds of about 20.7 each sum to about 1326: e**1326 overflows
         n = 64
         trust = TrustVector(np.full(n, 1e12), np.ones(n))
@@ -225,7 +225,8 @@ class TestSaturatedPool:
         answers = AnswerSet(everyone, ()) if vote == 1 else AnswerSet((), everyone)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             outcome = review_update(history_of(answers), trust, ReviewConfig(max_passes=3))
-            hiring = select_advisors(1e6, np.zeros(n), trust, np.full(n, vote), np.random.default_rng(0))
+            world = one_decision_world(np.zeros(n), np.full(n, vote), stakes=1e6)
+            hiring = select_advisors(world, 0, trust, np.random.default_rng(0))
         assert np.all(outcome.trust.alpha > outcome.trust.beta)
         assert len(hiring.hired) == n
 

@@ -1,33 +1,14 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, ensemble_decide
-from maddm.environment import Environment
 from maddm.harness import run_maddm
 from maddm.review import ReviewConfig
 from maddm.selection import _hypothetical_gain, select_advisors
 from maddm.trust import TrustVector
-
-
-class TestValueTypes:
-    def test_decision_value_validation(self, rng):
-        # a decision's stakes (profit plus loss) are finite and non-negative
-        trust = TrustVector.fresh(2)
-        for stakes in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="stakes"):
-                select_advisors(stakes, np.ones(2), trust, np.ones(2), rng)
-
-    def test_offer_validation(self, rng):
-        # one finite, non-negative price per advisor the trust vector covers
-        trust = TrustVector.fresh(2)
-        for costs in ([0.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0]):
-            with pytest.raises(ValueError):
-                select_advisors(2.0, np.array(costs), trust, np.ones(len(costs)), rng)
 
 
 def hiring_gain(
@@ -112,53 +93,41 @@ class TestMarginalContribution:
             assert got == pytest.approx(expected, abs=1e-12 * max(1.0, stakes))
 
 
-def one_decision_world(costs, votes) -> Environment:
-    """A world of one decision worth 200 in stakes, with the given pool and votes."""
-    costs = np.asarray(costs, dtype=np.float64)
-    return Environment(
-        profits=np.array([100.0]), losses=np.array([100.0]),
-        accuracies=np.full(costs.size, 0.5), costs=costs,
-        answers=np.asarray(votes, dtype=np.int8).reshape(1, -1),
-    )
-
-
 class TestSelectAdvisors:
-    def test_unaffordable_pool_hires_nobody(self, rng):
-        costs = np.full(5, 101.0)
+    def test_unaffordable_pool_hires_nobody(self, rng, one_decision_world):
         trust = TrustVector.fresh(5)
-        outcome = select_advisors(100.0, costs, trust, np.full(5, 1), rng)
+        outcome = select_advisors(one_decision_world(np.full(5, 101.0), stakes=100.0), 0, trust, rng)
         assert outcome.total_cost == 0.0
         assert outcome.hired == ()
         assert outcome.rounds == 1
 
-    def test_free_confident_advisor_is_hired(self, rng):
+    def test_free_confident_advisor_is_hired(self, rng, one_decision_world):
         # an advisor with overwhelming evidence draws near 1, clearing cost 0
         trust = TrustVector([1000.0], [1.0])
         env = one_decision_world(np.zeros(1), [1])
-        outcome = select_advisors(200.0, env.costs, trust, env.answers[0], rng)
+        outcome = select_advisors(env, 0, trust, rng)
         assert outcome.hired == (0,)
         assert env.answer_set(0, outcome.hired) == AnswerSet({0}, ())
         assert outcome.rounds == 1  # pool exhausted right after the hire
 
-    def test_votes_row_must_cover_the_pool(self, rng):
-        trust = TrustVector.fresh(3)
-        for votes in (np.ones(2), np.ones(4)):
-            with pytest.raises(ValueError, match="one vote per advisor"):
-                select_advisors(200.0, np.zeros(3), trust, votes, rng)
+    def test_trust_must_cover_the_pool(self, rng, one_decision_world):
+        env = one_decision_world(np.zeros(3))
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="trust covers"):
+                select_advisors(env, 0, TrustVector.fresh(n), rng)
 
-    def test_hired_vote_must_be_a_sign(self, rng):
-        # the free, confident advisor is hired, and only then is its vote read
-        trust = TrustVector([1000.0], [1.0])
-        with pytest.raises(ValueError, match="voted 0"):
-            select_advisors(200.0, np.zeros(1), trust, np.zeros(1, dtype=np.int8), rng)
+    @pytest.mark.parametrize("decision_id", [-1, 1, 0.0, True])
+    def test_decision_id_must_name_a_decision(self, rng, one_decision_world, decision_id):
+        with pytest.raises(ValueError, match="decision id"):
+            select_advisors(one_decision_world(np.zeros(3)), decision_id, TrustVector.fresh(3), rng)
 
-    def test_no_advisor_hired_twice_and_cost_exact(self, rng):
+    def test_no_advisor_hired_twice_and_cost_exact(self, rng, one_decision_world):
         n = 12
         trust = TrustVector.fresh(n)
         costs = rng.uniform(0.0, 8.0, size=n)
         answers = {i: 1 if rng.random() < 0.7 else -1 for i in range(n)}
-        env = one_decision_world(costs, [answers[i] for i in range(n)])
-        outcome = select_advisors(400.0, env.costs, trust, env.answers[0], rng)
+        env = one_decision_world(costs, [answers[i] for i in range(n)], stakes=400.0)
+        outcome = select_advisors(env, 0, trust, rng)
         hired_answers = env.answer_set(0, outcome.hired)
         assert len(outcome.hired) == len(set(outcome.hired))
         assert hired_answers.ids == tuple(sorted(outcome.hired))
@@ -169,21 +138,15 @@ class TestSelectAdvisors:
         for advisor, sign in zip(hired_answers.ids, hired_answers.signs):
             assert answers[advisor] == sign
 
-    def test_deterministic_under_fixed_seed(self):
+    def test_deterministic_under_fixed_seed(self, one_decision_world):
         n = 10
         trust = TrustVector.fresh(n)
-        costs = 2.0 + 0.3 * np.arange(n)
+        env = one_decision_world(2.0 + 0.3 * np.arange(n), np.full(n, -1))
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            runs.append(
-                select_advisors(200.0, costs, trust, np.full(n, -1), rng)
-            )
+            runs.append(select_advisors(env, 0, trust, rng))
         assert runs[0] == runs[1]
-
-    def test_empty_pool_rejected(self, rng):
-        with pytest.raises(ValueError, match="non-empty"):
-            select_advisors(2.0, [], TrustVector.fresh(0), np.full(0, 1), rng)
 
 
 class TestPoolSizeTracksStakes:
