@@ -1,8 +1,9 @@
 """Answer sets, singly and as a log of distinct sets, in one layout.
 
-Both hold the members' ids in increasing order and, aligned with them,
-each member's vote as a sign: +1 for yes, -1 for no. The log keeps each
-distinct set once, with the number of times it was logged.
+Both hold the members' ids in increasing order. A set holds, aligned
+with them, each member's vote as a sign: +1 for yes, -1 for no. The log
+keeps each distinct set once, with the number of times it was logged,
+and each member's vote as its column ``2 id + [vote is no]``.
 ``checked_id`` and ``checked_count`` are the one rule for what an id and
 an integer count are.
 """
@@ -78,23 +79,22 @@ def _grown(buffer: np.ndarray, needed: int) -> np.ndarray:
 class AnswerLog:
     """Append-only log of answer sets, kept as its distinct sets and their counts.
 
-    A set seen for the first time is copied as it is, ``ids`` and
-    ``signs``, into growable flat arrays, one segment per distinct set in
-    order of first appearance; each of its members records the segment's
+    A set seen for the first time is copied into growable flat arrays,
+    one segment per distinct set in order of first appearance: each
+    member's id, its vote column ``2 id + [vote is no]`` and the segment's
     index. Every logged set adds one to its distinct set's count and
     records that set's index in log order. Equal sets hold the same ids
-    and signs in the same order, so a per-set result computed once per
+    and votes in the same order, so a per-set result computed once per
     distinct set equals one computed for every logged set, and the
-    whole-history passes (the review and the EM) run as array operations
-    over the distinct sets, weighted by their counts. The id-sorted layout
-    keeps the likelihood sums order-identical when every answer is
-    flipped.
+    whole-history passes (the review and the EM) sum per distinct set
+    through :meth:`segment_sums`, weighted by the counts. The id-sorted
+    layout keeps those sums order-identical when every answer is flipped.
     """
 
     def __init__(self) -> None:
         self._index: dict[AnswerSet, int] = {}
         self._ids = np.empty(64, dtype=np.intp)  # per distinct member
-        self._signs = np.empty(64, dtype=np.int8)
+        self._columns = np.empty(64, dtype=np.intp)  # its vote column
         self._owner = np.empty(64, dtype=np.intp)  # its set's distinct index
         self._starts = np.zeros(64, dtype=np.intp)  # segment starts, end sentinel
         self._counts = np.empty(64, dtype=np.intp)  # times each distinct set was logged
@@ -114,11 +114,11 @@ class AnswerLog:
             index = self._index[answers] = len(self._index)
             start = int(self._starts[index])
             end = start + len(answers)
-            self._ids, self._signs, self._owner = (
-                _grown(buffer, end) for buffer in (self._ids, self._signs, self._owner)
+            self._ids, self._columns, self._owner = (
+                _grown(buffer, end) for buffer in (self._ids, self._columns, self._owner)
             )
             self._ids[start:end] = answers.ids
-            self._signs[start:end] = answers.signs
+            self._columns[start:end] = [2 * i + (s < 0) for i, s in zip(answers.ids, answers.signs)]
             self._owner[start:end] = index
             self._starts = _grown(self._starts, index + 2)
             self._starts[index + 1] = end
@@ -132,9 +132,9 @@ class AnswerLog:
         return index
 
     def distinct_arrays(self) -> tuple[np.ndarray, ...]:
-        """(ids, signs, starts, counts, owner) of the distinct sets.
+        """(ids, columns, starts, counts, owner) of the distinct sets.
 
-        ``ids`` and ``signs`` hold one segment per distinct set, in order
+        ``ids`` and ``columns`` hold one segment per distinct set, in order
         of first appearance, and ``starts`` the segment starts with the
         end sentinel. ``counts`` gives the times each set was logged and
         ``owner`` each member's set index.
@@ -142,9 +142,22 @@ class AnswerLog:
         n_sets = len(self._index)
         size = self._starts[n_sets]
         return (
-            self._ids[:size], self._signs[:size], self._starts[: n_sets + 1],
+            self._ids[:size], self._columns[:size], self._starts[: n_sets + 1],
             self._counts[:n_sets], self._owner[:size],
         )
+
+    def segment_sums(self, table: np.ndarray) -> np.ndarray:
+        """Per distinct set and row of ``table``, the sum of its members' votes' entries.
+
+        ``table`` is ``(rows, advisors, 2)``: entry ``[r, i, 0]`` is what
+        advisor ``i`` adds to row ``r`` by voting yes, ``[r, i, 1]`` by
+        voting no. Returns ``(rows, distinct sets)``. Each row is gathered
+        by vote column and summed by ``np.add.reduceat``, so every set adds
+        its members in id order, as a 1-d reduce over that row does.
+        """
+        n_sets = len(self._index)
+        gathered = table.reshape(table.shape[0], -1).take(self._columns[: self._starts[n_sets]], axis=1)
+        return np.add.reduceat(gathered, self._starts[:n_sets], axis=1)
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(member ids, vote signs, segment starts incl. end sentinel) in log order.
@@ -152,34 +165,11 @@ class AnswerLog:
         One segment per logged set, laid out as :meth:`distinct_arrays`
         and rebuilt from it on every call.
         """
-        ids, signs, starts, _, _ = self.distinct_arrays()
+        ids, columns, starts, _, _ = self.distinct_arrays()
         sets = self._sets[: self._logged]
         sizes = (starts[1:] - starts[:-1])[sets]
         flat_starts = np.zeros(sets.size + 1, dtype=np.intp)
         np.cumsum(sizes, out=flat_starts[1:])
         # each logged member's offset in its segment, moved to its distinct segment
         gather = np.arange(flat_starts[-1]) + np.repeat(starts[sets] - flat_starts[:-1], sizes)
-        return ids[gather], signs[gather], flat_starts
-
-
-def segment_log_likelihoods(
-    p: np.ndarray, ids: np.ndarray, positive: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Per-segment log-likelihoods of the answers yes (row 0) and no (row 1).
-
-    ``p`` is each advisor's probability of answering correctly, indexed by
-    id; ``ids`` and ``positive`` are the segments' members and their
-    yes-vote mask, and ``starts`` the segment starts with the end
-    sentinel, as :meth:`AnswerLog.distinct_arrays` lays them out. The
-    prior is excluded.
-
-    The logs are taken once per advisor and gathered per member. Each row
-    is summed along its contiguous last axis, so every segment adds its
-    members in the same order as a 1-d ``np.add.reduceat`` over that row.
-    """
-    table = np.empty((2, p.size))
-    np.log(p, out=table[0])
-    np.log1p(-p, out=table[1])
-    terms = table.take(ids, axis=1)
-    # a yes vote adds log p to the yes row and log(1 - p) to the no row
-    return np.add.reduceat(np.where(positive, terms, terms[::-1]), starts[:-1], axis=1)
+        return ids[gather], 1 - 2 * (columns[gather] & 1), flat_starts

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maddm.answers import AnswerLog, AnswerSet, checked_count, segment_log_likelihoods
+from maddm.answers import AnswerLog, AnswerSet, checked_count
 from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult, play
 from maddm.trust import TrustVector, apply_confidence_update
@@ -256,13 +256,12 @@ class EmAggregator:
         """
         if not len(self._log):
             raise ValueError("nothing observed yet")
-        ids, signs, starts, counts, owner = self._log.distinct_arrays()
+        ids, columns, starts, counts, owner = self._log.distinct_arrays()
         # Both steps run once per distinct answer set (equal sets get equal
         # posteriors), with the yes and no answers stacked as rows 0 and 1;
         # the M-step and the objective weight each set by its count.
-        positive = signs > 0
         # flat index into the (2, distinct) posteriors of each member's vote
-        credit_index = owner + (starts.size - 1) * (signs < 0)
+        credit_index = owner + (starts.size - 1) * (columns & 1)
         weight = counts[owner].astype(np.float64)
         answered = np.bincount(ids, weights=weight, minlength=self.n_advisors)
         consulted = answered > 0.0
@@ -271,8 +270,13 @@ class EmAggregator:
         acc = self.accuracies
         q = None
         objective: list[float] = []
+        # per vote: a yes adds log p to the yes row and log(1 - p) to the no row
+        table = np.empty((2, acc.size, 2))
         for _ in range(self.max_iterations):
-            log_joint = segment_log_likelihoods(acc, ids, positive, starts)
+            table[0, :, 0] = np.log(acc)
+            table[0, :, 1] = np.log1p(-acc)
+            table[1] = table[0, :, ::-1]
+            log_joint = self._log.segment_sums(table)
             log_joint += LOG_PRIOR
             shift = np.maximum(log_joint[0], log_joint[1])
             e = np.exp(log_joint - shift)

@@ -483,7 +483,7 @@ def _load_cell(path: Path, stamp: str, labels: Sequence[str]) -> list[RunResult]
     """The cached results of a cell, if its file was written for this stamp.
 
     A file that cannot be read, holds JSON of another shape, or does not
-    hold one result per label of ``labels``, in that order, is a miss.
+    hold one loadable result per label of ``labels``, in order, is a miss.
     """
     try:
         payload = json.loads(path.read_text())
@@ -491,10 +491,13 @@ def _load_cell(path: Path, stamp: str, labels: Sequence[str]) -> list[RunResult]
         return None
     runs = payload.get("runs") if isinstance(payload, dict) else None
     if not (isinstance(runs, list) and payload.get("stamp") == stamp
-            and all(isinstance(entry, dict) and "result" in entry for entry in runs)
+            and all(isinstance(entry, dict) and isinstance(entry.get("result"), dict) for entry in runs)
             and [entry.get("label") for entry in runs] == list(labels)):
         return None
-    return [_load(RunResult, entry["result"]) for entry in runs]
+    try:
+        return [_load(RunResult, entry["result"]) for entry in runs]
+    except ValueError:
+        return None
 
 
 def _store_cell(path: Path, stamp: str, labels: Sequence[str], results: Sequence[RunResult]) -> None:
@@ -521,11 +524,14 @@ def execute_plan(
 ) -> ComparisonReport:
     """Run every cell of the plan and emit the three CSV artifacts.
 
-    Cached cells are reused unless ``force``; failures are re-raised with
-    the identity of the offending cell so a rerun can resume. Output row
+    Cached cells are reused unless ``force``. Missing cells run in a pool
+    of ``min(jobs, missing cells)`` processes, or serially when that is 1;
+    ``jobs`` must be an int of at least 1. Failures are re-raised with the
+    identity of the offending cell so a rerun can resume. Output row
     order and float formatting are fixed, so equal plans with equal seeds
     produce byte-identical files.
     """
+    checked_count(jobs, "jobs", 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = [spec.label for spec in plan.methods]
@@ -536,11 +542,12 @@ def execute_plan(
     missing = [cell for cell in cells if cached.get(cell) is None]
 
     pool_context = nullcontext()
-    if jobs > 1:
+    workers = min(jobs, len(missing))  # a pool forks all its workers at the first submit
+    if workers > 1:
         # imported only here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool_context = ProcessPoolExecutor(max_workers=jobs)
+        pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
         futures = {cell: pool.submit(run_cell, plan, *cell) for cell in missing} if pool else {}
         for cell in missing:

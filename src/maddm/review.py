@@ -15,8 +15,9 @@ length, so the loop contracts to a fixed point.
 
 The same trusted advisors are hired again and again, so a long history
 holds few distinct answer sets. A pass decides each distinct set once,
-summing its members' log-odds, uncertainty and trust mass and passing
-them to :func:`maddm.ensemble.margin`, and credits its members with its
+summing its members' log-odds, uncertainty and trust mass through
+:meth:`AnswerLog.segment_sums` and passing them to
+:func:`maddm.ensemble.margin`, and credits its members with its
 confidence times the number of times it was logged. The sums run in a
 different order than a decision-by-decision pass would add them, so the
 records agree with that pass to rounding, not bit for bit.
@@ -67,29 +68,27 @@ _NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 def _review_pass(
-    sets: tuple[np.ndarray, ...], tau: np.ndarray, totals: np.ndarray
+    history: AnswerLog, sizes: np.ndarray, tau: np.ndarray, totals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass: prior + evidence from deciding each distinct set once.
+    """One pass: prior + evidence from deciding each distinct set of ``history`` once.
 
-    ``tau`` and ``totals`` are each advisor's trustworthiness and evidence
-    mass. ``sets`` holds each distinct member's column (2 id for a yes
-    vote, 2 id + 1 for a no), that column with the vote flipped, and its
-    set's index; then each set's segment starts, size and count. Returns
-    the new alpha and beta and each set's p+ - p-: its sign is the answer
-    (a tie answers no) and its magnitude the confidence.
+    ``sizes`` holds each distinct set's size, and ``tau`` and ``totals``
+    each advisor's trustworthiness and evidence mass. Returns the new
+    alpha and beta and each set's p+ - p-: its sign is the answer (a tie
+    answers no) and its magnitude the confidence.
     """
-    column, flipped, owner, seg, sizes, counts = sets
     clamped = np.minimum(np.maximum(tau, TAU_EPS), 1.0 - TAU_EPS)
-    # rows: logit of the clamped tau, theta, tau and signed tau, per vote column
+    # rows: logit of the clamped tau, theta, tau and signed tau, per vote
     table = np.empty((4, tau.size, 2))
     np.log(clamped / (1.0 - clamped), out=table[0, :, 0])
     np.divide(2.0, totals, out=table[1, :, 0])
     table[2:, :, 0] = tau
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
-    logit, theta, mass, signed_mass = np.add.reduceat(table.reshape(4, -1).take(column, axis=1), seg, axis=1)
+    logit, theta, mass, signed_mass = history.segment_sums(table)
     margin = ensemble.margin(0.5 * logit, theta / sizes, signed_mass, mass)
-    # a vote that agrees with its set's answer credits alpha (even bins), else beta
-    agreed = np.where((margin > 0.0)[owner], column, flipped)
+    _, columns, _, counts, owner = history.distinct_arrays()
+    # a vote that agrees with its set's answer credits alpha (even columns), else beta
+    agreed = columns ^ (margin <= 0.0)[owner]
     evidence = np.bincount(agreed, weights=(np.abs(margin) * counts)[owner], minlength=2 * tau.size)
     return 1.0 + evidence[::2], 1.0 + evidence[1::2], margin
 
@@ -114,15 +113,14 @@ def review_update(
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
 
-    ids, signs, starts, counts, owner = history.distinct_arrays()
-    column = 2 * ids + (signs < 0)
-    sets = (column, column ^ 1, owner, starts[:-1], starts[1:] - starts[:-1], counts)
+    starts = history.distinct_arrays()[2]
+    sizes = starts[1:] - starts[:-1]
     totals = trust.alpha + trust.beta
     tau = trust.alpha / totals
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta, _ = _review_pass(sets, tau, totals)
+        alpha, beta, _ = _review_pass(history, sizes, tau, totals)
         passes += 1
         totals = alpha + beta
         tau_after = alpha / totals

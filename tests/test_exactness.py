@@ -10,12 +10,12 @@ hypothetical apart. Each float result must lie within a stated bound of
 the exact one. One EM iteration is checked the same way, and a whole EM
 call must repeat its single iterations bit for bit.
 
-The likelihood kernel stacks the yes and no answers, and the baselines
-score and rank the whole pool as arrays. Their references are per-member
-logs with one masked sum per answer, one advisor at a time, or the
-slot-by-slot ranking loop; there the fast path must equal the reference
-bit for bit and leave the rng stream where the reference does. The
-pinned results guard every path's output to the last bit.
+The answer log sums a per-vote table over its distinct sets, and the
+baselines score and rank the whole pool as arrays. Their references are
+per-member values with one masked 1-d sum per row, one advisor at a
+time, or the slot-by-slot ranking loop; there the fast path must equal
+the reference bit for bit and leave the rng stream where the reference
+does. The pinned results guard every path's output to the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from maddm.answers import AnswerLog, AnswerSet, segment_log_likelihoods
+from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import (
     BaselineConfig,
     EmAggregator,
@@ -215,19 +215,37 @@ def test_em_infer_equals_repeated_single_iterations(world, data, tol, max_iterat
 
 
 def test_segment_kernel_sums_long_segments_like_a_1d_reduce():
-    # segments of 1 to 30 members: the stacked kernel must add each row in
-    # the order a 1-d reduce over that row does
+    # sets of 1 to 30 members: the log must add each row of a table in the
+    # order a 1-d reduce over that row does
     rng = np.random.default_rng(7)
     p = rng.uniform(0.01, 0.99, MAX_ADVISORS)
     sizes = np.array([30, 1, 8, 7, 9, 16, 17, 29, 2, 30])
     starts = np.r_[0, np.cumsum(sizes)]
     ids = np.concatenate([np.sort(rng.permutation(MAX_ADVISORS)[:k]) for k in sizes])
     positive = rng.random(ids.size) < 0.5
-    got = segment_log_likelihoods(p, ids, positive, starts)
+    log = AnswerLog()
+    for segment in np.split(np.arange(ids.size), starts[1:-1]):
+        log.append(AnswerSet(ids[segment][positive[segment]].tolist(), ids[segment][~positive[segment]].tolist()))
+    assert len(log) == log.distinct_arrays()[2].size - 1 == sizes.size
+
+    # the EM's table: a yes adds log p to the yes row and log(1 - p) to the no row
+    em = np.empty((2, MAX_ADVISORS, 2))
+    em[0, :, 0], em[0, :, 1] = np.log(p), np.log1p(-p)
+    em[1] = em[0, :, ::-1]
+    got = log.segment_sums(em)
     log_plus, log_minus = reference_log_likelihoods(p, ids, positive, starts)
     assert got.shape == (2, sizes.size)
     assert np.array_equal(got[0], log_plus)
     assert np.array_equal(got[1], log_minus)
+
+    # a review-shaped table: four rows, two of them flipped in sign by a no vote
+    review = np.empty((4, MAX_ADVISORS, 2))
+    review[:, :, 0] = rng.normal(size=(4, MAX_ADVISORS))
+    review[:, :, 1] = review[:, :, 0] * np.array([[-1.0], [1.0], [1.0], [-1.0]])
+    got = log.segment_sums(review)
+    assert got.shape == (4, sizes.size)
+    for row, sums in zip(review, got, strict=True):
+        assert np.array_equal(sums, np.add.reduceat(np.where(positive, row[ids, 0], row[ids, 1]), starts[:-1]))
 
 
 @given(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -381,6 +382,20 @@ class TestExecutePlan:
         assert (tmp_path / "results.csv").read_bytes() == reference
         assert [run["label"] for run in json.loads(path.read_text())["runs"]] == ["bu:standard", "rv:standard"]
 
+    @pytest.mark.parametrize("result", [{}, 5, {"method": "bu"}], ids=["empty", "a number", "fields missing"])
+    def test_cell_file_whose_result_does_not_load_is_recomputed(self, tmp_path, result):
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="bu"), MethodSpec(method="rv"))),
+                       repetitions=1, n_decisions=20)
+        execute_plan(plan, tmp_path)
+        reference = (tmp_path / "results.csv").read_bytes()
+        path = tmp_path / "cells" / "cell_0_0_0.json"
+        payload = json.loads(path.read_text())
+        payload["runs"][0]["result"] = result
+        path.write_text(json.dumps(payload))
+        execute_plan(plan, tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == reference
+        assert json.loads(path.read_text())["runs"][0]["result"]["method"] == "bu"
+
     def test_cache_is_not_served_for_another_seed(self, tmp_path):
         plan = replace(tiny_plan(out_methods=(MethodSpec(method="maddm"),)), repetitions=1)
         execute_plan(replace(plan, base_seed=0), tmp_path / "out")
@@ -446,6 +461,44 @@ class TestExecutePlan:
         assert (tmp_path / "serial" / "results.csv").read_bytes() == (
             tmp_path / "parallel" / "results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+            execute_plan(tiny_plan(out_methods=(MethodSpec(method="bu"),)), tmp_path, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, cached, pools", [
+        (1, 0, []), (2, 0, [2]), (64, 0, [3]), (64, 2, []), (64, 3, []),
+    ], ids=["one job", "jobs below missing", "jobs above missing", "one missing", "none missing"])
+    def test_pool_is_no_larger_than_the_missing_cells(self, tmp_path, monkeypatch, jobs, cached, pools):
+        # a process pool forks all its workers at the first submit; this one
+        # records its size and runs each cell inline, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="rv"),)), repetitions=3, n_decisions=20)
+        if cached:
+            execute_plan(replace(plan, repetitions=cached), tmp_path / "out")
+        execute_plan(plan, tmp_path / "out", jobs=jobs)
+        assert sizes == pools
+        execute_plan(plan, tmp_path / "serial")
+        assert (tmp_path / "out" / "results.csv").read_bytes() == (
+            tmp_path / "serial" / "results.csv").read_bytes()
 
 
 class TestMethodKnobs:

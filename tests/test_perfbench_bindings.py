@@ -14,7 +14,11 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from maddm.harness import plan_from_dict
+import numpy as np
+
+from maddm import harness
+from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, plan_from_dict
+from maddm.review import ReviewConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +50,29 @@ def test_every_benchmark_plan_loads():
         for smoke in (False, True):
             for round_index in range(workloads.rounds(workload, smoke)):
                 plan_from_dict(workloads.plan_dict(workload, 0, round_index, smoke))
+
+
+def test_members_scanned_counts_every_logged_member_per_pass(monkeypatch):
+    # perfbench's review hook reads flat_arrays()[0].size members per pass;
+    # the log's distinct sets, each segment times its count, must give the same
+    spans = load_perfbench("spans")
+    original, expected = harness.review_update, 0
+
+    def review_update(history, trust, config):
+        nonlocal expected
+        outcome = original(history, trust, config)
+        _, _, starts, counts, _ = history.distinct_arrays()
+        expected += outcome.passes * int((counts * np.diff(starts)).sum())
+        return outcome
+
+    monkeypatch.setattr(harness, "review_update", review_update)
+    plan = ExperimentPlan(
+        environments=(EnvironmentTemplate.named("env1"),), accuracy_means=(0.8,),
+        methods=(MethodSpec(method="maddm", review=ReviewConfig(frequency=5)),),
+        repetitions=1, n_decisions=60, n_advisors=10,
+    )
+    rec = spans.SpanRecorder()
+    with spans.patched(spans.layer_patches(rec)):
+        harness.run_cell(plan, 0, 0, 0)
+    assert expected > 0
+    assert rec.counts["review.review_update.members_scanned"] == expected

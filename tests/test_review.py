@@ -49,9 +49,9 @@ class TestDecisionHistory:
         assert starts.tolist() == list(range(0, 501, 5))
         assert ids[495:].tolist() == [0, 1, 2, 3, 4]
         assert signs[495:].tolist() == [1, 1, 1, -1, -1]
-        d_ids, d_signs, d_starts, counts, owner = history.distinct_arrays()
+        d_ids, d_columns, d_starts, counts, owner = history.distinct_arrays()
         assert d_ids.tolist() == [0, 1, 2, 3, 4]
-        assert (d_signs.tolist(), d_starts.tolist()) == ([1, 1, 1, -1, -1], [0, 5])
+        assert (d_columns.tolist(), d_starts.tolist()) == ([0, 2, 4, 7, 9], [0, 5])
         assert (counts.tolist(), owner.tolist()) == ([100], [0] * 5)
         assert indices == [0] * 100
 
@@ -72,9 +72,9 @@ class TestAnswerLogInterning:
         log = AnswerLog()
         logged = (AnswerSet({3, 1}, {2}), AnswerSet({0}, set()), AnswerSet([3, 1], [2]))
         indices = [log.append(answers) for answers in logged]
-        ids, signs, starts, counts, owner = log.distinct_arrays()
+        ids, columns, starts, counts, owner = log.distinct_arrays()
         assert ids.tolist() == [1, 2, 3, 0]
-        assert signs.tolist() == [1, -1, 1, 1]
+        assert columns.tolist() == [2, 5, 6, 0]  # 2 id + [vote is no]
         assert starts.tolist() == [0, 3, 4]
         assert (counts.tolist(), owner.tolist()) == ([2, 1], [0, 0, 0, 1])
         assert indices == [0, 1, 0]
@@ -87,23 +87,24 @@ class TestAnswerLogInterning:
             split = rng.integers(0, members.size + 1)
             sets.append(AnswerSet(set(members[:split].tolist()), set(members[split:].tolist())))
             indices.append(log.append(sets[-1]))
-        ids, signs, starts = log.distinct_arrays()[:3]
+        ids, columns, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == len(set(sets))
-        # every logged set reads its own ids and signs through its distinct set
+        # every logged set reads its own ids and votes through its distinct set
         for answers, index in zip(sets, indices, strict=True):
             segment = slice(starts[index], starts[index + 1])
-            assert (tuple(ids[segment]), tuple(signs[segment])) == (answers.ids, answers.signs)
+            votes = tuple(2 * i + (s < 0) for i, s in zip(answers.ids, answers.signs))
+            assert (tuple(ids[segment]), tuple(columns[segment])) == (answers.ids, votes)
 
     def test_interning_survives_growth_beyond_initial_capacity(self):
         log = AnswerLog()
         sets = [AnswerSet(set(range(k % 7)), {7 + k}) for k in range(150)]
         indices = [log.append(answers) for answers in sets + sets[::-1]]
-        ids, signs, starts = log.distinct_arrays()[:3]
+        ids, columns, starts = log.distinct_arrays()[:3]
         assert starts.size - 1 == 150
         assert indices == list(range(150)) + list(range(149, -1, -1))
         last = slice(starts[149], starts[150])
         assert ids[last].tolist() == [0, 1, 156]  # sets[149] is ({0, 1}, {156})
-        assert signs[last].tolist() == [1, 1, -1]
+        assert columns[last].tolist() == [0, 2, 313]
 
     def test_counts_and_owners_past_the_initial_capacity(self, rng):
         # 90 distinct sets of 2 members each: both arrays grow past 64 entries
@@ -112,12 +113,13 @@ class TestAnswerLogInterning:
         logged = [pool[i] for i in rng.integers(0, len(pool), size=600)]
         for answers in logged:
             log.append(answers)
-        ids, signs, starts, counts, owner = log.distinct_arrays()
+        ids, columns, starts, counts, owner = log.distinct_arrays()
         assert counts.sum() == len(log) == 600
         # distinct sets are indexed in order of first appearance
         first_seen = list(dict.fromkeys(logged))
         assert counts.tolist() == [Counter(logged)[answers] for answers in first_seen]
         assert owner.tolist() == np.repeat(np.arange(len(first_seen)), np.diff(starts)).tolist()
+        signs = 1 - 2 * (columns & 1)
         rebuilt = [AnswerSet._of(tuple(ids[owner == k]), tuple(signs[owner == k])) for k in range(len(first_seen))]
         assert rebuilt == first_seen
 
@@ -179,7 +181,9 @@ class TestReviewUpdate:
         assert np.all(outcome.trust.beta >= 1.0)
         after = [*history.flat_arrays(), *history.distinct_arrays()]
         assert len(history) == 3
-        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+        # the distinct sets' vote columns, 2 id + [vote is no], as logged
+        assert history.distinct_arrays()[1].tolist() == [0, 3, 4, 1, 2, 4]
 
     def test_unknown_advisor_rejected(self):
         history = history_of(AnswerSet({5}, set()))
@@ -232,11 +236,9 @@ class TestSaturatedPool:
 
 
 def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
-    """Each distinct set's p+ - p- from one review pass, with review_update's layout."""
-    ids, signs, starts, counts, owner = history.distinct_arrays()
-    column = 2 * ids + (signs < 0)
-    sets = (column, column ^ 1, owner, starts[:-1], np.diff(starts), counts)
-    return _review_pass(sets, trust.trustworthiness(), trust.alpha + trust.beta)[2]
+    """Each distinct set's p+ - p- from one review pass."""
+    sizes = np.diff(history.distinct_arrays()[2])
+    return _review_pass(history, sizes, trust.trustworthiness(), trust.alpha + trust.beta)[2]
 
 
 class TestVectorizedDecisionsMatchScalar:
