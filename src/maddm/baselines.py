@@ -26,7 +26,7 @@ import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, checked_count
 from maddm.environment import TRUTH, Environment
-from maddm.results import RunLedger, RunResult, play
+from maddm.results import RunLedger, RunResult, answer_for, play
 from maddm.trust import TrustVector, apply_confidence_update
 
 #: Log prior probability of either answer in the EM: yes and no
@@ -347,7 +347,7 @@ def run_baseline(
         return chosen, float(costs[chosen].sum()) if chosen else 0.0, 1
 
     def majority(answers: AnswerSet) -> tuple[int, float, float]:
-        answer = 1 if sum(answers.signs) > 0 else -1
+        answer = answer_for(sum(answers.signs))
         return answer, 1.0, float(answer == 1)
 
     def em(answers: AnswerSet) -> tuple[int, float, float]:
@@ -355,8 +355,8 @@ def run_baseline(
         index = aggregator.observe(answers)
         aggregator.infer()
         q_plus, q_minus = aggregator.posteriors[:, index].tolist()
-        answer = 1 if q_plus > q_minus else -1
-        confidence = abs(q_plus - q_minus)
+        margin = q_plus - q_minus
+        answer, confidence = answer_for(margin), abs(margin)
         trust = apply_confidence_update(trust, answers, answer, confidence)
         return answer, confidence, q_plus
 

@@ -27,10 +27,7 @@ from maddm.harness import (
     plan_from_dict,
     read_results_csv,
     run_method,
-    significance_tests,
-    summarize,
-    write_significance_csv,
-    write_summary_csv,
+    write_report,
     _method_rng,
 )
 
@@ -85,8 +82,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     results = read_results_csv(args.results)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out / "summary.csv", summarize(results))
-    write_significance_csv(out / "significance.csv", significance_tests(results))
+    write_report(out, results)
     print(f"wrote summary.csv and significance.csv to {out}")
     return 0
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from maddm.answers import AnswerSet
+from maddm.results import answer_for
 from maddm.trust import TrustVector, apply_confidence_update, clamp_trust
 
 
@@ -148,7 +149,7 @@ def ensemble_decide(answers: AnswerSet, trust: TrustVector) -> EnsembleOutcome:
     negative answer with zero confidence.
     """
     m = _sums(answers, trust, "ensemble_decide").margin()
-    return EnsembleOutcome(*_probabilities(m), answer=1 if m > 0.0 else -1, confidence=abs(m))
+    return EnsembleOutcome(*_probabilities(m), answer=answer_for(m), confidence=abs(m))
 
 
 def decide_and_update(answers: AnswerSet, trust: TrustVector) -> tuple[EnsembleOutcome, TrustVector]:

@@ -145,15 +145,19 @@ class MethodSpec:
     The ``exploration_first`` variant consults every advisor on the first
     ``exploration_first_rounds`` decisions. A knob the spec does not read
     (:data:`METHOD_KNOBS`) is reset to its default, so specs that run the
-    same way are equal.
+    same way are equal. ``baseline`` is the read-only :class:`BaselineConfig`
+    of ``fna_k``, ``bc_budget_fraction`` and ``rv_k``, which checks them.
     """
 
     method: str
     variant: str = "standard"
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
     review: ReviewConfig = field(default_factory=ReviewConfig)
+    fna_k: int = BaselineConfig.fna_k
+    bc_budget_fraction: float = BaselineConfig.bc_budget_fraction
+    rv_k: int = BaselineConfig.rv_k
     exploration_first_rounds: int = 10
+    baseline: BaselineConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_KNOBS:
@@ -162,11 +166,10 @@ class MethodSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
         knobs = self.knobs
-        unread = {name: value for name, value in vars(BaselineConfig()).items() if name not in knobs}
-        object.__setattr__(self, "baseline", replace(self.baseline, **unread))
         for f in fields(self):
             if f.name in _KNOBS and f.name not in knobs:
                 object.__setattr__(self, f.name, f.default if f.default_factory is MISSING else f.default_factory())
+        object.__setattr__(self, "baseline", BaselineConfig(self.fna_k, self.bc_budget_fraction, self.rv_k))
 
     @property
     def knobs(self) -> tuple[str, ...]:
@@ -175,10 +178,6 @@ class MethodSpec:
             name for name in METHOD_KNOBS[self.method]
             if name != "exploration_first_rounds" or self.variant == "exploration_first"
         )
-
-    def knob(self, name: str):
-        """A plan-entry knob's value: a field of ``baseline``, or of the spec itself."""
-        return getattr(self.baseline if name in vars(self.baseline) else self, name)
 
     @property
     def label(self) -> str:
@@ -215,7 +214,7 @@ class ExperimentPlan:
         for spec in self.methods:
             # the head counts, where a method hires a fixed number per decision
             for knob in ("fna_k", "rv_k"):
-                if knob in spec.knobs and spec.knob(knob) > self.n_advisors:
+                if knob in spec.knobs and getattr(spec, knob) > self.n_advisors:
                     raise ValueError(f"{spec.label}: {knob} exceeds n_advisors={self.n_advisors}")
         labels = [spec.label for spec in self.methods]
         if len(set(labels)) != len(labels):
@@ -325,7 +324,7 @@ class SignificanceRow:
 
 @dataclass
 class ComparisonReport:
-    """Everything execute_plan derives from the raw per-run results."""
+    """Everything :func:`write_report` derives from the raw per-run results."""
 
     results: list[RunResult]
     summaries: list[SummaryRow]
@@ -440,6 +439,14 @@ def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:
 
 def write_significance_csv(path: Path, rows: Sequence[SignificanceRow]) -> None:
     _write_rows(path, [f.name for f in fields(SignificanceRow)], rows)
+
+
+def write_report(out: Path, results: list[RunResult]) -> ComparisonReport:
+    """Summarize and test ``results`` and write summary.csv and significance.csv into ``out``."""
+    report = ComparisonReport(results, summarize(results), significance_tests(results))
+    write_summary_csv(out / "summary.csv", report.summaries)
+    write_significance_csv(out / "significance.csv", report.tests)
+    return report
 
 
 def read_results_csv(path: str | Path) -> list[RunResult]:
@@ -559,12 +566,8 @@ def execute_plan(
             cached[cell] = results
 
     results = [r for cell in cells for r in cached[cell]]
-    summaries = summarize(results)
-    tests = significance_tests(results)
     write_results_csv(out / "results.csv", results)
-    write_summary_csv(out / "summary.csv", summaries)
-    write_significance_csv(out / "significance.csv", tests)
-    return ComparisonReport(results=results, summaries=summaries, tests=tests)
+    return write_report(out, results)
 
 
 def _to_dict(obj, skip: Sequence[str] = ()):
@@ -623,9 +626,9 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def _method_to_dict(spec: MethodSpec) -> dict:
-    # an entry carries only the knobs its spec reads, a BaselineConfig field flat
+    # an entry carries only the knobs its spec reads
     return {"method": spec.method, "variant": spec.variant,
-            **{name: _to_dict(spec.knob(name)) for name in spec.knobs}}
+            **{name: _to_dict(getattr(spec, name)) for name in spec.knobs}}
 
 
 def _template_from_entry(entry) -> EnvironmentTemplate:
@@ -647,25 +650,19 @@ def _shaped(value, kind: type, section: str):
 
 def _method_from_dict(entry) -> MethodSpec:
     knobs = dict(_shaped(entry, dict, "methods entry"))
-    spec = {key: knobs.pop(key) for key in ("method", "variant", "exploration_first_rounds") if key in knobs}
-    strategy = _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy"))
-    review = {}
-    if spec.get("method") == "maddm":
-        review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
-        # older plan files carry the one remaining review mode explicitly
-        mode = review.pop("mode", "rebuild")
-        if mode != "rebuild":
-            raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-        if knobs:
-            raise ValueError(f"unknown keys in a maddm methods entry: {list(knobs)}")
-    # a comparison entry's other keys must be BaselineConfig fields, which a review is not
-    baseline = _load(BaselineConfig, knobs)
-    loaded = _load(MethodSpec, spec, strategy=strategy, baseline=baseline, review=_load(ReviewConfig, review))
+    review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
+    # older plan files carry the one remaining review mode explicitly
+    mode = review.pop("mode", "rebuild")
+    if mode != "rebuild":
+        raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
+    sections = {"strategy": _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy")),
+                "review": _load(ReviewConfig, review)}
+    loaded = _load(MethodSpec, knobs, **sections)
     # the spec holds each knob it does not read at the default, so the entry
     # may give such a knob only that value
-    given = {**_converted(MethodSpec, spec), "strategy": strategy, **vars(baseline)}
+    given = {**_converted(MethodSpec, knobs), **sections}
     unread = sorted(key for key in entry.keys() - {"method", "variant", *loaded.knobs}
-                    if given[key] != loaded.knob(key))
+                    if given[key] != getattr(loaded, key))
     if unread:
         raise ValueError(f"{loaded.label} does not read {unread}; leave them out or at their defaults")
     return loaded

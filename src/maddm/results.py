@@ -14,6 +14,11 @@ from maddm.environment import TRUTH, Environment
 EMPTY_DECISION = (-1, 0.0, 0.5)
 
 
+def answer_for(margin: float) -> int:
+    """The answer a margin for yes commits to: yes when positive; a tie answers no."""
+    return 1 if margin > 0.0 else -1
+
+
 @dataclass
 class RunResult:
     """Utility ledger of one method over one realized environment.

@@ -87,7 +87,8 @@ def _review_pass(
     logit, theta, mass, signed_mass = history.segment_sums(table)
     margin = ensemble.margin(0.5 * logit, theta / sizes, signed_mass, mass)
     _, columns, _, counts, owner = history.distinct_arrays()
-    # a vote that agrees with its set's answer credits alpha (even columns), else beta
+    # a vote that agrees with its set's answer (results.answer_for: a tie
+    # answers no) credits alpha (even columns), else beta
     agreed = columns ^ (margin <= 0.0)[owner]
     evidence = np.bincount(agreed, weights=(np.abs(margin) * counts)[owner], minlength=2 * tau.size)
     return 1.0 + evidence[::2], 1.0 + evidence[1::2], margin

@@ -14,8 +14,8 @@ import numpy as np
 _EXACT_LIMIT = 20
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks, ties receiving the mean of their rank run."""
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fractional ranks, ties receiving the mean of their rank run, and the run sizes."""
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
     new_run = np.r_[True, ordered[1:] != ordered[:-1]]
@@ -26,7 +26,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     run_rank = run_ends - (run_sizes - 1) / 2.0
     ranks = np.empty(values.size, dtype=np.float64)
     ranks[order] = run_rank[run_index]
-    return ranks
+    return ranks, run_sizes
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +70,11 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> tupl
         raise ValueError("both samples must be non-empty")
     n1, n2 = int(a.size), int(b.size)
     combined = np.concatenate([a, b])
-    ranks = _average_ranks(combined)
+    ranks, tie_sizes = _average_ranks(combined)
     rank_sum_a = float(ranks[:n1].sum())
     u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
     u_b = n1 * n2 - u_a
 
-    _, tie_sizes = np.unique(combined, return_counts=True)
     has_ties = bool(np.any(tie_sizes > 1))
 
     if not has_ties and max(n1, n2) < _EXACT_LIMIT:

@@ -278,6 +278,7 @@ def test_criterion_em_properties():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_directional_utility_ordering(desk_run, low_accuracy_run):
     """Adaptive method tops fna/bc from accuracy 0.7 up; the
     perfect-information bound strictly dominates every run."""
@@ -318,6 +319,7 @@ def test_criterion_directional_utility_ordering(desk_run, low_accuracy_run):
     assert runtime < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_low_accuracy_robustness(low_accuracy_run):
     """At accuracy 0.55 random voting hangs with the trust-based methods."""
     report = low_accuracy_run.report
@@ -336,6 +338,7 @@ def test_criterion_low_accuracy_robustness(low_accuracy_run):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_exploration_first_stabilizes(desk_run):
     """Exploration-first shrinks the utility spread on the same seeds.
 

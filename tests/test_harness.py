@@ -41,6 +41,34 @@ from maddm.review import ReviewConfig
 
 
 MINIMAL_PLAN = {"environments": ["env1"], "accuracy_means": [0.8], "methods": [{"method": "bu"}]}
+PLANS = Path(__file__).resolve().parents[1] / "plans"
+
+_STRATEGY = {"kind": "epsilon_greedy", "epsilon": 0.1, "criterion": "cost_effectiveness"}
+_REVIEW = {"threshold": 0.001, "max_passes": 100, "frequency": 1}
+#: What plan_to_dict writes for default_plan()'s methods, key for key.
+DEFAULT_ENTRIES = [
+    {"method": "maddm", "variant": "standard", "review": _REVIEW},
+    {"method": "fna", "variant": "standard", "strategy": _STRATEGY, "fna_k": 5},
+    {"method": "bc", "variant": "standard", "strategy": _STRATEGY, "bc_budget_fraction": 0.1},
+    {"method": "rv", "variant": "standard", "rv_k": 3},
+    {"method": "maddm", "variant": "exploration_first", "review": _REVIEW, "exploration_first_rounds": 10},
+    {"method": "fna", "variant": "exploration_first", "strategy": _STRATEGY, "fna_k": 5,
+     "exploration_first_rounds": 10},
+    {"method": "bc", "variant": "exploration_first", "strategy": _STRATEGY, "bc_budget_fraction": 0.1,
+     "exploration_first_rounds": 10},
+    {"method": "rv", "variant": "exploration_first", "rv_k": 3, "exploration_first_rounds": 10},
+    {"method": "bu", "variant": "standard"},
+]
+
+
+def written_default_plan(accuracy_means, repetitions, n_decisions) -> dict:
+    """What plan_to_dict writes for the default plan's templates and methods, key for key."""
+    return {
+        "environments": [{"name": "env1", "value_mean": 100.0, "value_std": 100.0},
+                         {"name": "env2", "value_mean": 500.0, "value_std": 500.0}],
+        "accuracy_means": accuracy_means, "repetitions": repetitions, "base_seed": 0,
+        "n_decisions": n_decisions, "n_advisors": 30, "methods": DEFAULT_ENTRIES,
+    }
 
 
 def tiny_plan(out_methods=None, base_seed=7) -> ExperimentPlan:
@@ -405,7 +433,7 @@ class TestExecutePlan:
 
     @pytest.mark.parametrize("first, second", [
         (MethodSpec(method="fna"),
-         MethodSpec(method="fna", baseline=BaselineConfig(fna_k=2))),
+         MethodSpec(method="fna", fna_k=2)),
         (MethodSpec(method="maddm"),
          MethodSpec(method="maddm", review=ReviewConfig(frequency=10))),
     ])
@@ -503,7 +531,7 @@ class TestExecutePlan:
 
 class TestMethodKnobs:
     def test_specs_that_run_the_same_way_are_equal_and_share_stamps(self):
-        spec = MethodSpec("maddm", baseline=BaselineConfig(fna_k=2))
+        spec = MethodSpec("maddm", fna_k=2)
         assert spec == MethodSpec("maddm")
         assert _cell_stamps(tiny_plan(out_methods=(spec,))) == _cell_stamps(
             tiny_plan(out_methods=(MethodSpec("maddm"),)))
@@ -532,6 +560,57 @@ class TestMethodKnobs:
         entry = {"method": "bu", "strategy": {"kind": "epsilon_greedy"}, "fna_k": 5.0,
                  "bc_budget_fraction": 0.1, "rv_k": 3, "exploration_first_rounds": 10.0}
         assert plan_from_dict({**MINIMAL_PLAN, "methods": [entry]}).methods == (MethodSpec("bu"),)
+
+    @pytest.mark.parametrize("entry", [
+        {"method": "fna", "review": {}},
+        {"method": "bc", "review": {"threshold": 1e-3, "mode": "rebuild"}},
+        {"method": "rv", "review": {"frequency": 1}},
+        {"method": "bu", "review": {}},
+        {"method": "maddm", "fna_k": 5},
+        {"method": "maddm", "rv_k": 3.0},
+        {"method": "maddm", "bc_budget_fraction": 0.1},
+    ])
+    def test_another_methods_knob_at_its_default_loads(self, entry):
+        # one rule for every knob: an entry may carry any knob its spec does
+        # not read, at that knob's default
+        loaded = plan_from_dict({**MINIMAL_PLAN, "methods": [entry]}).methods
+        assert loaded == (MethodSpec(entry["method"]),)
+
+    @pytest.mark.parametrize("entry, keys", [
+        ({"method": "fna", "review": {"threshold": 0.01}}, ["review"]),
+        ({"method": "bc", "review": {"max_passes": 3}}, ["review"]),
+        ({"method": "rv", "review": {"frequency": 2}}, ["review"]),
+        ({"method": "bu", "review": {"threshold": 0.01}}, ["review"]),
+        ({"method": "maddm", "fna_k": 7}, ["fna_k"]),
+        ({"method": "maddm", "rv_k": 4}, ["rv_k"]),
+        ({"method": "maddm", "bc_budget_fraction": 0.5, "rv_k": 3}, ["bc_budget_fraction"]),
+    ])
+    def test_another_methods_knob_off_its_default_rejected_at_load(self, entry, keys):
+        with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
+            plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
+
+    def test_baseline_is_the_view_of_the_specs_three_hiring_knobs(self):
+        assert MethodSpec("fna", fna_k=7).baseline == BaselineConfig(fna_k=7)
+        assert MethodSpec("bc", bc_budget_fraction=0.25, fna_k=7).baseline == BaselineConfig(
+            bc_budget_fraction=0.25)
+        assert replace(MethodSpec("rv"), rv_k=2).baseline == BaselineConfig(rv_k=2)
+        with pytest.raises(ValueError, match="budget fraction"):
+            MethodSpec("bc", bc_budget_fraction=0.0)
+        # the view is not a plan key
+        with pytest.raises(ValueError, match="baseline"):
+            plan_from_dict({**MINIMAL_PLAN, "methods": [{"method": "fna", "baseline": {"fna_k": 2}}]})
+
+    def test_spec_round_trips_through_the_plan_format(self):
+        plan = tiny_plan(out_methods=(MethodSpec("fna", fna_k=7),))
+        data = json.loads(json.dumps(plan_to_dict(plan)))
+        assert data["methods"] == [{
+            "method": "fna", "variant": "standard",
+            "strategy": {"kind": "epsilon_greedy", "epsilon": 0.1, "criterion": "cost_effectiveness"},
+            "fna_k": 7,
+        }]
+        again = plan_from_dict(data)
+        assert again == plan
+        assert again.methods[0].baseline == BaselineConfig(fna_k=7)
 
     def test_writer_gives_each_entry_the_knobs_its_spec_reads(self):
         entries = plan_to_dict(default_plan())["methods"]
@@ -586,6 +665,16 @@ class TestPlanSerialization:
             "threshold": 1e-3, "max_passes": 100, "frequency": 5,
         }
 
+    @pytest.mark.parametrize("source, expected", [
+        (None, written_default_plan([0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0], 20, 1000)),
+        ("check.json", written_default_plan([0.55, 0.8, 1.0], 2, 300)),
+        ("paper.json", written_default_plan([round(0.51 + 0.01 * k, 2) for k in range(50)], 20, 1000)),
+    ])
+    def test_writer_output_is_pinned(self, source, expected):
+        # every cell stamp hashes this text, so a change to it recomputes every cached cell
+        plan = default_plan() if source is None else plan_from_dict(json.loads((PLANS / source).read_text()))
+        assert json.dumps(plan_to_dict(plan)) == json.dumps(expected)
+
     def test_unsupported_review_mode_rejected_at_load(self):
         data = plan_to_dict(tiny_plan())
         data["methods"][0]["review"]["mode"] = "accumulate"
@@ -593,7 +682,7 @@ class TestPlanSerialization:
             plan_from_dict(data)
 
     @pytest.mark.parametrize("entry, key", [
-        ({"method": "fna", "review": {}}, "review"),
+        ({"method": "fna", "review": {"threshold": 0.01}}, "review"),
         ({"method": "maddm", "fna_k": 2}, "fna_k"),
     ])
     def test_key_the_entrys_method_does_not_read_rejected_at_load(self, entry, key):

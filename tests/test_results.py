@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from maddm.environment import Environment, EnvironmentConfig
-from maddm.results import EMPTY_DECISION, play
+from maddm.results import EMPTY_DECISION, answer_for, play
 
 
 def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
@@ -49,3 +49,10 @@ def test_play_without_hooks_or_trace():
     assert result.trace is None
     assert result.correct_count == 0
     assert result.n_decisions == 5
+
+
+def test_a_positive_margin_answers_yes_and_a_tie_answers_no():
+    # the one tie rule of the ensemble, the EM and rv's majority; it agrees
+    # with the empty decision's answer
+    assert [answer_for(m) for m in (5e-324, 2, 0.0, -0.0, 0, -5e-324)] == [1, 1, -1, -1, -1, -1]
+    assert answer_for(0.0) == EMPTY_DECISION[0]

@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maddm.stats import _u_counts, mann_whitney_u, mean_confidence_interval
+from maddm.stats import _average_ranks, _u_counts, mann_whitney_u, mean_confidence_interval
 
 
 def brute_force_two_sided_p(a: list[float], b: list[float]) -> float:
@@ -30,6 +31,14 @@ def brute_force_two_sided_p(a: list[float], b: list[float]) -> float:
             count += 1
         total += 1
     return count / total
+
+
+@given(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40))
+def test_rank_runs_are_the_tie_sizes_in_sorted_order(values):
+    x = np.asarray(values)
+    ranks, runs = _average_ranks(x)
+    assert np.array_equal(runs, np.unique(x, return_counts=True)[1])
+    assert ranks.sum() == x.size * (x.size + 1) / 2
 
 
 class TestUDistribution:
