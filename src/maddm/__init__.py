@@ -8,7 +8,6 @@ generator, and a paired-seed experiment harness with a CLI.
 
 from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import (
-    BaselineConfig,
     EmAggregator,
     StrategyConfig,
     cost_effectiveness,

@@ -21,13 +21,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, checked_count
 from maddm.environment import TRUTH, Environment
-from maddm.results import RunLedger, RunResult, answer_for, play
+from maddm.results import RunLedger, RunResult, play
 from maddm.trust import TrustVector, apply_confidence_update
+
+if TYPE_CHECKING:
+    from maddm.harness import MethodSpec
 
 #: Log prior probability of either answer in the EM: yes and no
 #: are equally likely before any advisor speaks.
@@ -52,21 +56,6 @@ class StrategyConfig:
             raise ValueError(f"criterion must be one of {_CRITERIA}, got {self.criterion!r}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """The comparison methods' hiring hyper-parameters: fna's and rv's head counts, bc's budget."""
-
-    fna_k: int = 5
-    bc_budget_fraction: float = 0.10
-    rv_k: int = 3
-
-    def __post_init__(self) -> None:
-        for name in ("fna_k", "rv_k"):
-            checked_count(getattr(self, name), name, 1)
-        if not (0.0 < self.bc_budget_fraction <= 1.0):
-            raise ValueError("budget fraction must lie in (0, 1]")
 
 
 def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -302,27 +291,28 @@ class EmAggregator:
 
 
 def run_baseline(
-    method: str,
-    config: BaselineConfig,
-    strategy: StrategyConfig,
+    spec: MethodSpec,
     environment: Environment,
     rng: np.random.Generator,
     warm_up_rounds: int = 0,
     trace: bool = False,
 ) -> RunResult:
-    """Play the comparison ``method`` (fna, bc, rv or bu) through an entire environment.
+    """Play the comparison method of ``spec`` (fna, bc, rv or bu) through an entire environment.
 
-    Supplies the method's steps to :func:`results.play`, which consults
-    the whole pool on the first ``warm_up_rounds`` decisions: rv hires at
-    random and takes the majority; fna and bc hire by their ranking,
+    Reads ``spec.method``, ``spec.strategy``, ``spec.fna_k``,
+    ``spec.bc_budget_fraction`` and ``spec.rv_k``, and supplies the
+    method's steps to :func:`results.play`, which consults the whole pool
+    on the first ``warm_up_rounds`` decisions: rv hires at random and
+    answers by the sign of the vote sum; fna and bc hire by their ranking,
     answer by EM and credit the hires' trust. ``bu`` ignores advisors.
     """
+    method, strategy = spec.method, spec.strategy
     if method not in ("fna", "bc", "rv", "bu"):
         raise ValueError(f"unknown comparison method {method!r}")
     if method == "bu":
         ledger = RunLedger(environment, trace)
         for index in range(environment.n_decisions):
-            ledger.record(index, TRUTH, 0.0, (), 0, 1.0, 1.0)
+            ledger.record(index, float(TRUTH), 0.0, (), 0)
         return ledger.result("bu")
 
     costs, n_advisors = environment.costs, environment.n_advisors
@@ -332,33 +322,32 @@ def run_baseline(
 
     def hire(index: int) -> tuple[list[int], float, int]:
         if method == "rv":
-            chosen = [int(i) for i in rng.choice(n_advisors, size=config.rv_k, replace=False)]
+            chosen = [int(i) for i in rng.choice(n_advisors, size=spec.rv_k, replace=False)]
         elif method == "fna":
             chosen = select_fixed_number(
-                environment, trust, strategy, config.fna_k, rng,
+                environment, trust, strategy, spec.fna_k, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         else:  # bc
-            budget = config.bc_budget_fraction * stakes[index]
+            budget = spec.bc_budget_fraction * stakes[index]
             chosen = select_budget_constrained(
                 environment, trust, strategy, budget, rng,
                 point_estimates=aggregator.accuracies, decisions_elapsed=index,
             )
         return chosen, float(costs[chosen].sum()) if chosen else 0.0, 1
 
-    def majority(answers: AnswerSet) -> tuple[int, float, float]:
-        answer = answer_for(sum(answers.signs))
-        return answer, 1.0, float(answer == 1)
+    def majority(answers: AnswerSet) -> float:
+        # a tie is margin 0: the answer no, with no confidence
+        return float(np.sign(sum(answers.signs)))
 
-    def em(answers: AnswerSet) -> tuple[int, float, float]:
+    def em(answers: AnswerSet) -> float:
         nonlocal trust
         index = aggregator.observe(answers)
         aggregator.infer()
         q_plus, q_minus = aggregator.posteriors[:, index].tolist()
         margin = q_plus - q_minus
-        answer, confidence = answer_for(margin), abs(margin)
-        trust = apply_confidence_update(trust, answers, answer, confidence)
-        return answer, confidence, q_plus
+        trust = apply_confidence_update(trust, answers, margin)
+        return margin
 
     decide = majority if method == "rv" else em
     return play(environment, method, hire, decide, warm_up_rounds, trace)

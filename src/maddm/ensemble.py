@@ -152,8 +152,7 @@ def ensemble_decide(answers: AnswerSet, trust: TrustVector) -> EnsembleOutcome:
     return EnsembleOutcome(*_probabilities(m), answer=answer_for(m), confidence=abs(m))
 
 
-def decide_and_update(answers: AnswerSet, trust: TrustVector) -> tuple[EnsembleOutcome, TrustVector]:
-    """Decide, then feed the decision's confidence back into the records."""
-    outcome = ensemble_decide(answers, trust)
-    updated = apply_confidence_update(trust, answers, outcome.answer, outcome.confidence)
-    return outcome, updated
+def decide_and_update(answers: AnswerSet, trust: TrustVector) -> tuple[float, TrustVector]:
+    """The ensemble's margin p+ - p-, and the records its confidence was fed back into."""
+    m = _sums(answers, trust, "decide_and_update").margin()
+    return m, apply_confidence_update(trust, answers, m)

@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Sequence, get_type_hints
 import numpy as np
 
 from maddm.answers import AnswerLog, AnswerSet, checked_count
-from maddm.baselines import BaselineConfig, StrategyConfig, run_baseline
+from maddm.baselines import StrategyConfig, run_baseline
 from maddm.ensemble import decide_and_update
 from maddm.environment import (
     ENV_TEMPLATES,
@@ -88,11 +88,11 @@ def run_maddm(
         hiring = select_advisors(environment, index, trust, rng)
         return hiring.hired, hiring.total_cost, hiring.rounds
 
-    def decide(answers: AnswerSet) -> tuple[int, float, float]:
+    def decide(answers: AnswerSet) -> float:
         nonlocal trust
-        outcome, trust = decide_and_update(answers, trust)
+        margin, trust = decide_and_update(answers, trust)
         history.append(answers)
-        return outcome.answer, outcome.confidence, outcome.p_positive
+        return margin
 
     def review(index: int) -> None:
         nonlocal trust
@@ -145,19 +145,17 @@ class MethodSpec:
     The ``exploration_first`` variant consults every advisor on the first
     ``exploration_first_rounds`` decisions. A knob the spec does not read
     (:data:`METHOD_KNOBS`) is reset to its default, so specs that run the
-    same way are equal. ``baseline`` is the read-only :class:`BaselineConfig`
-    of ``fna_k``, ``bc_budget_fraction`` and ``rv_k``, which checks them.
+    same way are equal.
     """
 
     method: str
     variant: str = "standard"
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     review: ReviewConfig = field(default_factory=ReviewConfig)
-    fna_k: int = BaselineConfig.fna_k
-    bc_budget_fraction: float = BaselineConfig.bc_budget_fraction
-    rv_k: int = BaselineConfig.rv_k
+    fna_k: int = 5
+    bc_budget_fraction: float = 0.10
+    rv_k: int = 3
     exploration_first_rounds: int = 10
-    baseline: BaselineConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_KNOBS:
@@ -169,7 +167,10 @@ class MethodSpec:
         for f in fields(self):
             if f.name in _KNOBS and f.name not in knobs:
                 object.__setattr__(self, f.name, f.default if f.default_factory is MISSING else f.default_factory())
-        object.__setattr__(self, "baseline", BaselineConfig(self.fna_k, self.bc_budget_fraction, self.rv_k))
+        for name in ("fna_k", "rv_k"):
+            checked_count(getattr(self, name), name, 1)
+        if not (0.0 < self.bc_budget_fraction <= 1.0):
+            raise ValueError("budget fraction must lie in (0, 1]")
 
     @property
     def knobs(self) -> tuple[str, ...]:
@@ -276,7 +277,7 @@ def run_method(
     if spec.method == "maddm":
         result = run_maddm(environment, spec.review, rng, rounds, trace)
     else:
-        result = run_baseline(spec.method, spec.baseline, spec.strategy, environment, rng, rounds, trace)
+        result = run_baseline(spec, environment, rng, rounds, trace)
     return replace(result, variant=spec.variant)
 
 

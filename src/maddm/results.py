@@ -9,11 +9,6 @@ from typing import Callable, Sequence
 from maddm.answers import AnswerSet
 from maddm.environment import TRUTH, Environment
 
-#: (answer, confidence, p_positive) of a decision nobody was hired for:
-#: the negative answer, held with no confidence, at even odds.
-EMPTY_DECISION = (-1, 0.0, 0.5)
-
-
 def answer_for(margin: float) -> int:
     """The answer a margin for yes commits to: yes when positive; a tie answers no."""
     return 1 if margin > 0.0 else -1
@@ -52,11 +47,13 @@ class RunLedger:
         self.correct_count = 0
         self.rows: list[dict] | None = [] if trace else None
 
-    def record(
-        self, decision_id: int, answer: int, paid: float, hired: Sequence[int],
-        rounds: int, p_positive: float, confidence: float,
-    ) -> None:
-        """Score ``answer`` to decision ``decision_id`` against the truth and book the fees."""
+    def record(self, decision_id: int, margin: float, paid: float, hired: Sequence[int], rounds: int) -> None:
+        """Score the answer of ``margin`` (p+ - p-) to decision ``decision_id`` and book the fees.
+
+        The margin's sign is the answer (:func:`answer_for`), its magnitude
+        the confidence, and ``0.5 + 0.5 * margin`` the probability of yes.
+        """
+        answer = answer_for(margin)
         correct = answer == TRUTH
         self.correct_count += int(correct)
         self.values.append(self.profits[decision_id] if correct else -self.losses[decision_id])
@@ -65,8 +62,8 @@ class RunLedger:
             self.rows.append(
                 {"decision_id": decision_id, "rounds": rounds, "hired": list(hired),
                  "advisors_polled": len(hired), "total_cost": paid,
-                 "p_positive": p_positive, "answer": answer,
-                 "confidence": confidence, "correct": correct}
+                 "p_positive": 0.5 + 0.5 * margin, "answer": answer,
+                 "confidence": abs(margin), "correct": correct}
             )
 
     def result(self, method: str) -> RunResult:
@@ -84,7 +81,7 @@ def play(
     environment: Environment,
     method: str,
     hire: Callable[[int], tuple[Sequence[int], float, int]],
-    decide: Callable[[AnswerSet], tuple[int, float, float]],
+    decide: Callable[[AnswerSet], float],
     warm_up_rounds: int,
     trace: bool = False,
     after: Callable[[int], None] | None = None,
@@ -94,8 +91,8 @@ def play(
     The first ``warm_up_rounds`` decisions hire the whole pool in 0 rounds
     for the one warm-up fee, ``math.fsum`` of the prices, and each later
     one hires ``hire(index)``, an (ids, fee, rounds) triple. ``decide``
-    learns from a non-empty answer set and gives (answer, confidence,
-    p_positive); an empty one is answered :data:`EMPTY_DECISION`.
+    learns from a non-empty answer set and gives its margin p+ - p- in
+    [-1, 1]; an empty one has margin 0: the answer no, with no confidence.
     ``after(index)`` runs after every decision, empty ones included.
     """
     everyone = tuple(range(environment.n_advisors))
@@ -107,8 +104,8 @@ def play(
         else:
             hired, paid, rounds = hire(index)
         answers = environment.answer_set(index, hired)
-        answer, confidence, p_positive = EMPTY_DECISION if answers.is_empty else decide(answers)
+        margin = 0.0 if answers.is_empty else decide(answers)
         if after is not None:
             after(index)
-        ledger.record(index, answer, paid, hired, rounds, p_positive, confidence)
+        ledger.record(index, margin, paid, hired, rounds)
     return ledger.result(method)

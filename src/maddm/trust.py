@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from maddm.answers import AnswerSet
+from maddm.results import answer_for
 
 # Trust values are clamped only at the point where they enter likelihood
 # products, never in storage, so a value of exactly 0 or 1 can neither
@@ -112,27 +113,21 @@ class TrustVector:
             )
 
 
-def apply_confidence_update(
-    trust: TrustVector,
-    answers: AnswerSet,
-    answer: int,
-    confidence: float,
-) -> TrustVector:
-    """Credit every consulted advisor with fractional evidence.
+def apply_confidence_update(trust: TrustVector, answers: AnswerSet, margin: float) -> TrustVector:
+    """Credit every consulted advisor with the confidence of a decision's ``margin``, p+ - p-.
 
-    Advisors whose vote matches the aggregated ``answer`` gain
-    ``confidence`` on their correct side, the others on their wrong side;
-    advisors outside the answer set are untouched. Returns a new vector.
+    The margin's sign picks the answer (:func:`results.answer_for`) and its
+    magnitude is the confidence: advisors who voted that answer gain it on
+    their correct side, the others on their wrong side; advisors outside the
+    answer set are untouched. Returns a new vector.
     """
-    if answer not in (-1, 1):
-        raise ValueError(f"answer must be -1 or 1, got {answer!r}")
-    if not (0.0 <= confidence <= 1.0):
-        raise ValueError(f"confidence must lie in [0, 1], got {confidence!r}")
+    if not (-1.0 <= margin <= 1.0):  # NaN fails this too
+        raise ValueError(f"margin must lie in [-1, 1], got {margin!r}")
     trust.check_covers(answers)
     alpha = trust.alpha.copy()
     beta = trust.beta.copy()
     ids = np.array(answers.ids, dtype=np.intp)
-    agree = np.array(answers.signs) == answer
-    alpha[ids[agree]] += confidence
-    beta[ids[~agree]] += confidence
+    agree = np.array(answers.signs) == answer_for(margin)
+    alpha[ids[agree]] += abs(margin)
+    beta[ids[~agree]] += abs(margin)
     return TrustVector._of(alpha, beta)

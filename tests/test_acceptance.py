@@ -210,7 +210,7 @@ def test_criterion_trust_evidence_conservation():
         answers = AnswerSet(set(members[:split].tolist()), set(members[split:].tolist()))
         answer = 1 if rng.random() < 0.5 else -1
         confidence = float(rng.random())
-        trust = apply_confidence_update(trust, answers, answer, confidence)
+        trust = apply_confidence_update(trust, answers, answer * confidence)
         for member in members.tolist():
             applied[member].append(confidence)
     worst = 0.0

@@ -7,7 +7,6 @@ import pytest
 
 from maddm.answers import AnswerSet
 from maddm.baselines import (
-    BaselineConfig,
     EmAggregator,
     StrategyConfig,
     cost_effectiveness,
@@ -15,6 +14,7 @@ from maddm.baselines import (
     select_budget_constrained,
     select_fixed_number,
 )
+from maddm.harness import MethodSpec
 from maddm.trust import TrustVector
 
 
@@ -30,13 +30,13 @@ class TestConfigs:
     def test_baseline_validation(self, template_world):
         with pytest.raises(ValueError):
             run_baseline(
-                "nope", BaselineConfig(), StrategyConfig(),
+                MethodSpec("maddm"),
                 template_world("env1", 0.8, 0, n_decisions=5), np.random.default_rng(0),
             )
         with pytest.raises(ValueError):
-            BaselineConfig(fna_k=0)
+            MethodSpec("fna", fna_k=0)
         with pytest.raises(ValueError):
-            BaselineConfig(bc_budget_fraction=0.0)
+            MethodSpec("bc", bc_budget_fraction=0.0)
 
 
 class TestCostEffectiveness:
@@ -336,7 +336,7 @@ class TestRunBaseline:
 
     def test_bu_is_the_exact_value_sum(self, small_env):
         result = run_baseline(
-            "bu", BaselineConfig(), StrategyConfig(), small_env, np.random.default_rng(0)
+            MethodSpec("bu"), small_env, np.random.default_rng(0)
         )
         assert result.utility == math.fsum(small_env.profits)
         assert result.correct_count == small_env.n_decisions
@@ -344,16 +344,33 @@ class TestRunBaseline:
 
     def test_rv_hires_three_and_decides_every_decision(self, small_env):
         result = run_baseline(
-            "rv", BaselineConfig(), StrategyConfig(), small_env,
+            MethodSpec("rv"), small_env,
             np.random.default_rng(1), trace=True,
         )
         for row in result.trace:
             assert len(row["hired"]) == 3
             assert row["answer"] in (-1, 1)
 
+    def test_rv_answers_a_tied_vote_no_with_no_confidence(self, template_world):
+        # a tie is margin 0, as for a tied ensemble or an empty decision: the
+        # answer no at even odds; an untied vote is certain
+        world = template_world("env1", 0.6, 0, n_decisions=200)
+        result = run_baseline(MethodSpec("rv", rv_k=2), world, np.random.default_rng(0), trace=True)
+        tied = 0
+        for row in result.trace:
+            if world.answers[row["decision_id"], row["hired"]].sum() == 0:
+                tied += 1
+                assert (row["answer"], row["confidence"], row["p_positive"]) == (-1, 0.0, 0.5)
+            else:
+                assert (row["confidence"], row["p_positive"]) == (1.0, float(row["answer"] == 1))
+        assert tied == 88
+        # rv updates no trust, so only the trace moved with the tie rule
+        assert result.correct_count == 80
+        assert result.utility == -9545.608412805614
+
     def test_fna_hires_exactly_k(self, small_env):
         result = run_baseline(
-            "fna", BaselineConfig(fna_k=5), StrategyConfig(), small_env,
+            MethodSpec("fna", fna_k=5), small_env,
             np.random.default_rng(2), trace=True,
         )
         for row in result.trace:
@@ -362,8 +379,7 @@ class TestRunBaseline:
     def test_bc_respects_budget(self, small_env):
         fraction = 0.10
         result = run_baseline(
-            "bc", BaselineConfig(bc_budget_fraction=fraction), StrategyConfig(),
-            small_env, np.random.default_rng(3), trace=True,
+            MethodSpec("bc", bc_budget_fraction=fraction), small_env, np.random.default_rng(3), trace=True,
         )
         for row, profit, loss in zip(result.trace, small_env.profits, small_env.losses):
             assert row["total_cost"] <= fraction * (profit + loss) + 1e-9
@@ -371,8 +387,7 @@ class TestRunBaseline:
     def test_exploration_first_hires_everyone_early(self, small_env):
         full_cost = sum(small_env.costs)
         result = run_baseline(
-            "fna", BaselineConfig(), StrategyConfig(),
-            small_env, np.random.default_rng(4), warm_up_rounds=10, trace=True,
+            MethodSpec("fna"), small_env, np.random.default_rng(4), warm_up_rounds=10, trace=True,
         )
         for row in result.trace[:10]:
             assert len(row["hired"]) == small_env.n_advisors
@@ -384,18 +399,18 @@ class TestRunBaseline:
 
     def test_bu_dominates_everything(self, small_env):
         bu = run_baseline(
-            "bu", BaselineConfig(), StrategyConfig(), small_env, np.random.default_rng(5)
+            MethodSpec("bu"), small_env, np.random.default_rng(5)
         )
         for method in ("fna", "bc", "rv"):
             other = run_baseline(
-                method, BaselineConfig(), StrategyConfig(), small_env,
+                MethodSpec(method), small_env,
                 np.random.default_rng(6),
             )
             assert bu.utility > other.utility
 
     def test_accounting_identity(self, small_env):
         result = run_baseline(
-            "fna", BaselineConfig(), StrategyConfig(), small_env,
+            MethodSpec("fna"), small_env,
             np.random.default_rng(7), trace=True,
         )
         won = math.fsum(

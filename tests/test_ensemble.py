@@ -16,7 +16,8 @@ from maddm.ensemble import (
     margin,
     weighted_voting_probabilities,
 )
-from maddm.trust import TrustVector
+from maddm.results import answer_for
+from maddm.trust import TrustVector, apply_confidence_update
 
 
 def vector_for(taus: list[float], total: float = 10.0) -> TrustVector:
@@ -184,23 +185,23 @@ class TestEnsembleDecide:
 class TestDecideAndUpdate:
     def test_unanimous_fresh_pool_gains_alpha(self):
         trust = TrustVector.fresh(2)
-        outcome, updated = decide_and_update(AnswerSet({0, 1}, set()), trust)
-        assert outcome.answer == 1
-        assert outcome.confidence == pytest.approx(1.0)
+        m, updated = decide_and_update(AnswerSet({0, 1}, set()), trust)
+        assert m == pytest.approx(1.0)
         for advisor in (0, 1):
-            assert updated.alpha[advisor] == pytest.approx(1.0 + outcome.confidence)
+            assert updated.alpha[advisor] == pytest.approx(1.0 + m)
             assert updated.beta[advisor] == 1.0
 
     def test_balanced_split_changes_nothing(self):
         trust = TrustVector.fresh(2)
-        outcome, updated = decide_and_update(AnswerSet({0}, {1}), trust)
-        assert outcome.confidence == pytest.approx(0.0, abs=1e-12)
+        m, updated = decide_and_update(AnswerSet({0}, {1}), trust)
+        assert m == pytest.approx(0.0, abs=1e-12)
         assert updated.alpha[0] == pytest.approx(1.0, abs=1e-12)
         assert updated.beta[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_confidence_flows_into_evidence(self):
         trust = vector_for([0.8])
-        outcome, updated = decide_and_update(AnswerSet({0}, set()), trust)
+        m, updated = decide_and_update(AnswerSet({0}, set()), trust)
+        assert m == pytest.approx(0.68, abs=1e-12)
         assert updated.alpha[0] == pytest.approx(8.0 + 0.68, abs=1e-12)
         assert updated.beta[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -236,6 +237,15 @@ class TestProperties:
         outcome = ensemble_decide(answers, trust)
         assert abs(outcome.p_positive + outcome.p_negative - 1.0) < 1e-12
         assert 0.0 <= outcome.confidence <= 1.0
+
+    @given(answer_cases())
+    def test_decide_and_update_returns_the_decisions_margin(self, case):
+        answers, trust = case
+        m, updated = decide_and_update(answers, trust)
+        outcome = ensemble_decide(answers, trust)
+        assert (0.5 + 0.5 * m, 0.5 - 0.5 * m) == (outcome.p_positive, outcome.p_negative)
+        assert (answer_for(m), abs(m)) == (outcome.answer, outcome.confidence)
+        assert updated == apply_confidence_update(trust, answers, m)
 
     @given(answer_cases())
     def test_swapping_sides_swaps_probabilities(self, case):

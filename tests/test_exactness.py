@@ -29,7 +29,6 @@ from hypothesis import given, strategies as st
 
 from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import (
-    BaselineConfig,
     EmAggregator,
     StrategyConfig,
     cost_effectiveness,
@@ -291,7 +290,7 @@ def test_confidence_update_equals_per_camp_formula(data, n_advisors, answer, con
     members = data.draw(st.lists(st.integers(0, n_advisors - 1), max_size=n_advisors, unique=True))
     split = data.draw(st.integers(0, len(members)))
     yes, no = members[:split], members[split:]
-    got = apply_confidence_update(TrustVector(alpha, beta), AnswerSet(yes, no), answer, confidence)
+    got = apply_confidence_update(TrustVector(alpha, beta), AnswerSet(yes, no), answer * confidence)
 
     agree, disagree = (sorted(yes), sorted(no)) if answer == 1 else (sorted(no), sorted(yes))
     ref_alpha, ref_beta = alpha.copy(), beta.copy()
@@ -483,8 +482,7 @@ def test_every_methods_warm_up_books_the_fsum_of_the_prices():
 
     runs = [run_maddm(env, ReviewConfig(), np.random.default_rng(1), warm_up_rounds=10, trace=True)]
     runs += [
-        run_baseline(method, BaselineConfig(), StrategyConfig(), env, np.random.default_rng(1),
-                     warm_up_rounds=10, trace=True)
+        run_baseline(MethodSpec(method), env, np.random.default_rng(1), warm_up_rounds=10, trace=True)
         for method in ("fna", "bc", "rv")
     ]
     for result in runs:

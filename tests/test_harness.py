@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maddm import harness
-from maddm.baselines import BaselineConfig
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
 from maddm.harness import (
     EnvironmentTemplate,
@@ -589,14 +588,22 @@ class TestMethodKnobs:
         with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
             plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
 
-    def test_baseline_is_the_view_of_the_specs_three_hiring_knobs(self):
-        assert MethodSpec("fna", fna_k=7).baseline == BaselineConfig(fna_k=7)
-        assert MethodSpec("bc", bc_budget_fraction=0.25, fna_k=7).baseline == BaselineConfig(
-            bc_budget_fraction=0.25)
-        assert replace(MethodSpec("rv"), rv_k=2).baseline == BaselineConfig(rv_k=2)
+    def test_the_spec_holds_and_checks_the_three_hiring_knobs(self):
+        def hiring(spec):
+            return spec.fna_k, spec.bc_budget_fraction, spec.rv_k
+
+        assert hiring(MethodSpec("fna", fna_k=7)) == (7, 0.10, 3)
+        assert hiring(MethodSpec("bc", bc_budget_fraction=0.25, fna_k=7)) == (5, 0.25, 3)
+        assert hiring(replace(MethodSpec("rv"), rv_k=2)) == (5, 0.10, 2)
         with pytest.raises(ValueError, match="budget fraction"):
             MethodSpec("bc", bc_budget_fraction=0.0)
-        # the view is not a plan key
+        with pytest.raises(ValueError, match="fna_k"):
+            MethodSpec("fna", fna_k=0)
+        with pytest.raises(ValueError, match="rv_k"):
+            MethodSpec("rv", rv_k=0)
+        # a knob the method does not read is reset before it is checked
+        assert MethodSpec("maddm", fna_k=0) == MethodSpec("maddm")
+        # the three knobs have no section of their own in a plan
         with pytest.raises(ValueError, match="baseline"):
             plan_from_dict({**MINIMAL_PLAN, "methods": [{"method": "fna", "baseline": {"fna_k": 2}}]})
 
@@ -610,7 +617,7 @@ class TestMethodKnobs:
         }]
         again = plan_from_dict(data)
         assert again == plan
-        assert again.methods[0].baseline == BaselineConfig(fna_k=7)
+        assert again.methods[0].fna_k == 7
 
     def test_writer_gives_each_entry_the_knobs_its_spec_reads(self):
         entries = plan_to_dict(default_plan())["methods"]
@@ -656,9 +663,9 @@ class TestPlanSerialization:
         plan = plan_from_dict(data)
         assert plan.environments[1] == EnvironmentTemplate("mid", 250.0, 250.0)
         assert plan.methods[0].review.frequency == 5
-        assert plan.methods[1].baseline.fna_k == 7
+        assert plan.methods[1].fna_k == 7
         assert plan.methods[1].strategy.kind == "ucb"
-        assert plan.methods[2].baseline.bc_budget_fraction == 0.25
+        assert plan.methods[2].bc_budget_fraction == 0.25
         assert json.dumps(plan_to_dict(plan))  # serializable
         assert plan_from_dict(plan_to_dict(plan)) == plan
         assert plan_to_dict(plan)["methods"][0]["review"] == {
@@ -789,8 +796,8 @@ class TestPlanSerialization:
         lambda value: ReviewConfig(frequency=value),
         lambda value: ReviewConfig(max_passes=value),
         lambda value: MethodSpec("maddm", exploration_first_rounds=value),
-        lambda value: BaselineConfig(fna_k=value),
-        lambda value: BaselineConfig(rv_k=value),
+        lambda value: MethodSpec("fna", fna_k=value),
+        lambda value: MethodSpec("rv", rv_k=value),
         lambda value: MethodSpec("bu", exploration_first_rounds=value),
         lambda value: replace(tiny_plan(), repetitions=value),
         lambda value: replace(tiny_plan(), base_seed=value),
@@ -813,7 +820,7 @@ class TestPlanSerialization:
         data["methods"][0]["fna_k"] = 2.0
         plan = plan_from_dict(data)
         assert type(plan.n_decisions) is int and plan.n_decisions == 1000
-        assert plan.methods[0].baseline.fna_k == 2
+        assert plan.methods[0].fna_k == 2
         # read_results_csv hands every field over as text, "1000" included
         result = RunResult("fna", 1.5, 1000, 2.25, 1000, environment="env1",
                            accuracy_mean=0.8, repetition=3)

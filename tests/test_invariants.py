@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from maddm.harness import _method_rng, build_cell_environment, default_plan, run_method
+from maddm.results import answer_for
 
 PLAN = replace(default_plan(), n_decisions=300, accuracy_means=(0.55, 0.85))
 #: (environment index, grid index) of each cell, repetition 0
@@ -79,16 +80,23 @@ def test_flipping_every_answer_flips_every_untied_decision(straight, label, cell
     def flipped(world):
         return replace(world, answers=-world.answers)
 
-    world = build_cell_environment(PLAN, *cell, 0)
     run = straight[label, cell] if cell in CELLS else play(label, cell)
     mirror = play(label, cell, flipped)
     for row, flip_row in zip(run.trace, mirror.trace, strict=True):
         decision = row["decision_id"]
         assert flip_row["hired"] == row["hired"], decision
         assert flip_row["confidence"] == row["confidence"], decision
-        if SPECS[label].method == "rv":  # its confidence is always 1
-            tie = int(world.answers[decision, row["hired"]].sum()) == 0
-        else:
-            tie = row["confidence"] == 0.0
+        tie = row["confidence"] == 0.0
         assert flip_row["answer"] == (-1 if tie else -row["answer"]), decision
         assert not tie or row["answer"] == -1, decision
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("label", SPECS)
+def test_every_row_reads_one_margin(straight, label, cell):
+    # every method decides by one margin m = p+ - p-: the answer is its sign,
+    # the confidence its magnitude and p_positive 0.5 + 0.5 m, bit for bit
+    for row in straight[label, cell].trace:
+        m = row["answer"] * row["confidence"]
+        assert row["p_positive"] == 0.5 + 0.5 * m, row["decision_id"]
+        assert row["answer"] == answer_for(m), row["decision_id"]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from maddm.environment import Environment, EnvironmentConfig
-from maddm.results import EMPTY_DECISION, answer_for, play
+from maddm.results import answer_for, play
 
 
 def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
@@ -23,7 +23,7 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
     def decide(answers):
         assert not answers.is_empty
         decided.append(answers)
-        return 1, 0.25, 0.75
+        return 0.5
 
     result = play(env, "fake", hire, decide, warm_up_rounds=2, trace=True, after=after.append)
 
@@ -35,7 +35,8 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
     assert [row["total_cost"] for row in result.trace] == [9.0, 9.0, 1.5, 0.0, 1.5, 0.0, 1.5, 0.0]
     for row in result.trace:
         outcome = (row["answer"], row["confidence"], row["p_positive"])
-        assert outcome == (EMPTY_DECISION if not row["hired"] else (1, 0.25, 0.75))
+        # the empty decision is margin 0: the answer no, with no confidence, at even odds
+        assert outcome == ((-1, 0.0, 0.5) if not row["hired"] else (1, 0.5, 0.75))
     values = [env.profits[i] for i in (0, 1, 2, 4, 6)] + [-env.losses[i] for i in (3, 5, 7)]
     assert result.method == "fake"
     assert result.correct_count == 5
@@ -45,14 +46,13 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
 
 def test_play_without_hooks_or_trace():
     env = Environment.build(EnvironmentConfig(n_decisions=5, n_advisors=3), np.random.default_rng(1))
-    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: (1, 1.0, 1.0), 0)
+    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: 1.0, 0)
     assert result.trace is None
     assert result.correct_count == 0
     assert result.n_decisions == 5
 
 
 def test_a_positive_margin_answers_yes_and_a_tie_answers_no():
-    # the one tie rule of the ensemble, the EM and rv's majority; it agrees
-    # with the empty decision's answer
+    # the one tie rule, by which the ledger reads every margin, the empty
+    # decision's 0 included
     assert [answer_for(m) for m in (5e-324, 2, 0.0, -0.0, 0, -5e-324)] == [1, 1, -1, -1, -1, -1]
-    assert answer_for(0.0) == EMPTY_DECISION[0]

@@ -122,40 +122,39 @@ class TestTrustVector:
 class TestConfidenceUpdate:
     def test_positive_answer_credits_positive_side(self):
         vec = TrustVector.fresh(2)
-        updated = apply_confidence_update(vec, AnswerSet({0}, set()), 1, 0.4)
+        updated = apply_confidence_update(vec, AnswerSet({0}, set()), 0.4)
         assert updated == TrustVector([1.4, 1.0], [1.0, 1.0])
 
     def test_negative_answer_mirrors(self):
         vec = TrustVector.fresh(2)
-        updated = apply_confidence_update(vec, AnswerSet({0}, set()), -1, 0.4)
+        updated = apply_confidence_update(vec, AnswerSet({0}, set()), -0.4)
         assert updated == TrustVector([1.0, 1.0], [1.4, 1.0])
 
     def test_zero_confidence_changes_nothing(self):
         vec = TrustVector.fresh(3)
-        updated = apply_confidence_update(vec, AnswerSet({0}, {1}), 1, 0.0)
+        updated = apply_confidence_update(vec, AnswerSet({0}, {1}), 0.0)
         assert updated == vec
 
     def test_original_vector_untouched(self):
         vec = TrustVector.fresh(2)
-        apply_confidence_update(vec, AnswerSet({0}, {1}), 1, 0.9)
+        apply_confidence_update(vec, AnswerSet({0}, {1}), 0.9)
         assert vec == TrustVector.fresh(2)
 
     def test_both_sides_updated(self):
         vec = TrustVector.fresh(3)
-        updated = apply_confidence_update(vec, AnswerSet({0}, {2}), 1, 0.25)
+        updated = apply_confidence_update(vec, AnswerSet({0}, {2}), 0.25)
         assert updated == TrustVector([1.25, 1.0, 1.0], [1.0, 1.0, 1.25])
 
     def test_unknown_advisor_rejected(self):
         vec = TrustVector.fresh(2)
         with pytest.raises(ValueError, match="unknown advisor"):
-            apply_confidence_update(vec, AnswerSet({5}, set()), 1, 0.5)
+            apply_confidence_update(vec, AnswerSet({5}, set()), 0.5)
 
     def test_invalid_arguments_rejected(self):
         vec = TrustVector.fresh(1)
-        with pytest.raises(ValueError):
-            apply_confidence_update(vec, AnswerSet({0}, set()), 0, 0.5)
-        with pytest.raises(ValueError):
-            apply_confidence_update(vec, AnswerSet({0}, set()), 1, 1.5)
+        for margin in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError, match="margin"):
+                apply_confidence_update(vec, AnswerSet({0}, set()), margin)
 
 
 @st.composite
@@ -186,7 +185,7 @@ class TestEvidenceConservation:
         vec = TrustVector.fresh(n_advisors)
         applied = [[] for _ in range(n_advisors)]
         for answers, answer, confidence in updates:
-            vec = apply_confidence_update(vec, answers, answer, confidence)
+            vec = apply_confidence_update(vec, answers, answer * confidence)
             for member in answers.ids:
                 applied[member].append(confidence)
         for advisor in range(n_advisors):
