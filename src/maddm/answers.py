@@ -81,26 +81,25 @@ class AnswerLog:
 
     A set seen for the first time is copied into growable flat arrays,
     one segment per distinct set in order of first appearance: each
-    member's id, its vote column ``2 id + [vote is no]`` and the segment's
-    index. Every logged set adds one to its distinct set's count and
-    records that set's index in log order. Equal sets hold the same ids
-    and votes in the same order, so a per-set result computed once per
-    distinct set equals one computed for every logged set, and the
-    whole-history passes (the review and the EM) sum per distinct set
-    through :meth:`segment_sums`, weighted by the counts. The id-sorted
-    layout keeps those sums order-identical when every answer is flipped.
+    member's vote column ``2 id + [vote is no]``, the one place its id is
+    kept, and the segment's index. Every logged set adds one to its
+    distinct set's count and records that set's index in log order. Equal
+    sets hold the same ids and votes in the same order, so a per-set
+    result computed once per distinct set equals one computed for every
+    logged set, and the whole-history passes (the review and the EM) sum
+    per distinct set through :meth:`segment_sums`, weighted by the counts.
+    The id-sorted layout keeps those sums order-identical when every
+    answer is flipped.
     """
 
     def __init__(self) -> None:
         self._index: dict[AnswerSet, int] = {}
-        self._ids = np.empty(64, dtype=np.intp)  # per distinct member
-        self._columns = np.empty(64, dtype=np.intp)  # its vote column
+        self._columns = np.empty(64, dtype=np.intp)  # per distinct member, its vote column
         self._owner = np.empty(64, dtype=np.intp)  # its set's distinct index
         self._starts = np.zeros(64, dtype=np.intp)  # segment starts, end sentinel
         self._counts = np.empty(64, dtype=np.intp)  # times each distinct set was logged
         self._sets = np.empty(64, dtype=np.intp)  # distinct index per logged set
         self._logged = 0
-        self.max_advisor_id = -1
 
     def __len__(self) -> int:
         return self._logged
@@ -114,10 +113,7 @@ class AnswerLog:
             index = self._index[answers] = len(self._index)
             start = int(self._starts[index])
             end = start + len(answers)
-            self._ids, self._columns, self._owner = (
-                _grown(buffer, end) for buffer in (self._ids, self._columns, self._owner)
-            )
-            self._ids[start:end] = answers.ids
+            self._columns, self._owner = _grown(self._columns, end), _grown(self._owner, end)
             self._columns[start:end] = [2 * i + (s < 0) for i, s in zip(answers.ids, answers.signs)]
             self._owner[start:end] = index
             self._starts = _grown(self._starts, index + 2)
@@ -128,23 +124,20 @@ class AnswerLog:
         self._sets = _grown(self._sets, self._logged + 1)
         self._sets[self._logged] = index
         self._logged += 1
-        self.max_advisor_id = max(self.max_advisor_id, answers.ids[-1])
         return index
 
     def distinct_arrays(self) -> tuple[np.ndarray, ...]:
         """(ids, columns, starts, counts, owner) of the distinct sets.
 
-        ``ids`` and ``columns`` hold one segment per distinct set, in order
-        of first appearance, and ``starts`` the segment starts with the
-        end sentinel. ``counts`` gives the times each set was logged and
-        ``owner`` each member's set index.
+        ``ids`` (``columns >> 1``) and ``columns`` hold one segment per
+        distinct set, in order of first appearance, and ``starts`` the
+        segment starts with the end sentinel. ``counts`` gives the times
+        each set was logged and ``owner`` each member's set index.
         """
         n_sets = len(self._index)
         size = self._starts[n_sets]
-        return (
-            self._ids[:size], self._columns[:size], self._starts[: n_sets + 1],
-            self._counts[:n_sets], self._owner[:size],
-        )
+        columns = self._columns[:size]
+        return columns >> 1, columns, self._starts[: n_sets + 1], self._counts[:n_sets], self._owner[:size]
 
     def segment_sums(self, table: np.ndarray) -> np.ndarray:
         """Per distinct set and row of ``table``, the sum of its members' votes' entries.

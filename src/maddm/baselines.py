@@ -36,6 +36,9 @@ if TYPE_CHECKING:
 #: Log prior probability of either answer in the EM: yes and no
 #: are equally likely before any advisor speaks.
 LOG_PRIOR = math.log(0.5)
+#: Every advisor's accuracy when the EM starts: slightly above one half,
+#: since the perfectly symmetric value is a fixed point of the updates.
+INIT_ACCURACY = 0.6
 
 _STRATEGIES = ("epsilon_greedy", "ucb", "thompson")
 _CRITERIA = ("trustworthiness", "cost_effectiveness")
@@ -69,13 +72,6 @@ def cost_effectiveness(costs: np.ndarray, estimates: np.ndarray) -> np.ndarray:
         return np.where(estimates <= 0.5, math.inf, costs / (estimates - 0.5))
 
 
-def _criterion_scores(costs: np.ndarray, estimates: np.ndarray, criterion: str) -> np.ndarray:
-    """Lower-is-better hire scores, indexed by advisor id."""
-    if criterion == "trustworthiness":
-        return -estimates
-    return cost_effectiveness(costs, estimates)
-
-
 def _selection_order(
     environment: Environment,
     trust: TrustVector,
@@ -86,11 +82,11 @@ def _selection_order(
 ) -> list[int]:
     """Advisor ids in hire-preference order for one decision.
 
-    epsilon-greedy walks the criterion ranking but replaces each slot
-    with a uniform pick at rate epsilon. UCB and Thompson rank once per
-    decision, feeding their optimistic index or posterior draw through
-    the criterion in place of the point estimate. Score ties break
-    toward the lower advisor id (a stable sort).
+    UCB and Thompson replace the point estimates with their optimistic
+    index or posterior draw; the criterion then scores the estimates and
+    a stable sort ranks them, so score ties break toward the lower
+    advisor id. epsilon-greedy walks that ranking but replaces each slot
+    with a uniform pick at rate epsilon.
     """
     costs = environment.costs
     trust.check_pool(costs.size)
@@ -104,18 +100,15 @@ def _selection_order(
         pulls = trust.alpha + trust.beta - 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             bonus = np.sqrt(2.0 * math.log(max(decisions_elapsed, 1)) / pulls)
-        ranked_estimates = np.where(pulls > 0.0, estimates + bonus, math.inf)
-        scores = _criterion_scores(costs, ranked_estimates, strategy.criterion)
-        return np.argsort(scores, kind="stable").tolist()
-    if strategy.kind == "thompson":
-        draws = rng.beta(trust.alpha, trust.beta)
-        scores = _criterion_scores(costs, draws, strategy.criterion)
-        return np.argsort(scores, kind="stable").tolist()
-
-    # epsilon-greedy: precompute the greedy queue, then fill slots
-    scores = _criterion_scores(costs, estimates, strategy.criterion)
+        estimates = np.where(pulls > 0.0, estimates + bonus, math.inf)
+    elif strategy.kind == "thompson":
+        estimates = rng.beta(trust.alpha, trust.beta)
+    if strategy.criterion == "trustworthiness":
+        scores = -estimates
+    else:
+        scores = cost_effectiveness(costs, estimates)
     greedy_queue = np.argsort(scores, kind="stable").tolist()
-    if strategy.epsilon == 0.0:
+    if strategy.kind != "epsilon_greedy" or strategy.epsilon == 0.0:
         return greedy_queue  # every slot takes the next greedy id and draws nothing
     remaining = list(range(costs.size))  # ids not placed yet, ascending
     placed = [False] * costs.size
@@ -193,8 +186,7 @@ class EmAggregator:
     answers (add-one on both sides, so estimates stay inside (0, 1));
     advisors with no recorded answers keep their current estimate.
 
-    Starting accuracies sit slightly above one half: the perfectly
-    symmetric value is a fixed point of the updates and would never move.
+    Every accuracy starts at :data:`INIT_ACCURACY`.
 
     The instance is incremental: observe answer sets as decisions
     happen, call :meth:`infer` to re-converge; accuracies warm-start
@@ -203,15 +195,7 @@ class EmAggregator:
     :meth:`observe` returned.
     """
 
-    def __init__(
-        self,
-        n_advisors: int,
-        init_accuracy: float = 0.6,
-        tol: float = 1e-6,
-        max_iterations: int = 100,
-    ) -> None:
-        if not (0.0 < init_accuracy < 1.0):
-            raise ValueError("initial accuracy must lie strictly inside (0, 1)")
+    def __init__(self, n_advisors: int, tol: float = 1e-6, max_iterations: int = 100) -> None:
         if n_advisors < 1:
             raise ValueError("need at least one advisor")
         if not (math.isfinite(tol) and tol > 0.0):
@@ -220,7 +204,7 @@ class EmAggregator:
         self.n_advisors = n_advisors
         self.tol = tol
         self.max_iterations = max_iterations
-        self.accuracies = np.full(n_advisors, float(init_accuracy))
+        self.accuracies = np.full(n_advisors, INIT_ACCURACY)
         self._log = AnswerLog()
         self.posteriors = np.empty((2, 0))
 

@@ -85,8 +85,7 @@ def run_maddm(
     history = AnswerLog()
 
     def hire(index: int) -> tuple[tuple[int, ...], float, int]:
-        hiring = select_advisors(environment, index, trust, rng)
-        return hiring.hired, hiring.total_cost, hiring.rounds
+        return select_advisors(environment, index, trust, rng)
 
     def decide(answers: AnswerSet) -> float:
         nonlocal trust
@@ -606,13 +605,17 @@ def _number(kind: type, value, key: str):
 
     Numbers arrive loosely typed: 1000.0 in JSON for an int, text in a
     CSV. A bool, or a float with a fraction for an int, raises ValueError
-    rather than being cast to 1 or truncated; so does a value that is
-    neither a number nor text, such as null or a list.
+    naming ``key`` rather than being cast to 1 or truncated; so does text
+    that does not parse, or a value that is neither a number nor text,
+    such as null or a list.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
+    try:
+        if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+                or (kind is int and isinstance(value, float) and not value.is_integer())):
+            raise ValueError
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
 _field_types = functools.cache(get_type_hints)

@@ -68,12 +68,14 @@ _NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 def _review_pass(
-    history: AnswerLog, sizes: np.ndarray, tau: np.ndarray, totals: np.ndarray
+    history: AnswerLog, sizes: np.ndarray, columns: np.ndarray, counts: np.ndarray,
+    owner: np.ndarray, tau: np.ndarray, totals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass: prior + evidence from deciding each distinct set of ``history`` once.
 
-    ``sizes`` holds each distinct set's size, and ``tau`` and ``totals``
-    each advisor's trustworthiness and evidence mass. Returns the new
+    ``sizes`` holds each distinct set's size and ``columns``, ``counts`` and
+    ``owner`` are as :meth:`AnswerLog.distinct_arrays` gives them; ``tau``
+    and ``totals`` hold each advisor's trustworthiness and evidence mass. Returns the new
     alpha and beta and each set's p+ - p-: its sign is the answer (a tie
     answers no) and its magnitude the confidence.
     """
@@ -86,7 +88,6 @@ def _review_pass(
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
     logit, theta, mass, signed_mass = history.segment_sums(table)
     margin = ensemble.margin(0.5 * logit, theta / sizes, signed_mass, mass)
-    _, columns, _, counts, owner = history.distinct_arrays()
     # a vote that agrees with its set's answer (results.answer_for: a tie
     # answers no) credits alpha (even columns), else beta
     agreed = columns ^ (margin <= 0.0)[owner]
@@ -107,21 +108,19 @@ def review_update(
     configured threshold, or after ``max_passes``. The stored answer
     sets themselves are never modified.
     """
-    if history.max_advisor_id >= len(trust):
-        raise ValueError(
-            f"history references advisor {history.max_advisor_id} outside the trust vector"
-        )
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
+    _, columns, starts, counts, owner = history.distinct_arrays()
+    if columns.max() >> 1 >= len(trust):
+        raise ValueError(f"history references advisor {columns.max() >> 1} outside the trust vector")
 
-    starts = history.distinct_arrays()[2]
     sizes = starts[1:] - starts[:-1]
     totals = trust.alpha + trust.beta
     tau = trust.alpha / totals
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta, _ = _review_pass(history, sizes, tau, totals)
+        alpha, beta, _ = _review_pass(history, sizes, columns, counts, owner, tau, totals)
         passes += 1
         totals = alpha + beta
         tau_after = alpha / totals

@@ -27,7 +27,7 @@ made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +37,17 @@ from maddm.environment import Environment
 from maddm.trust import TAU_EPS, TrustVector
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Result of the hiring loop for one decision.
+class SelectionOutcome(NamedTuple):
+    """Result of the hiring loop for one decision, in the order :func:`results.play` books it.
 
-    ``rounds`` counts utility sweeps over the remaining pool, i.e. the
-    number of hires plus the final sweep that failed to clear the bar
-    (unless the pool was exhausted first). ``hired`` preserves hire order.
+    ``hired`` preserves hire order. ``rounds`` counts utility sweeps over
+    the remaining pool, i.e. the number of hires plus the final sweep that
+    failed to clear the bar (unless the pool was exhausted first).
     """
 
+    hired: tuple[int, ...]
     total_cost: float
     rounds: int
-    hired: tuple[int, ...]
 
 
 # The candidate's vote in each hypothetical: row 0 joins the yes camp, row 1 the no camp.
@@ -95,8 +94,8 @@ def select_advisors(
     ``environment.answers``. ``trust`` holds one record per advisor and
     supplies both the Thompson posteriors and the stored trustworthiness
     the hired advisors vote with; ``rng`` gives fresh draws every round.
-    Returns the exact cost paid, the sweep count and the (possibly empty)
-    hire order.
+    Returns the (possibly empty) hire order, the exact cost paid and the
+    sweep count.
     """
     decision_id = checked_id(decision_id, "decision", environment.n_decisions)
     trust.check_pool(environment.n_advisors)
@@ -127,4 +126,4 @@ def select_advisors(
         hired.append(advisor_id)
         sums.add(float(stored_tau[advisor_id]), float(theta[advisor_id]), int(votes[advisor_id]))
 
-    return SelectionOutcome(total_cost=total_cost, rounds=rounds, hired=tuple(hired))
+    return SelectionOutcome(tuple(hired), total_cost, rounds)

@@ -7,6 +7,7 @@ import pytest
 
 from maddm.answers import AnswerSet
 from maddm.baselines import (
+    INIT_ACCURACY,
     EmAggregator,
     StrategyConfig,
     cost_effectiveness,
@@ -260,14 +261,9 @@ class TestEmAggregate:
         assert np.all((em.posteriors >= 0.0) & (em.posteriors <= 1.0))
 
     def test_explicit_init_state_is_respected(self):
-        assert EmAggregator(2, init_accuracy=0.95).accuracies.tolist() == [0.95, 0.95]
-        em = em_over([AnswerSet({0}, {1})], n_advisors=2, init_accuracy=0.95)
+        assert EmAggregator(2).accuracies.tolist() == [INIT_ACCURACY, INIT_ACCURACY]
+        em = em_over([AnswerSet({0}, {1})], n_advisors=2)
         assert em.posteriors[0, 0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_invalid_init_state_rejected(self):
-        for init_accuracy in (1.0, 0.0, -0.3, np.nan):
-            with pytest.raises(ValueError, match="initial accuracy"):
-                EmAggregator(2, init_accuracy=init_accuracy)
 
     @pytest.mark.parametrize(
         "knob, value",

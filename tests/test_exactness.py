@@ -355,6 +355,20 @@ def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed, one_decis
         point_estimates=trust.trustworthiness(), decisions_elapsed=0,
     )
     assert got == reference(draws)
+    # UCB after a few decisions; one advisor at the Beta(1, 1) prior has no
+    # pulls, so its index is +inf
+    alpha, beta = 2.0 + ids, np.full(n, 2.0)
+    alpha[seed % n] = beta[seed % n] = 1.0
+    elapsed = 2 + seed % 50
+    with np.errstate(divide="ignore"):
+        pulls = alpha + beta - 2.0
+        index = np.where(pulls > 0.0, est + np.sqrt(2.0 * math.log(elapsed) / pulls), math.inf)
+    ucb = StrategyConfig(kind="ucb", criterion=criterion)
+    got = select_fixed_number(
+        world, TrustVector(alpha, beta), ucb, n, np.random.default_rng(seed),
+        point_estimates=est, decisions_elapsed=elapsed,
+    )
+    assert got == reference(index)
 
 
 def reference_epsilon_greedy(costs, estimates, strategy, rng) -> list[int]:

@@ -780,6 +780,9 @@ class TestPlanSerialization:
         ("bu", "exploration_first_rounds", True),
         ("bu", "exploration_first_rounds", 1.5),
         ("bu", "exploration_first_rounds", -1),
+        ("plan", "n_decisions", "abc"),
+        ("method", "fna_k", "2.5"),
+        ("strategy", "epsilon", "often"),
     ])
     def test_fractional_count_or_bool_rejected_at_load(self, section, key, value):
         # int() truncated 2.7 to 2 and read true as 1; float() read true as 1.0
@@ -824,8 +827,15 @@ class TestPlanSerialization:
         # read_results_csv hands every field over as text, "1000" included
         result = RunResult("fna", 1.5, 1000, 2.25, 1000, environment="env1",
                            accuracy_mean=0.8, repetition=3)
-        write_results_csv(tmp_path / "results.csv", [result])
-        assert read_results_csv(tmp_path / "results.csv") == [result]
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [result])
+        assert read_results_csv(path) == [result]
+        # text that does not parse names its column
+        text = path.read_text()
+        assert text.splitlines()[1] == "env1,0.8,3,fna,standard,1.5,1000,2.25,1000"
+        path.write_text(text.replace(",1.5,", ",abc,"))
+        with pytest.raises(ValueError, match="utility"):
+            read_results_csv(path)
 
     def test_paper_plan_is_the_default_plan_on_the_paper_grid(self):
         path = Path(__file__).resolve().parents[1] / "plans" / "paper.json"

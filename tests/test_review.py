@@ -27,7 +27,7 @@ class TestDecisionHistory:
         assert len(history) == 2
         ids, signs, starts = history.flat_arrays()
         assert (ids.tolist(), signs.tolist(), starts.tolist()) == ([0, 1, 2], [1, -1, 1], [0, 2, 3])
-        assert history.max_advisor_id == 2
+        assert history.distinct_arrays()[0].max() == 2
 
     def test_empty_answer_set_rejected(self):
         history = AnswerLog()
@@ -237,8 +237,9 @@ class TestSaturatedPool:
 
 def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
     """Each distinct set's p+ - p- from one review pass."""
-    sizes = np.diff(history.distinct_arrays()[2])
-    return _review_pass(history, sizes, trust.trustworthiness(), trust.alpha + trust.beta)[2]
+    _, columns, starts, counts, owner = history.distinct_arrays()
+    tau, totals = trust.trustworthiness(), trust.alpha + trust.beta
+    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, totals)[2]
 
 
 class TestVectorizedDecisionsMatchScalar:

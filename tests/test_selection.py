@@ -109,6 +109,8 @@ class TestSelectAdvisors:
         assert outcome.hired == (0,)
         assert env.answer_set(0, outcome.hired) == AnswerSet({0}, ())
         assert outcome.rounds == 1  # pool exhausted right after the hire
+        # the record reads in the order results.play books it
+        assert tuple(outcome) == (outcome.hired, outcome.total_cost, outcome.rounds) == ((0,), 0.0, 1)
 
     def test_trust_must_cover_the_pool(self, rng, one_decision_world):
         env = one_decision_world(np.zeros(3))
