@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from maddm.answers import AnswerLog, AnswerSet, checked_count
+from maddm.answers import AnswerLog, AnswerSet, checked_count, checked_id
 from maddm.environment import TRUTH, Environment
 from maddm.results import RunLedger, RunResult, play
 from maddm.trust import TrustVector, apply_confidence_update
@@ -196,8 +196,7 @@ class EmAggregator:
     """
 
     def __init__(self, n_advisors: int, tol: float = 1e-6, max_iterations: int = 100) -> None:
-        if n_advisors < 1:
-            raise ValueError("need at least one advisor")
+        checked_count(n_advisors, "n_advisors", 1)
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
         checked_count(max_iterations, "max_iterations", 1)
@@ -213,11 +212,9 @@ class EmAggregator:
         return len(self._log)
 
     def observe(self, answers: AnswerSet) -> int:
-        """Log ``answers``; returns its column in :attr:`posteriors`."""
-        if answers.is_empty:
-            raise ValueError("cannot observe an empty answer set")
-        if answers.ids[-1] >= self.n_advisors:
-            raise ValueError("answer set references advisors outside the pool")
+        """Log ``answers``, a non-empty set of the pool; returns its column in :attr:`posteriors`."""
+        if answers.ids:  # increasing, so the last is the largest; the log rejects an empty set
+            checked_id(answers.ids[-1], "advisor", self.n_advisors)
         return self._log.append(answers)
 
     def infer(self, track_objective: bool = False) -> list[float]:

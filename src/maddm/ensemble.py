@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerSet, checked_id
 from maddm.results import answer_for
-from maddm.trust import TrustVector, apply_confidence_update, clamp_trust
+from maddm.trust import TrustVector, apply_confidence_update, clamp_trust, log_odds
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,16 @@ class EnsembleSums:
     @classmethod
     def of(cls, answers: AnswerSet, trust: TrustVector) -> "EnsembleSums":
         """Statistics of a whole answer set, summed in advisor-id order."""
-        trust.check_covers(answers)
+        if answers.ids:  # increasing, so the last is the largest
+            checked_id(answers.ids[-1], "advisor", len(trust))
         sums = cls()
-        alpha, beta = trust.alpha.tolist(), trust.beta.tolist()
+        tau, theta = trust.trustworthiness().tolist(), trust.uncertainty().tolist()
         for i, sign in zip(answers.ids, answers.signs):
-            total = alpha[i] + beta[i]
-            sums.add(alpha[i] / total, 2.0 / total, sign)
+            sums.add(tau[i], theta[i], sign)
         return sums
 
     def add(self, tau: float, theta: float, answer: int) -> None:
-        clamped = clamp_trust(tau)
-        self.log_odds += answer * math.log(clamped / (1.0 - clamped))
+        self.log_odds += answer * log_odds(clamp_trust(tau))
         self.signed_mass += answer * tau
         self.mass += tau
         self.theta += theta

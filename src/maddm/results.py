@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 from maddm.answers import AnswerSet
 from maddm.environment import TRUTH, Environment
 
+
 def answer_for(margin: float) -> int:
     """The answer a margin for yes commits to: yes when positive; a tie answers no."""
     return 1 if margin > 0.0 else -1

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from maddm import ensemble
-from maddm.answers import AnswerLog, checked_count
-from maddm.trust import TAU_EPS, TrustVector
+from maddm.answers import AnswerLog, checked_count, checked_id
+from maddm.trust import TrustVector, clamp_trust, log_odds
 
 
 @dataclass(frozen=True)
@@ -69,25 +70,24 @@ _NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 def _review_pass(
     history: AnswerLog, sizes: np.ndarray, columns: np.ndarray, counts: np.ndarray,
-    owner: np.ndarray, tau: np.ndarray, totals: np.ndarray,
+    owner: np.ndarray, tau: np.ndarray, theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass: prior + evidence from deciding each distinct set of ``history`` once.
 
     ``sizes`` holds each distinct set's size and ``columns``, ``counts`` and
     ``owner`` are as :meth:`AnswerLog.distinct_arrays` gives them; ``tau``
-    and ``totals`` hold each advisor's trustworthiness and evidence mass. Returns the new
-    alpha and beta and each set's p+ - p-: its sign is the answer (a tie
-    answers no) and its magnitude the confidence.
+    and ``theta`` hold each advisor's trustworthiness and uncertainty. Returns
+    the new alpha and beta and each set's p+ - p-: its sign is the answer (a
+    tie answers no) and its magnitude the confidence.
     """
-    clamped = np.minimum(np.maximum(tau, TAU_EPS), 1.0 - TAU_EPS)
     # rows: logit of the clamped tau, theta, tau and signed tau, per vote
     table = np.empty((4, tau.size, 2))
-    np.log(clamped / (1.0 - clamped), out=table[0, :, 0])
-    np.divide(2.0, totals, out=table[1, :, 0])
+    table[0, :, 0] = log_odds(clamp_trust(tau))
+    table[1, :, 0] = theta
     table[2:, :, 0] = tau
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
-    logit, theta, mass, signed_mass = history.segment_sums(table)
-    margin = ensemble.margin(0.5 * logit, theta / sizes, signed_mass, mass)
+    logit, theta_sum, mass, signed_mass = history.segment_sums(table)
+    margin = ensemble.margin(0.5 * logit, theta_sum / sizes, signed_mass, mass)
     # a vote that agrees with its set's answer (results.answer_for: a tie
     # answers no) credits alpha (even columns), else beta
     agreed = columns ^ (margin <= 0.0)[owner]
@@ -111,22 +111,20 @@ def review_update(
     if len(history) == 0:
         return ReviewOutcome(trust=trust, passes=0, delta_tau=0.0)
     _, columns, starts, counts, owner = history.distinct_arrays()
-    if columns.max() >> 1 >= len(trust):
-        raise ValueError(f"history references advisor {columns.max() >> 1} outside the trust vector")
+    checked_id(int(columns.max()) >> 1, "advisor", len(trust))
 
     sizes = starts[1:] - starts[:-1]
-    totals = trust.alpha + trust.beta
-    tau = trust.alpha / totals
+    tau = trust.trustworthiness()
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta, _ = _review_pass(history, sizes, columns, counts, owner, tau, totals)
+        alpha, beta, _ = _review_pass(history, sizes, columns, counts, owner, tau, trust.uncertainty())
+        # both arrays are 1 + bincount of confidences in [0, 1]: valid by construction
+        trust = TrustVector._of(alpha, beta)
         passes += 1
-        totals = alpha + beta
-        tau_after = alpha / totals
+        tau_after = trust.trustworthiness()
         delta = float(np.add.reduce(np.abs(tau_after - tau)))
         tau = tau_after
         if delta <= config.threshold:
             break
-    # both arrays are 1 + bincount of confidences in [0, 1]: valid by construction
-    return ReviewOutcome(trust=TrustVector._of(alpha, beta), passes=passes, delta_tau=delta)
+    return ReviewOutcome(trust=trust, passes=passes, delta_tau=delta)

@@ -34,7 +34,7 @@ import numpy as np
 from maddm.answers import checked_id
 from maddm.ensemble import EnsembleSums, margin
 from maddm.environment import Environment
-from maddm.trust import TAU_EPS, TrustVector
+from maddm.trust import TrustVector, clamp_trust, log_odds
 
 
 class SelectionOutcome(NamedTuple):
@@ -66,9 +66,9 @@ def _hypothetical_gain(draws: np.ndarray, candidate_theta, sums: EnsembleSums, s
     """
     # Clamped everywhere it is used so a saturated draw cannot produce
     # log(0) or an empty 0/0 vote. Draws are finite, so this equals np.clip.
-    clamped = np.minimum(np.maximum(draws, TAU_EPS), 1.0 - TAU_EPS)
+    clamped = clamp_trust(draws)
     joined = margin(
-        0.5 * (sums.log_odds + _SIDES * np.log(clamped / (1.0 - clamped))),
+        0.5 * (sums.log_odds + _SIDES * log_odds(clamped)),
         (sums.theta + candidate_theta) / (sums.count + 1.0),
         sums.signed_mass + _SIDES * clamped,
         sums.mass + clamped,
@@ -102,9 +102,7 @@ def select_advisors(
     stakes = float(environment.profits[decision_id] + environment.losses[decision_id])
     costs, votes = environment.costs, environment.answers[decision_id]
     alpha, beta = trust.alpha, trust.beta
-    totals = alpha + beta
-    stored_tau = alpha / totals
-    theta = 2.0 / totals
+    stored_tau, theta = trust.trustworthiness(), trust.uncertainty()
 
     remaining = list(range(costs.size))  # advisor ids not hired yet
     sums = EnsembleSums()

@@ -12,17 +12,20 @@ Derived quantities:
 * trustworthiness: the Beta mean ``alpha / (alpha + beta)``
 * uncertainty: the epistemic mass ``2 / (alpha + beta)``, exactly 1 at
   the prior and shrinking toward 0 as evidence accumulates
+* log-odds: ``log(c / (1 - c))`` of the trust ``c`` clamped away from 0
+  and 1, how an advisor's vote enters the ensemble's posterior
 * Thompson draws from ``Beta(alpha, beta)``, used to score candidates
   while still exploring advisors with little evidence
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerSet, checked_count, checked_id
 from maddm.results import answer_for
 
 # Trust values are clamped only at the point where they enter likelihood
@@ -31,9 +34,19 @@ from maddm.results import answer_for
 TAU_EPS = 1e-9
 
 
-def clamp_trust(tau: float) -> float:
-    """Clamp a trust value into [TAU_EPS, 1 - TAU_EPS] for likelihood use."""
+def clamp_trust(tau):
+    """Clamp trust, a float or an array, into [TAU_EPS, 1 - TAU_EPS] for likelihood use."""
+    if isinstance(tau, np.ndarray):
+        return np.minimum(np.maximum(tau, TAU_EPS), 1.0 - TAU_EPS)
     return min(max(tau, TAU_EPS), 1.0 - TAU_EPS)
+
+
+def log_odds(clamped):
+    """``log(c / (1 - c))`` of trust ``clamped`` by :func:`clamp_trust`, a float or an array."""
+    # numpy calls cost about a microsecond each on plain floats, and
+    # np.log and math.log may differ in the last bit
+    log = np.log if isinstance(clamped, np.ndarray) else math.log
+    return log(clamped / (1.0 - clamped))
 
 
 class TrustVector:
@@ -73,8 +86,7 @@ class TrustVector:
     @classmethod
     def fresh(cls, n_advisors: int) -> "TrustVector":
         """All-prior vector for a pool of ``n_advisors``."""
-        if n_advisors < 0:
-            raise ValueError("pool size must be non-negative")
+        checked_count(n_advisors, "n_advisors", 0)
         return cls(np.ones(n_advisors), np.ones(n_advisors))
 
     def __len__(self) -> int:
@@ -101,17 +113,6 @@ class TrustVector:
         if len(self) != n_advisors:
             raise ValueError(f"trust covers {len(self)} advisors, the pool has {n_advisors}")
 
-    def check_covers(self, answers: AnswerSet) -> None:
-        """Raise ValueError unless every advisor in ``answers`` has a record."""
-        n = len(self)
-        # the ids increase, so the last one is the largest
-        if answers.ids and answers.ids[-1] >= n:
-            unknown = [i for i in answers.ids if i >= n]
-            raise ValueError(
-                f"answer set references unknown advisor ids {unknown}; "
-                f"trust vector covers [0, {n})"
-            )
-
 
 def apply_confidence_update(trust: TrustVector, answers: AnswerSet, margin: float) -> TrustVector:
     """Credit every consulted advisor with the confidence of a decision's ``margin``, p+ - p-.
@@ -123,7 +124,8 @@ def apply_confidence_update(trust: TrustVector, answers: AnswerSet, margin: floa
     """
     if not (-1.0 <= margin <= 1.0):  # NaN fails this too
         raise ValueError(f"margin must lie in [-1, 1], got {margin!r}")
-    trust.check_covers(answers)
+    if answers.ids:  # increasing, so the last is the largest
+        checked_id(answers.ids[-1], "advisor", len(trust))
     alpha = trust.alpha.copy()
     beta = trust.beta.copy()
     ids = np.array(answers.ids, dtype=np.intp)

@@ -288,6 +288,19 @@ class TestEmAggregate:
         with pytest.raises(ValueError):
             aggregator.observe(AnswerSet((), ()))
 
+    @pytest.mark.parametrize("n_advisors", [2.5, True, 0])
+    def test_pool_size_must_be_a_positive_int(self, n_advisors):
+        with pytest.raises(ValueError, match="n_advisors"):
+            EmAggregator(n_advisors)
+
+    def test_rejected_set_is_not_logged(self):
+        aggregator = EmAggregator(3)
+        aggregator.observe(AnswerSet({0}, {1}))
+        for answers, match in ((AnswerSet((), ()), "empty"), (AnswerSet({0}, {3}), "advisor id 3")):
+            with pytest.raises(ValueError, match=match):
+                aggregator.observe(answers)
+            assert aggregator.n_decisions == 1
+
     def test_objective_never_decreases(self, rng):
         for _ in range(20):
             aggregator = EmAggregator(n_advisors=8)

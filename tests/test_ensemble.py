@@ -122,7 +122,7 @@ class TestBayesian:
             bayesian_probabilities(AnswerSet((), ()), TrustVector.fresh(2))
 
     def test_unknown_advisor_rejected(self):
-        with pytest.raises(ValueError, match="unknown advisor"):
+        with pytest.raises(ValueError, match="advisor id 7 is not"):
             bayesian_probabilities(AnswerSet({7}, set()), TrustVector.fresh(2))
 
 

@@ -187,7 +187,7 @@ class TestReviewUpdate:
 
     def test_unknown_advisor_rejected(self):
         history = history_of(AnswerSet({5}, set()))
-        with pytest.raises(ValueError, match="outside the trust vector"):
+        with pytest.raises(ValueError, match="advisor id 5 is not"):
             review_update(history, TrustVector.fresh(2))
 
     def test_unconsulted_advisors_rebuild_to_prior(self):
@@ -238,8 +238,8 @@ class TestSaturatedPool:
 def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
     """Each distinct set's p+ - p- from one review pass."""
     _, columns, starts, counts, owner = history.distinct_arrays()
-    tau, totals = trust.trustworthiness(), trust.alpha + trust.beta
-    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, totals)[2]
+    tau, theta = trust.trustworthiness(), trust.uncertainty()
+    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)[2]
 
 
 class TestVectorizedDecisionsMatchScalar:

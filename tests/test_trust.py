@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maddm.answers import AnswerSet
+from maddm.answers import AnswerLog, AnswerSet
+from maddm.baselines import EmAggregator
+from maddm.ensemble import EnsembleSums, bayesian_probabilities, decide_and_update, ensemble_decide
+from maddm.review import review_update
 from maddm.trust import (
     TAU_EPS,
     TrustVector,
     apply_confidence_update,
     clamp_trust,
+    log_odds,
 )
 
 
@@ -63,6 +67,33 @@ class TestRecordBasics:
         assert clamp_trust(0.3) == 0.3
 
 
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLikelihoodClamp:
+    """``clamp_trust`` and ``log_odds`` keep every bit of the expressions they replaced."""
+
+    @staticmethod
+    def taus(rng) -> np.ndarray:
+        edges = [0.0, TAU_EPS, 0.5, 1.0 - TAU_EPS, 1.0]
+        return np.r_[edges, rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 2e-9, 20), 1.0 - rng.uniform(0.0, 2e-9, 20)]
+
+    def test_floats_match_the_scalar_expressions(self, rng):
+        for tau in self.taus(rng).tolist():
+            clamped = min(max(tau, TAU_EPS), 1.0 - TAU_EPS)
+            got = clamp_trust(tau)
+            assert type(got) is float and bits(got) == bits(clamped)
+            got = log_odds(clamped)
+            assert type(got) is float and bits(got) == bits(math.log(clamped / (1.0 - clamped)))
+
+    def test_arrays_match_the_numpy_expressions(self, rng):
+        taus = self.taus(rng)
+        clamped = np.minimum(np.maximum(taus, TAU_EPS), 1.0 - TAU_EPS)
+        assert clamp_trust(taus).tobytes() == clamped.tobytes()
+        assert log_odds(clamped).tobytes() == np.log(clamped / (1.0 - clamped)).tobytes()
+
+
 class TestThompsonSampling:
     """The hiring loop's Thompson draws are ``rng.beta(alpha, beta)``."""
 
@@ -100,6 +131,11 @@ class TestTrustVector:
         assert len(vec) == 4
         assert np.all(vec.trustworthiness() == 0.5)
         assert np.all(vec.uncertainty() == 1.0)
+
+    @pytest.mark.parametrize("n_advisors", [2.5, True, -1])
+    def test_fresh_pool_size_must_be_an_int(self, n_advisors):
+        with pytest.raises(ValueError, match="n_advisors"):
+            TrustVector.fresh(n_advisors)
 
     def test_constructor_keeps_evidence(self):
         vec = TrustVector([2.0, 1], (1.5, 9.0))
@@ -147,7 +183,7 @@ class TestConfidenceUpdate:
 
     def test_unknown_advisor_rejected(self):
         vec = TrustVector.fresh(2)
-        with pytest.raises(ValueError, match="unknown advisor"):
+        with pytest.raises(ValueError, match="advisor id 5 is not"):
             apply_confidence_update(vec, AnswerSet({5}, set()), 0.5)
 
     def test_invalid_arguments_rejected(self):
@@ -193,3 +229,33 @@ class TestEvidenceConservation:
             assert total == pytest.approx(2.0 + math.fsum(applied[advisor]), abs=1e-9)
             assert vec.alpha[advisor] >= 1.0
             assert vec.beta[advisor] >= 1.0
+
+
+def logged(answers: AnswerSet) -> AnswerLog:
+    log = AnswerLog()
+    log.append(answers)
+    return log
+
+
+#: Every public entry that reads trust records for an answer set's members.
+COVERAGE_ENTRIES = {
+    "apply_confidence_update": lambda trust, answers: apply_confidence_update(trust, answers, 0.5),
+    "decide_and_update": lambda trust, answers: decide_and_update(answers, trust),
+    "ensemble_decide": lambda trust, answers: ensemble_decide(answers, trust),
+    "bayesian_probabilities": lambda trust, answers: bayesian_probabilities(answers, trust),
+    "EnsembleSums.of": lambda trust, answers: EnsembleSums.of(answers, trust),
+    "EmAggregator.observe": lambda trust, answers: EmAggregator(len(trust)).observe(answers),
+    "review_update": lambda trust, answers: review_update(logged(answers), trust),
+}
+
+
+class TestPoolCoverage:
+    @pytest.mark.parametrize("entry", sorted(COVERAGE_ENTRIES))
+    @pytest.mark.parametrize("yes, no, unknown", [({0, 3}, {1}, 3), ({0}, {4, 7}, 7), ({5}, (), 5)])
+    def test_entry_rejects_an_advisor_outside_the_pool(self, entry, yes, no, unknown):
+        with pytest.raises(ValueError, match=f"advisor id {unknown} is not an int in 0..2"):
+            COVERAGE_ENTRIES[entry](TrustVector.fresh(3), AnswerSet(yes, no))
+
+    @pytest.mark.parametrize("entry", sorted(COVERAGE_ENTRIES))
+    def test_entry_accepts_the_largest_id_of_the_pool(self, entry):
+        COVERAGE_ENTRIES[entry](TrustVector.fresh(3), AnswerSet({2}, {0}))
