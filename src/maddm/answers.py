@@ -23,7 +23,10 @@ def checked_id(value, kind: str = "advisor", size: int | None = None) -> int:
     if is_int and 0 <= value and (size is None or value < size):
         return int(value)
     span = "a non-negative int" if size is None else f"an int in 0..{size - 1}"
-    raise ValueError(f"{kind} id {value!r} is not {span}")
+    if size == 0:
+        span = f"valid: there are no {kind}s"
+    shown = value.item() if isinstance(value, np.generic) else value  # 5, not np.int64(5)
+    raise ValueError(f"{kind} id {shown!r} is not {span}")
 
 
 def checked_count(value, name: str, minimum: int) -> None:
@@ -58,6 +61,10 @@ class AnswerSet:
         object.__setattr__(answers, "ids", ids)
         object.__setattr__(answers, "signs", signs)
         return answers
+
+    def columns(self) -> list[int]:
+        """Each member's vote as its column ``2 id + [vote is no]``, in id order."""
+        return [2 * i + (s < 0) for i, s in zip(self.ids, self.signs)]
 
     @property
     def is_empty(self) -> bool:
@@ -114,7 +121,7 @@ class AnswerLog:
             start = int(self._starts[index])
             end = start + len(answers)
             self._columns, self._owner = _grown(self._columns, end), _grown(self._owner, end)
-            self._columns[start:end] = [2 * i + (s < 0) for i, s in zip(answers.ids, answers.signs)]
+            self._columns[start:end] = answers.columns()
             self._owner[start:end] = index
             self._starts = _grown(self._starts, index + 2)
             self._starts[index + 1] = end

@@ -68,11 +68,12 @@ class RunLedger:
             )
 
     def result(self, method: str) -> RunResult:
+        fees = math.fsum(self.fees)
         return RunResult(
             method=method,
-            utility=math.fsum(self.values) - math.fsum(self.fees),
+            utility=math.fsum(self.values) - fees,
             correct_count=self.correct_count,
-            total_cost=math.fsum(self.fees),
+            total_cost=fees,
             n_decisions=len(self.values),
             trace=self.rows,
         )

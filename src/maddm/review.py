@@ -17,8 +17,9 @@ The same trusted advisors are hired again and again, so a long history
 holds few distinct answer sets. A pass decides each distinct set once,
 summing its members' log-odds, uncertainty and trust mass through
 :meth:`AnswerLog.segment_sums` and passing them to
-:func:`maddm.ensemble.margin`, and credits its members with its
-confidence times the number of times it was logged. The sums run in a
+:func:`maddm.ensemble.margin`, and returns the prior credited by
+:func:`maddm.trust.credited`, the live update's kernel, with each set's
+confidence times its count, plus each set's margin. The sums run in a
 different order than a decision-by-decision pass would add them, so the
 records agree with that pass to rounding, not bit for bit.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from maddm import ensemble
 from maddm.answers import AnswerLog, checked_count, checked_id
-from maddm.trust import TrustVector, clamp_trust, log_odds
+from maddm.trust import TrustVector, clamp_trust, credited, log_odds
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,15 @@ _NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 def _review_pass(
     history: AnswerLog, sizes: np.ndarray, columns: np.ndarray, counts: np.ndarray,
     owner: np.ndarray, tau: np.ndarray, theta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[TrustVector, np.ndarray]:
     """One pass: prior + evidence from deciding each distinct set of ``history`` once.
 
     ``sizes`` holds each distinct set's size and ``columns``, ``counts`` and
     ``owner`` are as :meth:`AnswerLog.distinct_arrays` gives them; ``tau``
-    and ``theta`` hold each advisor's trustworthiness and uncertainty. Returns
-    the new alpha and beta and each set's p+ - p-: its sign is the answer (a
-    tie answers no) and its magnitude the confidence.
+    and ``theta`` hold each advisor's trustworthiness and uncertainty.
+    Returns ``(trust, margin)``: the Beta(1, 1) prior credited by
+    :func:`maddm.trust.credited` with each set's confidence times its count,
+    and each set's p+ - p-, its sign the answer (a tie answers no).
     """
     # rows: logit of the clamped tau, theta, tau and signed tau, per vote
     table = np.empty((4, tau.size, 2))
@@ -88,11 +90,8 @@ def _review_pass(
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
     logit, theta_sum, mass, signed_mass = history.segment_sums(table)
     margin = ensemble.margin(0.5 * logit, theta_sum / sizes, signed_mass, mass)
-    # a vote that agrees with its set's answer (results.answer_for: a tie
-    # answers no) credits alpha (even columns), else beta
-    agreed = columns ^ (margin <= 0.0)[owner]
-    evidence = np.bincount(agreed, weights=(np.abs(margin) * counts)[owner], minlength=2 * tau.size)
-    return 1.0 + evidence[::2], 1.0 + evidence[1::2], margin
+    prior = np.ones(tau.size)
+    return credited(prior, prior, columns, margin[owner], counts[owner]), margin
 
 
 def review_update(
@@ -118,9 +117,7 @@ def review_update(
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        alpha, beta, _ = _review_pass(history, sizes, columns, counts, owner, tau, trust.uncertainty())
-        # both arrays are 1 + bincount of confidences in [0, 1]: valid by construction
-        trust = TrustVector._of(alpha, beta)
+        trust, _ = _review_pass(history, sizes, columns, counts, owner, tau, trust.uncertainty())
         passes += 1
         tau_after = trust.trustworthiness()
         delta = float(np.add.reduce(np.abs(tau_after - tau)))

@@ -16,6 +16,9 @@ Derived quantities:
   and 1, how an advisor's vote enters the ensemble's posterior
 * Thompson draws from ``Beta(alpha, beta)``, used to score candidates
   while still exploring advisors with little evidence
+* credit: :func:`credited` adds a decided set's confidence ``|p+ - p-|`` to
+  alpha for each vote that agrees with its answer (a tie answers no), to
+  beta for the others; the live update and every review pass use it
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from maddm.answers import AnswerSet, checked_count, checked_id
-from maddm.results import answer_for
 
 # Trust values are clamped only at the point where they enter likelihood
 # products, never in storage, so a value of exactly 0 or 1 can neither
@@ -73,11 +75,7 @@ class TrustVector:
 
     @classmethod
     def _of(cls, alpha: np.ndarray, beta: np.ndarray) -> "TrustVector":
-        """Wrap float64 arrays the caller built from valid evidence; no checks.
-
-        Only for arrays derived from a valid vector by adding non-negative
-        weights, or from ``1 + bincount`` of non-negative weights.
-        """
+        """Wrap float64 arrays built from valid evidence by adding non-negative weights; no checks."""
         vector = cls.__new__(cls)
         vector.alpha = alpha
         vector.beta = beta
@@ -114,22 +112,26 @@ class TrustVector:
             raise ValueError(f"trust covers {len(self)} advisors, the pool has {n_advisors}")
 
 
-def apply_confidence_update(trust: TrustVector, answers: AnswerSet, margin: float) -> TrustVector:
-    """Credit every consulted advisor with the confidence of a decision's ``margin``, p+ - p-.
+def credited(alpha: np.ndarray, beta: np.ndarray, columns: np.ndarray, margins, weights) -> TrustVector:
+    """``alpha`` and ``beta`` plus each vote's ``weight * |margin|``, as a new vector; no checks.
 
-    The margin's sign picks the answer (:func:`results.answer_for`) and its
-    magnitude is the confidence: advisors who voted that answer gain it on
-    their correct side, the others on their wrong side; advisors outside the
-    answer set are untouched. Returns a new vector.
+    ``columns`` holds each vote as ``2 id + [vote is no]`` (ids below ``alpha.size``), and
+    ``margins`` and ``weights`` its set's p+ - p- and weight (non-negative), aligned or broadcast.
+    A vote that agrees with the margin's sign (a tie answers no) credits alpha, any other beta.
+    """
+    # columns ^ [answer is no] is even exactly where the vote agrees
+    evidence = np.bincount(columns ^ (margins <= 0.0), weights=np.abs(margins) * weights, minlength=2 * alpha.size)
+    return TrustVector._of(alpha + evidence[::2], beta + evidence[1::2])
+
+
+def apply_confidence_update(trust: TrustVector, answers: AnswerSet, margin: float) -> TrustVector:
+    """Credit each member of ``answers`` with its decision's ``margin``, p+ - p-, by :func:`credited`.
+
+    Rejects a margin outside [-1, 1] and a member outside the pool; returns a new vector.
     """
     if not (-1.0 <= margin <= 1.0):  # NaN fails this too
         raise ValueError(f"margin must lie in [-1, 1], got {margin!r}")
     if answers.ids:  # increasing, so the last is the largest
         checked_id(answers.ids[-1], "advisor", len(trust))
-    alpha = trust.alpha.copy()
-    beta = trust.beta.copy()
-    ids = np.array(answers.ids, dtype=np.intp)
-    agree = np.array(answers.signs) == answer_for(margin)
-    alpha[ids[agree]] += abs(margin)
-    beta[ids[~agree]] += abs(margin)
-    return TrustVector._of(alpha, beta)
+    columns = np.array(answers.columns(), dtype=np.intp)
+    return credited(trust.alpha, trust.beta, columns, margin, np.ones(columns.size))

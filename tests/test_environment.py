@@ -151,6 +151,9 @@ class TestEnvironment:
             (0, [30], "advisor id 30 is not an int in 0..29"),
             (0, [1.0], "advisor id 1.0 is not an int in 0..29"),
             (0, [True], "advisor id True is not an int in 0..29"),
+            # a numpy id is named as its value, not its repr
+            (0, np.array([1, 30]), "advisor id 30 is not an int in 0..29"),
+            (np.int64(10), [0], "decision id 10 is not an int in 0..9"),
         ],
     )
     def test_answer_set_rejects_ids_outside_the_world(self, template_world, decision_id, advisor_ids, message):

@@ -239,7 +239,7 @@ def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
     """Each distinct set's p+ - p- from one review pass."""
     _, columns, starts, counts, owner = history.distinct_arrays()
     tau, theta = trust.trustworthiness(), trust.uncertainty()
-    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)[2]
+    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)[1]
 
 
 class TestVectorizedDecisionsMatchScalar:

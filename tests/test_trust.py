@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maddm import ensemble
 from maddm.answers import AnswerLog, AnswerSet
 from maddm.baselines import EmAggregator
 from maddm.ensemble import EnsembleSums, bayesian_probabilities, decide_and_update, ensemble_decide
-from maddm.review import review_update
+from maddm.review import _review_pass, review_update
 from maddm.trust import (
     TAU_EPS,
     TrustVector,
@@ -259,3 +260,51 @@ class TestPoolCoverage:
     @pytest.mark.parametrize("entry", sorted(COVERAGE_ENTRIES))
     def test_entry_accepts_the_largest_id_of_the_pool(self, entry):
         COVERAGE_ENTRIES[entry](TrustVector.fresh(3), AnswerSet({2}, {0}))
+
+    @pytest.mark.parametrize("entry", sorted(set(COVERAGE_ENTRIES) - {"EmAggregator.observe"}))
+    def test_an_empty_pool_is_named_as_empty(self, entry):
+        # EmAggregator rejects a pool of 0 advisors when it is made
+        with pytest.raises(ValueError, match="^advisor id 0 is not valid: there are no advisors$"):
+            COVERAGE_ENTRIES[entry](TrustVector.fresh(0), AnswerSet({0}, ()))
+
+
+def reviewed_once(trust: TrustVector, answers: AnswerSet) -> tuple[TrustVector, np.ndarray]:
+    """One review pass at ``trust`` over a log holding ``answers`` once."""
+    history = logged(answers)
+    _, columns, starts, counts, owner = history.distinct_arrays()
+    tau, theta = trust.trustworthiness(), trust.uncertainty()
+    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)
+
+
+def evidence_bits(trust: TrustVector) -> tuple[bytes, bytes]:
+    return trust.alpha.tobytes(), trust.beta.tobytes()
+
+
+class TestOneCreditRule:
+    """The live update and a review pass credit a decided set by one rule, bit for bit."""
+
+    def test_a_review_of_one_set_is_the_live_update_from_the_prior(self, rng):
+        cases = [(TrustVector.fresh(2), AnswerSet({0}, {1}))]  # a tie at the prior
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            members = rng.permutation(n)[: rng.integers(1, n + 1)]
+            yes = rng.random(members.size) < 0.5
+            trust = TrustVector(1.0 + rng.exponential(8.0, n), 1.0 + rng.exponential(8.0, n))
+            cases.append((trust, AnswerSet(members[yes], members[~yes])))
+        for trust, answers in cases:
+            reviewed, margin = reviewed_once(trust, answers)
+            live = apply_confidence_update(TrustVector.fresh(len(trust)), answers, float(margin[0]))
+            assert margin.shape == (1,) and evidence_bits(reviewed) == evidence_bits(live)
+        reviewed, margin = reviewed_once(*cases[0])
+        assert margin.tolist() == [0.0] and reviewed == TrustVector.fresh(2)
+
+    @pytest.mark.parametrize("forced", [0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 3e-13, -5e-324])
+    def test_a_forced_margin_credits_alike(self, monkeypatch, forced):
+        monkeypatch.setattr(ensemble, "margin", lambda *sums: np.array([forced]))
+        answers = AnswerSet({0, 3}, {1})
+        reviewed, margin = reviewed_once(TrustVector.fresh(5), answers)
+        live = apply_confidence_update(TrustVector.fresh(5), answers, forced)
+        assert margin.tolist() == [forced]
+        assert evidence_bits(reviewed) == evidence_bits(live)
+        # a tie answers no with no confidence, and 5e-324 is lost on the prior's 1
+        assert (live == TrustVector.fresh(5)) == (abs(forced) < 1e-300)
