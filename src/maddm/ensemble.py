@@ -81,7 +81,7 @@ class EnsembleSums:
         if answers.ids:  # increasing, so the last is the largest
             checked_id(answers.ids[-1], "advisor", len(trust))
         sums = cls()
-        tau, theta = trust.trustworthiness().tolist(), trust.uncertainty().tolist()
+        tau, theta = trust.tau.tolist(), trust.theta.tolist()
         for i, sign in zip(answers.ids, answers.signs):
             sums.add(tau[i], theta[i], sign)
         return sums

@@ -161,11 +161,11 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.variant not in ("standard", "exploration_first"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
         knobs = self.knobs
         for f in fields(self):
             if f.name in _KNOBS and f.name not in knobs:
                 object.__setattr__(self, f.name, f.default if f.default_factory is MISSING else f.default_factory())
+        checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
         for name in ("fna_k", "rv_k"):
             checked_count(getattr(self, name), name, 1)
         if not (0.0 < self.bc_budget_fraction <= 1.0):
@@ -533,10 +533,10 @@ def execute_plan(
 
     Cached cells are reused unless ``force``. Missing cells run in a pool
     of ``min(jobs, missing cells)`` processes, or serially when that is 1;
-    ``jobs`` must be an int of at least 1. Failures are re-raised with the
-    identity of the offending cell so a rerun can resume. Output row
-    order and float formatting are fixed, so equal plans with equal seeds
-    produce byte-identical files.
+    ``jobs`` must be an int of at least 1. The first failure in cell order is
+    re-raised with the identity of its cell once every finished cell is stored
+    (a pool drops its queued cells), so a rerun resumes. Output row order and
+    float formatting are fixed, so equal plans with equal seeds produce byte-identical files.
     """
     checked_count(jobs, "jobs", 1)
     out = Path(out_dir)
@@ -555,15 +555,22 @@ def execute_plan(
         from concurrent.futures import ProcessPoolExecutor
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
+    failed = None  # the first failed cell and its error
     with pool_context as pool:
         futures = {cell: pool.submit(run_cell, plan, *cell) for cell in missing} if pool else {}
         for cell in missing:
             try:
                 results = futures[cell].result() if pool else run_cell(plan, *cell)
-            except Exception as exc:
-                raise RuntimeError(f"cell env={cell[0]} grid={cell[1]} rep={cell[2]} failed") from exc
+            except Exception as exc:  # a cancelled cell's result() raises too
+                failed = failed or (cell, exc)
+                if not pool:
+                    break
+                pool.shutdown(wait=False, cancel_futures=True)  # a started cell runs on
+                continue
             _store_cell(_cell_path(out, *cell), stamps[cell], labels, results)
             cached[cell] = results
+    if failed:
+        raise RuntimeError("cell env={} grid={} rep={} failed".format(*failed[0])) from failed[1]
 
     results = [r for cell in cells for r in cached[cell]]
     write_results_csv(out / "results.csv", results)

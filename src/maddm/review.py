@@ -71,26 +71,25 @@ _NO_VOTE = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 def _review_pass(
     history: AnswerLog, sizes: np.ndarray, columns: np.ndarray, counts: np.ndarray,
-    owner: np.ndarray, tau: np.ndarray, theta: np.ndarray,
+    owner: np.ndarray, trust: TrustVector,
 ) -> tuple[TrustVector, np.ndarray]:
-    """One pass: prior + evidence from deciding each distinct set of ``history`` once.
+    """One pass: prior + evidence from deciding each distinct set of ``history`` at ``trust``.
 
     ``sizes`` holds each distinct set's size and ``columns``, ``counts`` and
-    ``owner`` are as :meth:`AnswerLog.distinct_arrays` gives them; ``tau``
-    and ``theta`` hold each advisor's trustworthiness and uncertainty.
+    ``owner`` are as :meth:`AnswerLog.distinct_arrays` gives them.
     Returns ``(trust, margin)``: the Beta(1, 1) prior credited by
     :func:`maddm.trust.credited` with each set's confidence times its count,
     and each set's p+ - p-, its sign the answer (a tie answers no).
     """
     # rows: logit of the clamped tau, theta, tau and signed tau, per vote
-    table = np.empty((4, tau.size, 2))
-    table[0, :, 0] = log_odds(clamp_trust(tau))
-    table[1, :, 0] = theta
-    table[2:, :, 0] = tau
+    table = np.empty((4, len(trust), 2))
+    table[0, :, 0] = log_odds(clamp_trust(trust.tau))
+    table[1, :, 0] = trust.theta
+    table[2:, :, 0] = trust.tau
     np.multiply(table[:, :, 0], _NO_VOTE, out=table[:, :, 1])
     logit, theta_sum, mass, signed_mass = history.segment_sums(table)
     margin = ensemble.margin(0.5 * logit, theta_sum / sizes, signed_mass, mass)
-    prior = np.ones(tau.size)
+    prior = np.ones(len(trust))
     return credited(prior, prior, columns, margin[owner], counts[owner]), margin
 
 
@@ -113,15 +112,13 @@ def review_update(
     checked_id(int(columns.max()) >> 1, "advisor", len(trust))
 
     sizes = starts[1:] - starts[:-1]
-    tau = trust.trustworthiness()
     passes = 0
     delta = math.inf
     while passes < config.max_passes:
-        trust, _ = _review_pass(history, sizes, columns, counts, owner, tau, trust.uncertainty())
+        reviewed, _ = _review_pass(history, sizes, columns, counts, owner, trust)
         passes += 1
-        tau_after = trust.trustworthiness()
-        delta = float(np.add.reduce(np.abs(tau_after - tau)))
-        tau = tau_after
+        delta = float(np.add.reduce(np.abs(reviewed.tau - trust.tau)))
+        trust = reviewed
         if delta <= config.threshold:
             break
     return ReviewOutcome(trust=trust, passes=passes, delta_tau=delta)

@@ -101,8 +101,7 @@ def select_advisors(
     trust.check_pool(environment.n_advisors)
     stakes = float(environment.profits[decision_id] + environment.losses[decision_id])
     costs, votes = environment.costs, environment.answers[decision_id]
-    alpha, beta = trust.alpha, trust.beta
-    stored_tau, theta = trust.trustworthiness(), trust.uncertainty()
+    alpha, beta, stored_tau, theta = trust.alpha, trust.beta, trust.tau, trust.theta
 
     remaining = list(range(costs.size))  # advisor ids not hired yet
     sums = EnsembleSums()

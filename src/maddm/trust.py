@@ -7,11 +7,12 @@ Because the true answer is never observed, the decision loop adds
 fractional confidence weights instead of hard 0/1 outcomes, so the
 counts are real-valued.
 
-Derived quantities:
+Derived quantities (a :class:`TrustVector` holds the first two as fields,
+computed once from one ``alpha + beta`` when the vector is made):
 
-* trustworthiness: the Beta mean ``alpha / (alpha + beta)``
-* uncertainty: the epistemic mass ``2 / (alpha + beta)``, exactly 1 at
-  the prior and shrinking toward 0 as evidence accumulates
+* ``tau``, the trustworthiness: the Beta mean ``alpha / (alpha + beta)``
+* ``theta``, the uncertainty: the epistemic mass ``2 / (alpha + beta)``,
+  exactly 1 at the prior and shrinking toward 0 as evidence accumulates
 * log-odds: ``log(c / (1 - c))`` of the trust ``c`` clamped away from 0
   and 1, how an advisor's vote enters the ensemble's posterior
 * Thompson draws from ``Beta(alpha, beta)``, used to score candidates
@@ -55,31 +56,35 @@ class TrustVector:
     """Trust records for a dense advisor pool, indexed by advisor id.
 
     Treated as an immutable value: updates return a new vector, and a
-    vector is owned by exactly one run. The evidence lives in two parallel
-    float arrays so the hot loops can operate on it without boxing.
+    vector is owned by exactly one run. The evidence and each advisor's
+    ``tau`` and ``theta`` live in parallel float arrays, read without boxing.
     """
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "tau", "theta")
 
     def __init__(self, alpha: Sequence[float] | np.ndarray, beta: Sequence[float] | np.ndarray):
-        a = np.ascontiguousarray(alpha, dtype=np.float64)
-        b = np.ascontiguousarray(beta, dtype=np.float64)
+        # copies, so a later write to the caller's arrays leaves the vector alone
+        a = np.array(alpha, dtype=np.float64)
+        b = np.array(beta, dtype=np.float64)
         if a.ndim != 1 or a.shape != b.shape:
             raise ValueError("alpha and beta must be 1-d arrays of equal length")
         if a.size and (not np.all(np.isfinite(a)) or not np.all(np.isfinite(b))):
             raise ValueError("evidence counts must be finite")
         if a.size and (a.min() < 1.0 or b.min() < 1.0):
             raise ValueError("evidence counts sit on top of the Beta(1, 1) prior")
-        self.alpha = a
-        self.beta = b
+        self._hold(a, b)
 
     @classmethod
     def _of(cls, alpha: np.ndarray, beta: np.ndarray) -> "TrustVector":
         """Wrap float64 arrays built from valid evidence by adding non-negative weights; no checks."""
         vector = cls.__new__(cls)
-        vector.alpha = alpha
-        vector.beta = beta
+        vector._hold(alpha, beta)
         return vector
+
+    def _hold(self, alpha: np.ndarray, beta: np.ndarray) -> None:
+        """Store the evidence with its ``tau`` and ``theta``, derived from one ``alpha + beta``."""
+        total = alpha + beta
+        self.alpha, self.beta, self.tau, self.theta = alpha, beta, alpha / total, 2.0 / total
 
     @classmethod
     def fresh(cls, n_advisors: int) -> "TrustVector":
@@ -97,14 +102,6 @@ class TrustVector:
 
     def __repr__(self) -> str:
         return f"TrustVector(n={len(self)})"
-
-    def trustworthiness(self) -> np.ndarray:
-        """Per-advisor accuracy point estimates."""
-        return self.alpha / (self.alpha + self.beta)
-
-    def uncertainty(self) -> np.ndarray:
-        """Per-advisor epistemic uncertainty."""
-        return 2.0 / (self.alpha + self.beta)
 
     def check_pool(self, n_advisors: int) -> None:
         """Raise ValueError unless there is one record per advisor of a pool of ``n_advisors``."""

@@ -58,7 +58,7 @@ class TestSelectFixedNumber:
         trust = TrustVector.fresh(3)
         chosen = select_fixed_number(
             world, trust, StrategyConfig(), 3, rng,
-            point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+            point_estimates=trust.tau, decisions_elapsed=0,
         )
         assert sorted(chosen) == [0, 1, 2]
 
@@ -86,7 +86,7 @@ class TestSelectFixedNumber:
         for _ in range(trials):
             for advisor in select_fixed_number(
                 world, trust, strategy, k, rng,
-                point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+                point_estimates=trust.tau, decisions_elapsed=0,
             ):
                 counts[advisor] += 1
         expected = k / n
@@ -102,7 +102,7 @@ class TestSelectFixedNumber:
                 for k in (1, 4, 8):
                     chosen = select_fixed_number(
                         world, trust, strategy, k, rng,
-                        point_estimates=trust.trustworthiness(), decisions_elapsed=5,
+                        point_estimates=trust.tau, decisions_elapsed=5,
                     )
                     assert len(chosen) == k
                     assert len(set(chosen)) == k
@@ -152,7 +152,7 @@ class TestSelectFixedNumber:
         strategy = StrategyConfig(kind="ucb", criterion="trustworthiness")
         chosen = select_fixed_number(
             world, trust, strategy, 2, rng,
-            point_estimates=trust.trustworthiness(), decisions_elapsed=10,
+            point_estimates=trust.tau, decisions_elapsed=10,
         )
         assert set(chosen) == {0, 2}
 

@@ -263,7 +263,7 @@ class TestProperties:
     def test_adding_trusted_supporter_never_hurts(self, case, tau_extra):
         answers, trust = case
         extra = len(trust)
-        taus = [float(t) for t in trust.trustworthiness()] + [tau_extra]
+        taus = [float(t) for t in trust.tau] + [tau_extra]
         grown_trust = vector_for(taus)
         yes, no = camps(answers)
         grown = AnswerSet(yes | {extra}, no)

@@ -352,7 +352,7 @@ def test_hire_order_is_lexsort_by_score_then_id(pool, criterion, seed, one_decis
     draws = np.random.default_rng(seed).beta(trust.alpha, trust.beta)
     got = select_fixed_number(
         world, trust, thompson, n, np.random.default_rng(seed),
-        point_estimates=trust.trustworthiness(), decisions_elapsed=0,
+        point_estimates=trust.tau, decisions_elapsed=0,
     )
     assert got == reference(draws)
     # UCB after a few decisions; one advisor at the Beta(1, 1) prior has no

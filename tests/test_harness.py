@@ -29,6 +29,7 @@ from maddm.harness import (
     plan_from_dict,
     plan_to_dict,
     read_results_csv,
+    run_cell,
     run_maddm,
     run_method,
     significance_tests,
@@ -86,6 +87,22 @@ def tiny_plan(out_methods=None, base_seed=7) -> ExperimentPlan:
         n_decisions=40,
         n_advisors=12,
     )
+
+
+def cell_file(cell: tuple[int, int, int]) -> str:
+    return "cell_{}_{}_{}.json".format(*cell)
+
+
+#: The cell that :func:`_faulty_run_cell` fails, and the folder where it marks each cell it returns.
+_FAULT: dict = {}
+
+
+def _faulty_run_cell(plan: ExperimentPlan, *cell: int) -> list[RunResult]:
+    if cell == _FAULT["cell"]:
+        raise ValueError("an injected fault")
+    results = run_cell(plan, *cell)
+    (_FAULT["returned"] / cell_file(cell)).touch()
+    return results
 
 
 class TestRunMaddm:
@@ -481,6 +498,26 @@ class TestExecutePlan:
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_a_failed_pooled_plan_keeps_its_finished_cells(self, tmp_path, monkeypatch):
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="rv"),)), repetitions=6, n_decisions=20)
+        (tmp_path / "returned").mkdir()
+        # patched before the pool forks, so every worker runs the faulty runner
+        monkeypatch.setitem(_FAULT, "cell", plan.cells()[0])
+        monkeypatch.setitem(_FAULT, "returned", tmp_path / "returned")
+        monkeypatch.setattr(harness, "run_cell", _faulty_run_cell)
+        with pytest.raises(RuntimeError, match="cell env=0 grid=0 rep=0 failed"):
+            execute_plan(plan, tmp_path / "out", jobs=2)
+        stored = {path.name for path in (tmp_path / "out" / "cells").glob("*.json")}
+        assert {path.name for path in (tmp_path / "returned").iterdir()} <= stored
+        assert cell_file(plan.cells()[0]) not in stored
+
+        ran = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: ran.append(args[1:]) or run_cell(*args))
+        execute_plan(plan, tmp_path / "out")
+        assert ran == [cell for cell in plan.cells() if cell_file(cell) not in stored]
+        execute_plan(plan, tmp_path / "serial")
+        assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "serial" / "results.csv").read_bytes()
+
     def test_parallel_execution_matches_serial(self, tmp_path):
         plan = tiny_plan()
         execute_plan(plan, tmp_path / "serial", jobs=1)
@@ -540,7 +577,7 @@ class TestMethodKnobs:
         def stamps(variant, rounds):
             return _cell_stamps(tiny_plan(out_methods=(MethodSpec(method, variant, exploration_first_rounds=rounds),)))
 
-        assert stamps("standard", 2) == stamps("standard", 10)
+        assert stamps("standard", -1) == stamps("standard", 2) == stamps("standard", 10)
         assert (stamps("exploration_first", 2) == stamps("exploration_first", 10)) == (method == "bu")
 
     @pytest.mark.parametrize("entry, keys", [
@@ -549,6 +586,8 @@ class TestMethodKnobs:
         ({"method": "bu", "bc_budget_fraction": 0.5, "strategy": {"kind": "ucb"}},
          ["bc_budget_fraction", "strategy"]),
         ({"method": "maddm", "exploration_first_rounds": 3}, ["exploration_first_rounds"]),
+        ({"method": "maddm", "exploration_first_rounds": -1}, ["exploration_first_rounds"]),
+        ({"method": "bu", "exploration_first_rounds": -1}, ["exploration_first_rounds"]),
     ])
     def test_knob_the_spec_does_not_read_rejected_at_load(self, entry, keys):
         with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
@@ -603,6 +642,7 @@ class TestMethodKnobs:
             MethodSpec("rv", rv_k=0)
         # a knob the method does not read is reset before it is checked
         assert MethodSpec("maddm", fna_k=0) == MethodSpec("maddm")
+        assert MethodSpec("maddm", exploration_first_rounds=-1) == MethodSpec("maddm")
         # the three knobs have no section of their own in a plan
         with pytest.raises(ValueError, match="baseline"):
             plan_from_dict({**MINIMAL_PLAN, "methods": [{"method": "fna", "baseline": {"fna_k": 2}}]})
@@ -798,10 +838,10 @@ class TestPlanSerialization:
     @pytest.mark.parametrize("make", [
         lambda value: ReviewConfig(frequency=value),
         lambda value: ReviewConfig(max_passes=value),
-        lambda value: MethodSpec("maddm", exploration_first_rounds=value),
+        lambda value: MethodSpec("maddm", "exploration_first", exploration_first_rounds=value),
         lambda value: MethodSpec("fna", fna_k=value),
         lambda value: MethodSpec("rv", rv_k=value),
-        lambda value: MethodSpec("bu", exploration_first_rounds=value),
+        lambda value: MethodSpec("rv", "exploration_first", exploration_first_rounds=value),
         lambda value: replace(tiny_plan(), repetitions=value),
         lambda value: replace(tiny_plan(), base_seed=value),
         lambda value: replace(tiny_plan(), n_decisions=value),

@@ -238,8 +238,7 @@ class TestSaturatedPool:
 def review_margins(history: AnswerLog, trust: TrustVector) -> np.ndarray:
     """Each distinct set's p+ - p- from one review pass."""
     _, columns, starts, counts, owner = history.distinct_arrays()
-    tau, theta = trust.trustworthiness(), trust.uncertainty()
-    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)[1]
+    return _review_pass(history, np.diff(starts), columns, counts, owner, trust)[1]
 
 
 class TestVectorizedDecisionsMatchScalar:

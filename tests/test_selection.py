@@ -25,7 +25,7 @@ def hiring_gain(
     """
     sums = EnsembleSums.of(current, trust)
     draws = np.array([sampled])
-    theta = trust.uncertainty()[candidate]
+    theta = trust.theta[candidate]
     return float(_hypothetical_gain(draws, theta, sums, stakes)[0])
 
 

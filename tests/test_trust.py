@@ -17,6 +17,7 @@ from maddm.trust import (
     TrustVector,
     apply_confidence_update,
     clamp_trust,
+    credited,
     log_odds,
 )
 
@@ -31,22 +32,22 @@ class TestRecordBasics:
         vec = TrustVector.fresh(1)
         assert vec.alpha.tolist() == [1.0]
         assert vec.beta.tolist() == [1.0]
-        assert vec.trustworthiness().tolist() == [0.5]
-        assert vec.uncertainty().tolist() == [1.0]
+        assert vec.tau.tolist() == [0.5]
+        assert vec.theta.tolist() == [1.0]
 
     @pytest.mark.parametrize(
         "alpha, beta, expected",
         [(9.0, 1.0, 0.9), (1.0, 1.0, 0.5), (2.4, 1.6, 0.6)],
     )
     def test_trustworthiness_values(self, alpha, beta, expected):
-        assert single(alpha, beta).trustworthiness()[0] == pytest.approx(expected, abs=1e-12)
+        assert single(alpha, beta).tau[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "alpha, beta, expected",
         [(1.0, 1.0, 1.0), (9.0, 1.0, 0.2), (99.0, 101.0, 0.01)],
     )
     def test_uncertainty_values(self, alpha, beta, expected):
-        assert single(alpha, beta).uncertainty()[0] == pytest.approx(expected, abs=1e-12)
+        assert single(alpha, beta).theta[0] == pytest.approx(expected, abs=1e-12)
 
     def test_evidence_below_prior_rejected(self):
         with pytest.raises(ValueError):
@@ -58,8 +59,8 @@ class TestRecordBasics:
 
     def test_derived_quantities_are_pure(self):
         vec = single(3.7, 2.2)
-        assert vec.trustworthiness()[0] == single(3.7, 2.2).trustworthiness()[0]
-        assert vec.uncertainty()[0] == single(3.7, 2.2).uncertainty()[0]
+        assert vec.tau[0] == single(3.7, 2.2).tau[0]
+        assert vec.theta[0] == single(3.7, 2.2).theta[0]
         assert vec == single(3.7, 2.2)
 
     def test_clamp_trust_bounds(self):
@@ -123,15 +124,15 @@ class TestThompsonSampling:
         n = 50_000
         draws = rng.beta(alpha, beta, size=n)
         sigma = math.sqrt(alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0)))
-        assert abs(draws.mean() - vec.trustworthiness()[0]) < 3.0 * sigma / math.sqrt(n)
+        assert abs(draws.mean() - vec.tau[0]) < 3.0 * sigma / math.sqrt(n)
 
 
 class TestTrustVector:
     def test_fresh_vector(self):
         vec = TrustVector.fresh(4)
         assert len(vec) == 4
-        assert np.all(vec.trustworthiness() == 0.5)
-        assert np.all(vec.uncertainty() == 1.0)
+        assert np.all(vec.tau == 0.5)
+        assert np.all(vec.theta == 1.0)
 
     @pytest.mark.parametrize("n_advisors", [2.5, True, -1])
     def test_fresh_pool_size_must_be_an_int(self, n_advisors):
@@ -144,6 +145,26 @@ class TestTrustVector:
         assert vec.alpha.tolist() == [2.0, 1.0]
         assert vec.beta.tolist() == [1.5, 9.0]
         assert len(vec) == 2
+
+    def test_later_writes_to_the_constructors_arrays_leave_the_vector_alone(self):
+        alpha, beta = np.array([2.0, 1.0]), np.array([1.0, 3.0])
+        vec = TrustVector(alpha, beta)
+        alpha[0] = beta[1] = 9.0
+        assert vec == TrustVector([2.0, 1.0], [1.0, 3.0])
+        assert vec.tau.tolist() == [2.0 / 3.0, 0.25]
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrustVector([1.0, 2.7, 7.1, 1e12], [3.3, 1.0, 1.1, 1.0]),
+        lambda: TrustVector.fresh(3),
+        lambda: apply_confidence_update(TrustVector([1.3, 2.7, 7.1], [3.3, 1.1, 1.7]), AnswerSet({0, 2}, {1}), 0.37),
+        lambda: credited(np.array([1.0, 2.1]), np.array([1.3, 1.0]), np.array([0, 3, 2]), 0.29, np.ones(3)),
+        lambda: review_update(logged(AnswerSet({0, 2}, {1})), TrustVector([4.1, 1.0, 2.3], [1.2, 5.9, 1.0])).trust,
+    ], ids=["TrustVector", "fresh", "apply_confidence_update", "credited", "review_update"])
+    def test_tau_and_theta_are_the_evidence_read_two_ways(self, make):
+        vec = make()
+        total = vec.alpha + vec.beta
+        assert vec.tau.tobytes() == (vec.alpha / total).tobytes()
+        assert vec.theta.tobytes() == (2.0 / total).tobytes()
 
     def test_invalid_evidence_rejected(self):
         with pytest.raises(ValueError):
@@ -272,8 +293,7 @@ def reviewed_once(trust: TrustVector, answers: AnswerSet) -> tuple[TrustVector, 
     """One review pass at ``trust`` over a log holding ``answers`` once."""
     history = logged(answers)
     _, columns, starts, counts, owner = history.distinct_arrays()
-    tau, theta = trust.trustworthiness(), trust.uncertainty()
-    return _review_pass(history, np.diff(starts), columns, counts, owner, tau, theta)
+    return _review_pass(history, np.diff(starts), columns, counts, owner, trust)
 
 
 def evidence_bits(trust: TrustVector) -> tuple[bytes, bytes]:
