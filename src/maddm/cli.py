@@ -8,8 +8,8 @@ Subcommands:
   summary.csv and significance.csv into an output directory.
 * ``report``: rebuild summary.csv and significance.csv from an existing
   results.csv.
-* ``trace``: replay a single (cell, method) pair and dump its
-  per-decision rows as JSON lines.
+* ``trace``: replay a single (cell, method) pair through ``run_cell``,
+  the derivation ``run`` uses, and dump its per-decision rows as JSON lines.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from maddm.harness import (
@@ -26,9 +27,8 @@ from maddm.harness import (
     execute_plan,
     plan_from_dict,
     read_results_csv,
-    run_method,
+    run_cell,
     write_report,
-    _method_rng,
 )
 
 
@@ -89,16 +89,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     plan, cell = _plan_cell(args)
-    spec = next(
-        (s for s in plan.methods if s.method == args.method and s.variant == args.variant),
-        None,
-    )
+    label = f"{args.method}:{args.variant}"
+    spec = next((s for s in plan.methods if s.label == label), None)
     if spec is None:
-        raise SystemExit(f"method {args.method}:{args.variant} not in plan")
-
-    environment = build_cell_environment(plan, *cell)
-    rng = _method_rng(plan, *cell, spec.label)
-    result = run_method(spec, environment, rng, trace=True)
+        raise SystemExit(f"method {label} not in plan")
+    (result,) = run_cell(replace(plan, methods=(spec,)), *cell, trace=True)
     _write_text("".join(json.dumps(row) + "\n" for row in result.trace or []), args.output)
     return 0
 

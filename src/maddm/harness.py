@@ -280,15 +280,16 @@ def run_method(
     return replace(result, variant=spec.variant)
 
 
-def run_cell(plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int) -> list[RunResult]:
-    """All method results for one cell, stamped with the cell identity."""
+def run_cell(plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int, trace: bool = False) -> list[RunResult]:
+    """All method results for one cell, stamped with the cell identity.
+
+    The one place a cell's world and its methods' label-keyed streams are derived.
+    """
     environment = build_cell_environment(plan, env_idx, grid_idx, rep)
-    template = plan.environments[env_idx]
-    accuracy = plan.accuracy_means[grid_idx]
+    template, accuracy = plan.environments[env_idx], plan.accuracy_means[grid_idx]
     out: list[RunResult] = []
     for spec in plan.methods:
-        rng = _method_rng(plan, env_idx, grid_idx, rep, spec.label)
-        result = run_method(spec, environment, rng)
+        result = run_method(spec, environment, _method_rng(plan, env_idx, grid_idx, rep, spec.label), trace)
         out.append(replace(result, environment=template.name, accuracy_mean=accuracy, repetition=rep))
     return out
 
@@ -519,8 +520,12 @@ def _store_cell(path: Path, stamp: str, labels: Sequence[str], results: Sequence
     }
     # replaced whole, so an interrupted write never leaves half a cell file
     with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp", delete=False) as handle:
-        handle.write(json.dumps(payload))
-    os.replace(handle.name, path)
+        temp = Path(handle.name)
+    try:
+        temp.write_text(json.dumps(payload))
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def execute_plan(
@@ -533,7 +538,8 @@ def execute_plan(
 
     Cached cells are reused unless ``force``. Missing cells run in a pool
     of ``min(jobs, missing cells)`` processes, or serially when that is 1;
-    ``jobs`` must be an int of at least 1. The first failure in cell order is
+    ``jobs`` must be an int of at least 1. The first failure in cell order, in
+    computing a cell or in storing it (which leaves no temporary file), is
     re-raised with the identity of its cell once every finished cell is stored
     (a pool drops its queued cells), so a rerun resumes. Output row order and
     float formatting are fixed, so equal plans with equal seeds produce byte-identical files.
@@ -561,13 +567,13 @@ def execute_plan(
         for cell in missing:
             try:
                 results = futures[cell].result() if pool else run_cell(plan, *cell)
+                _store_cell(_cell_path(out, *cell), stamps[cell], labels, results)
             except Exception as exc:  # a cancelled cell's result() raises too
                 failed = failed or (cell, exc)
                 if not pool:
                     break
                 pool.shutdown(wait=False, cancel_futures=True)  # a started cell runs on
                 continue
-            _store_cell(_cell_path(out, *cell), stamps[cell], labels, results)
             cached[cell] = results
     if failed:
         raise RuntimeError("cell env={} grid={} rep={} failed".format(*failed[0])) from failed[1]

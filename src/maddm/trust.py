@@ -8,7 +8,8 @@ fractional confidence weights instead of hard 0/1 outcomes, so the
 counts are real-valued.
 
 Derived quantities (a :class:`TrustVector` holds the first two as fields,
-computed once from one ``alpha + beta`` when the vector is made):
+computed once from one ``alpha + beta`` when the vector is made, in read-only
+arrays beside the evidence, so no write can leave them stale):
 
 * ``tau``, the trustworthiness: the Beta mean ``alpha / (alpha + beta)``
 * ``theta``, the uncertainty: the epistemic mass ``2 / (alpha + beta)``,
@@ -55,9 +56,9 @@ def log_odds(clamped):
 class TrustVector:
     """Trust records for a dense advisor pool, indexed by advisor id.
 
-    Treated as an immutable value: updates return a new vector, and a
-    vector is owned by exactly one run. The evidence and each advisor's
-    ``tau`` and ``theta`` live in parallel float arrays, read without boxing.
+    An immutable value: updates return a new vector, and a vector is owned
+    by exactly one run. The evidence and each advisor's ``tau`` and ``theta``
+    live in parallel read-only float arrays, read without boxing.
     """
 
     __slots__ = ("alpha", "beta", "tau", "theta")
@@ -82,9 +83,11 @@ class TrustVector:
         return vector
 
     def _hold(self, alpha: np.ndarray, beta: np.ndarray) -> None:
-        """Store the evidence with its ``tau`` and ``theta``, derived from one ``alpha + beta``."""
+        """Store the evidence with its ``tau`` and ``theta``, derived from one ``alpha + beta``, read-only."""
         total = alpha + beta
         self.alpha, self.beta, self.tau, self.theta = alpha, beta, alpha / total, 2.0 / total
+        for array in (alpha, beta, self.tau, self.theta):
+            array.setflags(write=False)  # so a write cannot leave tau and theta stale
 
     @classmethod
     def fresh(cls, n_advisors: int) -> "TrustVector":

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maddm import cli
 from maddm.cli import main
 from maddm.environment import Environment
 from maddm.harness import _method_rng, build_cell_environment, plan_from_dict, run_cell, run_method
@@ -163,6 +166,30 @@ class TestTrace:
                 command, "--config", str(plan_file), "--environment", "env1",
                 "--accuracy-mean", "0.8", *method, *flags,
             ])
+
+    def test_trace_replays_the_run_the_cell_records(self, tmp_path, plan_file):
+        # the plan file's methods and the two it leaves out, so every method is traced
+        config = json.loads(plan_file.read_text())
+        config["methods"] += [{"method": "fna"}, {"method": "bc"}]
+        plan_file.write_text(json.dumps(config))
+        cell_rows = run_cell(plan_from_dict(config), 0, 0, 1)
+        assert [row.method for row in cell_rows] == ["maddm", "rv", "bu", "fna", "bc"]
+        for cell_row in cell_rows:
+            out = tmp_path / f"{cell_row.method}.jsonl"
+            main(["trace", "--config", str(plan_file), "--environment", "env1", "--accuracy-mean", "0.8",
+                  "--repetition", "1", "--method", cell_row.method, "--output", str(out)])
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert len(rows) == cell_row.n_decisions
+            assert sum(row["correct"] for row in rows) == cell_row.correct_count
+            assert math.fsum(row["total_cost"] for row in rows) == cell_row.total_cost
+
+    def test_cli_imports_no_private_harness_name(self):
+        # the cli plays a cell only through the harness's public entry points
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "maddm.harness" for alias in node.names]
+        assert [name for name in names if name.startswith("_")] == []
+        assert "run_cell" in names
 
     def test_unknown_method_is_a_clean_error(self, plan_file):
         with pytest.raises(SystemExit, match="method bc:standard not in plan"):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,16 +94,22 @@ def cell_file(cell: tuple[int, int, int]) -> str:
     return "cell_{}_{}_{}.json".format(*cell)
 
 
-#: The cell that :func:`_faulty_run_cell` fails, and the folder where it marks each cell it returns.
+#: The cell that :func:`_faulty_run_cell` fails, the folder where it marks each cell it returns,
+#: and how long it takes over every other cell.
 _FAULT: dict = {}
 
 
 def _faulty_run_cell(plan: ExperimentPlan, *cell: int) -> list[RunResult]:
     if cell == _FAULT["cell"]:
         raise ValueError("an injected fault")
+    time.sleep(_FAULT.get("delay", 0.0))
     results = run_cell(plan, *cell)
     (_FAULT["returned"] / cell_file(cell)).touch()
     return results
+
+
+def _unstorable(*args) -> None:
+    raise OSError("an injected fault")
 
 
 class TestRunMaddm:
@@ -517,6 +524,38 @@ class TestExecutePlan:
         assert ran == [cell for cell in plan.cells() if cell_file(cell) not in stored]
         execute_plan(plan, tmp_path / "serial")
         assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "serial" / "results.csv").read_bytes()
+
+    def test_a_cell_that_cannot_be_stored_fails_named(self, tmp_path, monkeypatch):
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="rv"),)), n_decisions=20)
+        ran = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: ran.append(args[1:]) or run_cell(*args))
+        monkeypatch.setattr(harness, "_store_cell", _unstorable)
+        with pytest.raises(RuntimeError, match="cell env=0 grid=0 rep=0 failed") as raised:
+            execute_plan(plan, tmp_path / "out")
+        assert isinstance(raised.value.__cause__, OSError)
+        assert ran == plan.cells()[:1]
+
+    def test_a_pooled_cell_that_cannot_be_stored_fails_named_and_cancels_the_queue(self, tmp_path, monkeypatch):
+        plan = replace(tiny_plan(out_methods=(MethodSpec(method="rv"),)), repetitions=12, n_decisions=20)
+        (tmp_path / "returned").mkdir()
+        # patched before the pool forks; every cell is slow, so the queue is
+        # still full when the first store fails, in this process
+        monkeypatch.setitem(_FAULT, "cell", None)
+        monkeypatch.setitem(_FAULT, "returned", tmp_path / "returned")
+        monkeypatch.setitem(_FAULT, "delay", 0.2)
+        monkeypatch.setattr(harness, "run_cell", _faulty_run_cell)
+        monkeypatch.setattr(harness, "_store_cell", _unstorable)
+        with pytest.raises(RuntimeError, match="cell env=0 grid=0 rep=0 failed") as raised:
+            execute_plan(plan, tmp_path / "out", jobs=2)
+        assert isinstance(raised.value.__cause__, OSError)
+        assert len(list((tmp_path / "returned").iterdir())) < len(plan.cells())
+        assert not list((tmp_path / "out").glob("cells/*"))
+
+    def test_a_failed_cell_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness.os, "replace", _unstorable)
+        with pytest.raises(RuntimeError, match="cell env=0 grid=0 rep=0 failed"):
+            execute_plan(tiny_plan(out_methods=(MethodSpec(method="bu"),)), tmp_path / "out")
+        assert list((tmp_path / "out" / "cells").iterdir()) == []
 
     def test_parallel_execution_matches_serial(self, tmp_path):
         plan = tiny_plan()

@@ -127,6 +127,16 @@ class TestThompsonSampling:
         assert abs(draws.mean() - vec.tau[0]) < 3.0 * sigma / math.sqrt(n)
 
 
+#: A vector made by each public way of making one: the constructor, the prior and every update.
+made_every_way = pytest.mark.parametrize("make", [
+    lambda: TrustVector([1.0, 2.7, 7.1, 1e12], [3.3, 1.0, 1.1, 1.0]),
+    lambda: TrustVector.fresh(3),
+    lambda: apply_confidence_update(TrustVector([1.3, 2.7, 7.1], [3.3, 1.1, 1.7]), AnswerSet({0, 2}, {1}), 0.37),
+    lambda: credited(np.array([1.0, 2.1]), np.array([1.3, 1.0]), np.array([0, 3, 2]), 0.29, np.ones(3)),
+    lambda: review_update(logged(AnswerSet({0, 2}, {1})), TrustVector([4.1, 1.0, 2.3], [1.2, 5.9, 1.0])).trust,
+], ids=["TrustVector", "fresh", "apply_confidence_update", "credited", "review_update"])
+
+
 class TestTrustVector:
     def test_fresh_vector(self):
         vec = TrustVector.fresh(4)
@@ -153,18 +163,22 @@ class TestTrustVector:
         assert vec == TrustVector([2.0, 1.0], [1.0, 3.0])
         assert vec.tau.tolist() == [2.0 / 3.0, 0.25]
 
-    @pytest.mark.parametrize("make", [
-        lambda: TrustVector([1.0, 2.7, 7.1, 1e12], [3.3, 1.0, 1.1, 1.0]),
-        lambda: TrustVector.fresh(3),
-        lambda: apply_confidence_update(TrustVector([1.3, 2.7, 7.1], [3.3, 1.1, 1.7]), AnswerSet({0, 2}, {1}), 0.37),
-        lambda: credited(np.array([1.0, 2.1]), np.array([1.3, 1.0]), np.array([0, 3, 2]), 0.29, np.ones(3)),
-        lambda: review_update(logged(AnswerSet({0, 2}, {1})), TrustVector([4.1, 1.0, 2.3], [1.2, 5.9, 1.0])).trust,
-    ], ids=["TrustVector", "fresh", "apply_confidence_update", "credited", "review_update"])
+    @made_every_way
     def test_tau_and_theta_are_the_evidence_read_two_ways(self, make):
         vec = make()
         total = vec.alpha + vec.beta
         assert vec.tau.tobytes() == (vec.alpha / total).tobytes()
         assert vec.theta.tobytes() == (2.0 / total).tobytes()
+
+    @made_every_way
+    @pytest.mark.parametrize("name", ["alpha", "beta", "tau", "theta"])
+    def test_arrays_are_read_only(self, make, name):
+        # a write to the evidence would leave tau and theta stale
+        vec = make()
+        before = getattr(vec, name).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(vec, name)[0] = 9.0
+        assert getattr(vec, name).tobytes() == before.tobytes()
 
     def test_invalid_evidence_rejected(self):
         with pytest.raises(ValueError):
