@@ -275,7 +275,6 @@ def run_baseline(
     spec: MethodSpec,
     environment: Environment,
     rng: np.random.Generator,
-    warm_up_rounds: int = 0,
     trace: bool = False,
 ) -> RunResult:
     """Play the comparison method of ``spec`` (fna, bc, rv or bu) through an entire environment.
@@ -283,9 +282,10 @@ def run_baseline(
     Reads ``spec.method``, ``spec.strategy``, ``spec.fna_k``,
     ``spec.bc_budget_fraction`` and ``spec.rv_k``, and supplies the
     method's steps to :func:`results.play`, which consults the whole pool
-    on the first ``warm_up_rounds`` decisions: rv hires at random and
+    on the first ``spec.warm_up_rounds`` decisions: rv hires at random and
     answers by the sign of the vote sum; fna and bc hire by their ranking,
-    answer by EM and credit the hires' trust. ``bu`` ignores advisors.
+    answer by EM and credit the hires' trust. ``bu`` ignores advisors. The
+    result carries the spec's method and variant.
     """
     method, strategy = spec.method, spec.strategy
     if method not in ("fna", "bc", "rv", "bu"):
@@ -294,7 +294,7 @@ def run_baseline(
         ledger = RunLedger(environment, trace)
         for index in range(environment.n_decisions):
             ledger.record(index, float(TRUTH), 0.0, (), 0)
-        return ledger.result("bu")
+        return ledger.result(spec)
 
     costs, n_advisors = environment.costs, environment.n_advisors
     stakes = (environment.profits + environment.losses).tolist()
@@ -331,4 +331,4 @@ def run_baseline(
         return margin
 
     decide = majority if method == "rv" else em
-    return play(environment, method, hire, decide, warm_up_rounds, trace)
+    return play(environment, spec, hire, decide, trace)

@@ -67,20 +67,20 @@ RESULT_COLUMNS = (
 
 
 def run_maddm(
+    spec: MethodSpec,
     environment: Environment,
-    config: ReviewConfig,
     rng: np.random.Generator,
-    warm_up_rounds: int = 0,
     trace: bool = False,
 ) -> RunResult:
-    """Play the adaptive method through an entire environment.
+    """Play the adaptive method of ``spec`` through an entire environment.
 
     Supplies maddm's steps to :func:`results.play`, which consults the
-    whole pool on the first ``warm_up_rounds`` decisions: hire through the
-    marginal-utility loop, commit the ensemble answer and feed its
+    whole pool on the first ``spec.warm_up_rounds`` decisions: hire through
+    the marginal-utility loop, commit the ensemble answer and feed its
     confidence back into trust, and review the history every
-    ``config.frequency`` decisions, empty ones included.
+    ``spec.review.frequency`` decisions, empty ones included.
     """
+    config = spec.review
     trust = TrustVector.fresh(environment.n_advisors)
     history = AnswerLog()
 
@@ -98,7 +98,7 @@ def run_maddm(
         if len(history) and (index + 1) % config.frequency == 0:
             trust = review_update(history, trust, config).trust
 
-    return play(environment, "maddm", hire, decide, warm_up_rounds, trace, after=review)
+    return play(environment, spec, hire, decide, trace, after=review)
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,11 @@ class MethodSpec:
             name for name in METHOD_KNOBS[self.method]
             if name != "exploration_first_rounds" or self.variant == "exploration_first"
         )
+
+    @property
+    def warm_up_rounds(self) -> int:
+        """The decisions that consult the whole pool: the spec's rounds if it reads them, else 0."""
+        return self.exploration_first_rounds if "exploration_first_rounds" in self.knobs else 0
 
     @property
     def label(self) -> str:
@@ -268,16 +273,8 @@ def run_method(
     rng: np.random.Generator,
     trace: bool = False,
 ) -> RunResult:
-    """Dispatch one method spec against a realized environment.
-
-    The result carries the spec's variant, whichever method ran.
-    """
-    rounds = spec.exploration_first_rounds if spec.variant == "exploration_first" else 0
-    if spec.method == "maddm":
-        result = run_maddm(environment, spec.review, rng, rounds, trace)
-    else:
-        result = run_baseline(spec, environment, rng, rounds, trace)
-    return replace(result, variant=spec.variant)
+    """Play ``spec`` on a realized environment through its runner, looked up when called."""
+    return (run_maddm if spec.method == "maddm" else run_baseline)(spec, environment, rng, trace)
 
 
 def run_cell(plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int, trace: bool = False) -> list[RunResult]:
@@ -413,25 +410,25 @@ def significance_tests(results: Sequence[RunResult]) -> list[SignificanceRow]:
     return rows
 
 
-def _fmt(value) -> str:
+def _fmt(value, exact: bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, float) and not exact:
         return f"{value:.6g}"
     return str(value)
 
 
-def _write_rows(path: Path, columns: Sequence[str], rows: Sequence) -> None:
-    """One CSV line per row, taking each column's value by attribute name."""
+def _write_rows(path: Path, columns: Sequence[str], rows: Sequence, exact: bool = False) -> None:
+    """One CSV line per row by attribute name; ``exact`` writes floats round-trip, not ``.6g``."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in columns])
+            writer.writerow([_fmt(getattr(row, name), exact) for name in columns])
 
 
 def write_results_csv(path: Path, results: Sequence[RunResult]) -> None:
-    _write_rows(path, RESULT_COLUMNS, results)
+    _write_rows(path, RESULT_COLUMNS, results, exact=True)
 
 
 def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:

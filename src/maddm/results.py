@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from maddm.answers import AnswerSet
 from maddm.environment import TRUTH, Environment
+
+if TYPE_CHECKING:
+    from maddm.harness import MethodSpec
 
 
 def answer_for(margin: float) -> int:
@@ -67,38 +70,41 @@ class RunLedger:
                  "confidence": abs(margin), "correct": correct}
             )
 
-    def result(self, method: str) -> RunResult:
+    def result(self, spec: MethodSpec) -> RunResult:
+        """The run's totals, stamped with ``spec``'s method and variant."""
         fees = math.fsum(self.fees)
         return RunResult(
-            method=method,
+            method=spec.method,
             utility=math.fsum(self.values) - fees,
             correct_count=self.correct_count,
             total_cost=fees,
             n_decisions=len(self.values),
+            variant=spec.variant,
             trace=self.rows,
         )
 
 
 def play(
     environment: Environment,
-    method: str,
+    spec: MethodSpec,
     hire: Callable[[int], tuple[Sequence[int], float, int]],
     decide: Callable[[AnswerSet], float],
-    warm_up_rounds: int,
     trace: bool = False,
     after: Callable[[int], None] | None = None,
 ) -> RunResult:
-    """Play one method through every decision of ``environment``.
+    """Play the method of ``spec`` through every decision of ``environment``.
 
-    The first ``warm_up_rounds`` decisions hire the whole pool in 0 rounds
-    for the one warm-up fee, ``math.fsum`` of the prices, and each later
-    one hires ``hire(index)``, an (ids, fee, rounds) triple. ``decide``
-    learns from a non-empty answer set and gives its margin p+ - p- in
-    [-1, 1]; an empty one has margin 0: the answer no, with no confidence.
-    ``after(index)`` runs after every decision, empty ones included.
+    The first ``spec.warm_up_rounds`` decisions hire the whole pool in 0
+    rounds for the one warm-up fee, ``math.fsum`` of the prices, and each
+    later one hires ``hire(index)``, an (ids, fee, rounds) triple.
+    ``decide`` learns from a non-empty answer set and gives its margin
+    p+ - p- in [-1, 1]; an empty one has margin 0: the answer no, with no
+    confidence. ``after(index)`` runs after every decision, empty ones
+    included. The result carries the spec's method and variant.
     """
     everyone = tuple(range(environment.n_advisors))
     warm_up_fee = math.fsum(environment.costs)
+    warm_up_rounds = spec.warm_up_rounds
     ledger = RunLedger(environment, trace)
     for index in range(environment.n_decisions):
         if index < warm_up_rounds:
@@ -110,4 +116,4 @@ def play(
         if after is not None:
             after(index)
         ledger.record(index, margin, paid, hired, rounds)
-    return ledger.result(method)
+    return ledger.result(spec)

@@ -396,7 +396,7 @@ class TestRunBaseline:
     def test_exploration_first_hires_everyone_early(self, small_env):
         full_cost = sum(small_env.costs)
         result = run_baseline(
-            MethodSpec("fna"), small_env, np.random.default_rng(4), warm_up_rounds=10, trace=True,
+            MethodSpec("fna", "exploration_first"), small_env, np.random.default_rng(4), trace=True,
         )
         for row in result.trace[:10]:
             assert len(row["hired"]) == small_env.n_advisors

@@ -111,8 +111,8 @@ class TestRunAndReport:
         assert (out_dir / "significance.csv").exists()
 
     def test_report_reproduces_summary(self, tmp_path, plan_file):
-        # results.csv carries 6 significant digits, so the rebuilt summary
-        # matches the original to that precision rather than byte for byte
+        # results.csv carries each float's shortest round-trip text, so the
+        # rebuilt tables match the ones maddm run wrote byte for byte
         out_dir = tmp_path / "out"
         main(["run", "--config", str(plan_file), "--output-dir", str(out_dir)])
         rep_dir = tmp_path / "rebuilt"
@@ -122,18 +122,7 @@ class TestRunAndReport:
         ])
         assert code == 0
         for name in ("summary.csv", "significance.csv"):
-            original = (out_dir / name).read_text().splitlines()
-            rebuilt = (rep_dir / name).read_text().splitlines()
-            assert original[0] == rebuilt[0]
-            assert len(original) == len(rebuilt)
-            for line_a, line_b in zip(original[1:], rebuilt[1:]):
-                for field_a, field_b in zip(line_a.split(","), line_b.split(",")):
-                    try:
-                        value_a, value_b = float(field_a), float(field_b)
-                    except ValueError:
-                        assert field_a == field_b
-                        continue
-                    assert value_b == pytest.approx(value_a, rel=1e-4, abs=1e-4)
+            assert (rep_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
 class TestTrace:

@@ -494,9 +494,9 @@ def test_every_methods_warm_up_books_the_fsum_of_the_prices():
     fsum, numpy_sum = math.fsum(env.costs), float(env.costs.sum())
     assert fsum == 3.0 and numpy_sum != fsum
 
-    runs = [run_maddm(env, ReviewConfig(), np.random.default_rng(1), warm_up_rounds=10, trace=True)]
+    runs = [run_maddm(MethodSpec("maddm", "exploration_first"), env, np.random.default_rng(1), trace=True)]
     runs += [
-        run_baseline(MethodSpec(method), env, np.random.default_rng(1), warm_up_rounds=10, trace=True)
+        run_baseline(MethodSpec(method, "exploration_first"), env, np.random.default_rng(1), trace=True)
         for method in ("fna", "bc", "rv")
     ]
     for result in runs:

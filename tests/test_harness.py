@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maddm import harness
+from maddm.baselines import run_baseline
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
 from maddm.harness import (
     EnvironmentTemplate,
@@ -37,7 +39,7 @@ from maddm.harness import (
     summarize,
     write_results_csv,
 )
-from maddm.results import RunResult
+from maddm.results import RunResult, play
 from maddm.review import ReviewConfig
 
 
@@ -123,7 +125,7 @@ class TestRunMaddm:
             accuracy_params=ErgdParams(1.0, 0.0, lower=0.0, upper=1.0),
         )
         env = replace(Environment.build(config, np.random.default_rng(3)), costs=np.zeros(6))
-        result = run_maddm(env, ReviewConfig(), np.random.default_rng(0), warm_up_rounds=10)
+        result = run_maddm(MethodSpec("maddm", "exploration_first"), env, np.random.default_rng(0))
         assert result.total_cost == 0.0
         assert result.correct_count == env.n_decisions
         assert result.utility == pytest.approx(math.fsum(env.profits), abs=1e-9)
@@ -136,14 +138,14 @@ class TestRunMaddm:
         )
         env = Environment.build(config, np.random.default_rng(5))
         result = run_maddm(
-            env, ReviewConfig(frequency=5),
+            MethodSpec("maddm", review=ReviewConfig(frequency=5)), env,
             np.random.default_rng(1), trace=True,
         )
         self._check_identity(env, result)
 
     def test_accounting_identity_on_generic_world(self, template_world):
         env = template_world("env2", 0.75, 9, n_decisions=120)
-        result = run_maddm(env, ReviewConfig(), np.random.default_rng(2), trace=True)
+        result = run_maddm(MethodSpec("maddm"), env, np.random.default_rng(2), trace=True)
         self._check_identity(env, result)
 
     @staticmethod
@@ -158,14 +160,14 @@ class TestRunMaddm:
 
     def test_exploration_first_consults_whole_pool(self, template_world):
         env = template_world("env1", 0.8, 2, n_decisions=25)
-        result = run_maddm(env, ReviewConfig(), np.random.default_rng(3), warm_up_rounds=10, trace=True)
+        result = run_maddm(MethodSpec("maddm", "exploration_first"), env, np.random.default_rng(3), trace=True)
         full_cost = math.fsum(env.costs)
         for row in result.trace[:10]:
             assert len(row["hired"]) == env.n_advisors
             assert row["total_cost"] == pytest.approx(full_cost)
 
-    @pytest.mark.parametrize("warm_up_rounds", [0, 10])
-    def test_label_flip_symmetry_is_exact(self, template_world, warm_up_rounds):
+    @pytest.mark.parametrize("variant", ["standard", "exploration_first"])
+    def test_label_flip_symmetry_is_exact(self, template_world, variant):
         # negating every answer in the world negates every ensemble margin
         # bit for bit, so the run must repeat its hires, sweeps, fees and
         # confidences exactly and negate each answer; a zero-confidence tie
@@ -174,7 +176,7 @@ class TestRunMaddm:
         for name, accuracy, seed in (("env1", 0.55, 0), ("env2", 0.8, 1)):
             env = template_world(name, accuracy, seed, n_decisions=400)
             straight, mirrored = (
-                run_maddm(world, ReviewConfig(), np.random.default_rng(seed + 100), warm_up_rounds, trace=True)
+                run_maddm(MethodSpec("maddm", variant), world, np.random.default_rng(seed + 100), trace=True)
                 for world in (env, replace(env, answers=-env.answers))
             )
             for row, flipped in zip(straight.trace, mirrored.trace, strict=True):
@@ -220,10 +222,12 @@ class TestRunMaddm:
                 env = Environment.build(config, np.random.default_rng(100 + rep))
                 env = replace(env, costs=np.zeros(env.n_advisors))
                 result = run_maddm(
+                    MethodSpec(
+                        "maddm", "exploration_first", review=ReviewConfig(frequency=10),
+                        exploration_first_rounds=env.n_decisions,
+                    ),
                     env,
-                    ReviewConfig(frequency=10),
                     np.random.default_rng(rep),
-                    warm_up_rounds=env.n_decisions,
                 )
                 counts.append(result.correct_count)
             means.append(float(np.mean(counts)))
@@ -603,6 +607,18 @@ class TestExecutePlan:
         assert (tmp_path / "out" / "results.csv").read_bytes() == (
             tmp_path / "serial" / "results.csv").read_bytes()
 
+    def test_results_csv_values_parse_back_to_the_cell_files_doubles(self, tmp_path):
+        # results.csv writes each float as its shortest round-trip text, so
+        # maddm report rebuilds the tables from the very doubles maddm run used
+        plan = tiny_plan()
+        execute_plan(plan, tmp_path)
+        stored = [
+            RunResult(**entry["result"])
+            for cell in plan.cells()
+            for entry in json.loads((tmp_path / "cells" / cell_file(cell)).read_text())["runs"]
+        ]
+        assert read_results_csv(tmp_path / "results.csv") == stored
+
 
 class TestMethodKnobs:
     def test_specs_that_run_the_same_way_are_equal_and_share_stamps(self):
@@ -618,6 +634,32 @@ class TestMethodKnobs:
 
         assert stamps("standard", -1) == stamps("standard", 2) == stamps("standard", 10)
         assert (stamps("exploration_first", 2) == stamps("exploration_first", 10)) == (method == "bu")
+
+    @pytest.mark.parametrize("variant", ["standard", "exploration_first"])
+    @pytest.mark.parametrize("method", ["maddm", "fna", "bc", "rv", "bu"])
+    def test_warm_up_rounds_are_the_rounds_of_a_spec_that_reads_them(self, method, variant):
+        # an exploration-first maddm, fna, bc or rv warms up; bu and every
+        # standard spec do not, whatever rounds they were given
+        reads = variant == "exploration_first" and method != "bu"
+        assert MethodSpec(method, variant, exploration_first_rounds=7).warm_up_rounds == (7 if reads else 0)
+        assert MethodSpec(method, variant).warm_up_rounds == (10 if reads else 0)
+
+    @pytest.mark.parametrize("method", ["maddm", "fna", "bc", "rv"])
+    def test_a_direct_runner_call_plays_its_specs_warm_up_and_carries_its_variant(self, template_world, method):
+        env = template_world("env1", 0.8, 4, n_decisions=12)
+        spec = MethodSpec(method, "exploration_first", exploration_first_rounds=3)
+        runner = run_maddm if method == "maddm" else run_baseline
+        result = runner(spec, env, np.random.default_rng(0), trace=True)
+        everyone = list(range(env.n_advisors))
+        # a hire after the warm-up takes at least one round
+        warmed = [row["rounds"] == 0 and row["hired"] == everyone for row in result.trace]
+        assert warmed == [True] * 3 + [False] * 9
+        assert (result.method, result.variant) == (method, "exploration_first")
+
+    def test_the_runners_and_the_loop_read_the_warm_up_from_the_spec(self):
+        for runner in (run_maddm, run_baseline):
+            assert list(inspect.signature(runner).parameters) == ["spec", "environment", "rng", "trace"]
+        assert "warm_up_rounds" not in inspect.signature(play).parameters
 
     @pytest.mark.parametrize("entry, keys", [
         ({"method": "rv", "fna_k": 2}, ["fna_k"]),
@@ -795,6 +837,17 @@ class TestPlanSerialization:
     ])
     def test_section_of_the_wrong_shape_rejected_at_load(self, data, section):
         with pytest.raises(ValueError, match=f"^{section} must be"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({**MINIMAL_PLAN, "methods": [{"method": "mvp"}]}, "unknown method 'mvp'"),
+        ({**MINIMAL_PLAN, "methods": [{"method": "fna", "variant": "greedy"}]}, "unknown variant 'greedy'"),
+        ({**MINIMAL_PLAN, "environments": []}, "plan needs at least one"),
+        ({**MINIMAL_PLAN, "accuracy_means": []}, "plan needs at least one"),
+        ({**MINIMAL_PLAN, "methods": []}, "plan needs at least one"),
+    ])
+    def test_unknown_method_or_variant_or_empty_section_rejected_at_load(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             plan_from_dict(data)
 
     def test_unknown_template_name_rejected(self):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from maddm.environment import Environment, EnvironmentConfig
+from maddm.harness import MethodSpec
 from maddm.results import answer_for, play
 
 
@@ -25,7 +26,8 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
         decided.append(answers)
         return 0.5
 
-    result = play(env, "fake", hire, decide, warm_up_rounds=2, trace=True, after=after.append)
+    spec = MethodSpec("rv", "exploration_first", exploration_first_rounds=2)
+    result = play(env, spec, hire, decide, trace=True, after=after.append)
 
     assert after == list(range(8))  # empty decisions included
     hired = [tuple(range(4)), tuple(range(4)), (2,), (), (0,), (), (2,), ()]
@@ -38,7 +40,7 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
         # the empty decision is margin 0: the answer no, with no confidence, at even odds
         assert outcome == ((-1, 0.0, 0.5) if not row["hired"] else (1, 0.5, 0.75))
     values = [env.profits[i] for i in (0, 1, 2, 4, 6)] + [-env.losses[i] for i in (3, 5, 7)]
-    assert result.method == "fake"
+    assert (result.method, result.variant) == ("rv", "exploration_first")
     assert result.correct_count == 5
     assert result.total_cost == 22.5
     assert result.utility == math.fsum(values) - 22.5
@@ -46,7 +48,8 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
 
 def test_play_without_hooks_or_trace():
     env = Environment.build(EnvironmentConfig(n_decisions=5, n_advisors=3), np.random.default_rng(1))
-    result = play(env, "fake", lambda index: ((), 0.0, 1), lambda answers: 1.0, 0)
+    result = play(env, MethodSpec("rv"), lambda index: ((), 0.0, 1), lambda answers: 1.0)
+    assert (result.method, result.variant) == ("rv", "standard")
     assert result.trace is None
     assert result.correct_count == 0
     assert result.n_decisions == 5

@@ -5,7 +5,7 @@ import pytest
 
 from maddm.answers import AnswerSet
 from maddm.ensemble import EnsembleSums, ensemble_decide
-from maddm.harness import run_maddm
+from maddm.harness import MethodSpec, run_maddm
 from maddm.review import ReviewConfig
 from maddm.selection import _hypothetical_gain, select_advisors
 from maddm.trust import TrustVector
@@ -159,8 +159,8 @@ class TestPoolSizeTracksStakes:
         for name in ("env1", "env2"):
             env = template_world(name, 0.8, 5, n_decisions=250)
             result = run_maddm(
+                MethodSpec("maddm", review=ReviewConfig(frequency=5)),
                 env,
-                ReviewConfig(frequency=5),
                 np.random.default_rng(11),
                 trace=True,
             )
