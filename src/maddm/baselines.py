@@ -57,7 +57,7 @@ class StrategyConfig:
             raise ValueError(f"strategy kind must be one of {_STRATEGIES}, got {self.kind!r}")
         if self.criterion not in _CRITERIA:
             raise ValueError(f"criterion must be one of {_CRITERIA}, got {self.criterion!r}")
-        if not (0.0 <= self.epsilon <= 1.0):
+        if isinstance(self.epsilon, (bool, np.bool_)) or not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
 
 

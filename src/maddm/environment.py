@@ -49,7 +49,7 @@ class ErgdParams:
     upper: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+        if any(isinstance(x, (bool, np.bool_)) or not math.isfinite(x) for x in (self.mean, self.std)):
             raise ValueError("mean and std must be finite")
         if self.std < 0.0:
             raise ValueError("std must be non-negative")

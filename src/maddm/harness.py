@@ -53,19 +53,6 @@ SIGNIFICANCE_ALPHA = 0.05 / len(COMPARATORS)
 _ENV_STREAM = 0
 _METHOD_STREAM = 1
 
-RESULT_COLUMNS = (
-    "environment",
-    "accuracy_mean",
-    "repetition",
-    "method",
-    "variant",
-    "utility",
-    "correct_count",
-    "total_cost",
-    "n_decisions",
-)
-
-
 def run_maddm(
     spec: MethodSpec,
     environment: Environment,
@@ -125,8 +112,8 @@ class EnvironmentTemplate:
 
 #: The plan-entry knobs each method reads, beside ``method`` and ``variant``;
 #: ``exploration_first_rounds`` is read only by an ``exploration_first`` spec.
-#: A MethodSpec holds every other knob at its default, the plan writer leaves
-#: it out, and the plan loader rejects an entry that gives it another value.
+#: A MethodSpec rejects any other knob off its default, and the plan writer
+#: leaves it out.
 METHOD_KNOBS = {
     "maddm": ("review", "exploration_first_rounds"),
     "fna": ("strategy", "fna_k", "exploration_first_rounds"),
@@ -143,8 +130,8 @@ class MethodSpec:
 
     The ``exploration_first`` variant consults every advisor on the first
     ``exploration_first_rounds`` decisions. A knob the spec does not read
-    (:data:`METHOD_KNOBS`) is reset to its default, so specs that run the
-    same way are equal.
+    (:data:`METHOD_KNOBS`) must be at its default, whether the spec is built
+    in Python or loaded from a plan, so specs that run the same way are equal.
     """
 
     method: str
@@ -161,14 +148,15 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.variant not in ("standard", "exploration_first"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        knobs = self.knobs
-        for f in fields(self):
-            if f.name in _KNOBS and f.name not in knobs:
-                object.__setattr__(self, f.name, f.default if f.default_factory is MISSING else f.default_factory())
+        unread = sorted(
+            f.name for f in fields(self) if f.name in _KNOBS and f.name not in self.knobs
+            and getattr(self, f.name) != (f.default if f.default_factory is MISSING else f.default_factory()))
+        if unread:
+            raise ValueError(f"{self.label} does not read {unread}; leave them out or at their defaults")
         checked_count(self.exploration_first_rounds, "exploration_first_rounds", 0)
         for name in ("fna_k", "rv_k"):
             checked_count(getattr(self, name), name, 1)
-        if not (0.0 < self.bc_budget_fraction <= 1.0):
+        if isinstance(self.bc_budget_fraction, (bool, np.bool_)) or not (0.0 < self.bc_budget_fraction <= 1.0):
             raise ValueError("budget fraction must lie in (0, 1]")
 
     @property
@@ -207,7 +195,7 @@ class ExperimentPlan:
         for name, minimum in (("repetitions", 1), ("base_seed", 0), ("n_decisions", 1), ("n_advisors", 1)):
             checked_count(getattr(self, name), name, minimum)
         # a NaN fails the comparison too
-        if not all(0.0 <= mean <= 1.0 for mean in self.accuracy_means):
+        if not all(not isinstance(mean, (bool, np.bool_)) and 0.0 <= mean <= 1.0 for mean in self.accuracy_means):
             raise ValueError("accuracy_means must be finite and lie in [0, 1]")
         # summaries group runs by environment name and accuracy mean, so a
         # repeated coordinate would merge two grid points into one row
@@ -428,7 +416,8 @@ def _write_rows(path: Path, columns: Sequence[str], rows: Sequence, exact: bool 
 
 
 def write_results_csv(path: Path, results: Sequence[RunResult]) -> None:
-    _write_rows(path, RESULT_COLUMNS, results, exact=True)
+    """One row per run, one column per :class:`RunResult` field but ``trace``, floats written round-trip."""
+    _write_rows(path, [f.name for f in fields(RunResult) if f.name != "trace"], results, exact=True)
 
 
 def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:
@@ -593,21 +582,17 @@ def _load(cls, data: dict, **given):
     """``cls`` from a dict of its fields: a plan section, a cached result or a CSV row.
 
     ``given`` holds the fields the caller parsed itself; they are not keys
-    of ``data``. A value of an int or float field is converted to that type.
-    A missing key takes the dataclass default; an unknown key, a missing
-    one without a default, or a number :func:`_number` rejects raises
-    ValueError.
+    of ``data``. A value of an int or float field is converted to that type
+    by :func:`_number`; every other check is the constructor's. A missing
+    key takes the dataclass default; an unknown key, a missing one without
+    a default, or a number :func:`_number` rejects raises ValueError.
     """
+    types = _field_types(cls)
+    converted = {k: _number(types[k], v, k) if types.get(k) in (int, float) else v for k, v in data.items()}
     try:
-        return cls(**_converted(cls, data), **given)
+        return cls(**converted, **given)
     except TypeError as exc:  # the constructor names the offending key
         raise ValueError(f"bad {cls.__name__} section: {exc}") from exc
-
-
-def _converted(cls, data: dict) -> dict:
-    """``data`` with the value of each int or float field of ``cls`` through :func:`_number`."""
-    types = _field_types(cls)
-    return {k: _number(types[k], v, k) if types.get(k) in (int, float) else v for k, v in data.items()}
 
 
 def _number(kind: type, value, key: str):
@@ -663,23 +648,15 @@ def _shaped(value, kind: type, section: str):
 
 
 def _method_from_dict(entry) -> MethodSpec:
+    """A :class:`MethodSpec` from a plan's method entry; the spec checks its knobs."""
     knobs = dict(_shaped(entry, dict, "methods entry"))
     review = dict(_shaped(knobs.pop("review", {}), dict, "review"))
     # older plan files carry the one remaining review mode explicitly
     mode = review.pop("mode", "rebuild")
     if mode != "rebuild":
         raise ValueError(f"review mode must be 'rebuild', got {mode!r}")
-    sections = {"strategy": _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy")),
-                "review": _load(ReviewConfig, review)}
-    loaded = _load(MethodSpec, knobs, **sections)
-    # the spec holds each knob it does not read at the default, so the entry
-    # may give such a knob only that value
-    given = {**_converted(MethodSpec, knobs), **sections}
-    unread = sorted(key for key in entry.keys() - {"method", "variant", *loaded.knobs}
-                    if given[key] != getattr(loaded, key))
-    if unread:
-        raise ValueError(f"{loaded.label} does not read {unread}; leave them out or at their defaults")
-    return loaded
+    strategy = _load(StrategyConfig, _shaped(knobs.pop("strategy", {}), dict, "strategy"))
+    return _load(MethodSpec, knobs, strategy=strategy, review=_load(ReviewConfig, review))
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:

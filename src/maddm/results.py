@@ -18,25 +18,26 @@ def answer_for(margin: float) -> int:
     return 1 if margin > 0.0 else -1
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunResult:
     """Utility ledger of one method over one realized environment.
 
     ``utility`` is the summed per-decision value (profit when the
     committed answer was right, minus the loss when it was wrong) minus
     every advisor fee paid. ``trace`` optionally holds one dict per
-    decision for debugging and audits.
+    decision for debugging and audits. The fields but ``trace`` are the
+    columns of results.csv, in order.
     """
 
+    environment: str = ""
+    accuracy_mean: float = float("nan")
+    repetition: int = 0
     method: str
+    variant: str = "standard"
     utility: float
     correct_count: int
     total_cost: float
     n_decisions: int
-    variant: str = "standard"
-    environment: str = ""
-    accuracy_mean: float = float("nan")
-    repetition: int = 0
     trace: list[dict] | None = field(default=None, repr=False)
 
 

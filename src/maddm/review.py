@@ -50,7 +50,7 @@ class ReviewConfig:
     frequency: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.threshold > 0.0):
+        if isinstance(self.threshold, (bool, np.bool_)) or not (self.threshold > 0.0):
             raise ValueError("threshold must be positive")
         for name in ("max_passes", "frequency"):
             checked_count(getattr(self, name), name, 1)

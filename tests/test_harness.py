@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maddm import harness
-from maddm.baselines import run_baseline
+from maddm.baselines import StrategyConfig, run_baseline
 from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
 from maddm.harness import (
     EnvironmentTemplate,
@@ -90,6 +90,23 @@ def tiny_plan(out_methods=None, base_seed=7) -> ExperimentPlan:
         n_decisions=40,
         n_advisors=12,
     )
+
+
+def python_spec(entry: dict) -> MethodSpec:
+    """The MethodSpec a plan's method entry describes, built in Python instead of loaded."""
+    sections = {"strategy": StrategyConfig, "review": ReviewConfig}
+    return MethodSpec(**{key: sections[key](**value) if key in sections else value
+                         for key, value in entry.items()})
+
+
+def assert_rejected_alike(entry: dict, keys: list[str]) -> None:
+    """The plan loader and a spec built in Python reject ``entry`` with one message naming ``keys``."""
+    label = "{}:{}".format(entry["method"], entry.get("variant", "standard"))
+    with pytest.raises(ValueError, match=re.escape(f"{label} does not read {keys};")) as loaded:
+        plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
+    with pytest.raises(ValueError) as built:
+        python_spec(entry)
+    assert str(built.value) == str(loaded.value)
 
 
 def cell_file(cell: tuple[int, int, int]) -> str:
@@ -622,27 +639,40 @@ class TestExecutePlan:
 
 class TestMethodKnobs:
     def test_specs_that_run_the_same_way_are_equal_and_share_stamps(self):
-        spec = MethodSpec("maddm", fna_k=2)
+        # a knob the spec does not read is taken only at its default
+        spec = MethodSpec("maddm", fna_k=5, strategy=StrategyConfig())
         assert spec == MethodSpec("maddm")
         assert _cell_stamps(tiny_plan(out_methods=(spec,))) == _cell_stamps(
             tiny_plan(out_methods=(MethodSpec("maddm"),)))
+        with pytest.raises(ValueError, match=re.escape("maddm:standard does not read ['fna_k'];")):
+            MethodSpec("maddm", fna_k=2)
 
     @pytest.mark.parametrize("method", ["maddm", "fna", "bu"])
     def test_warm_up_rounds_reach_the_stamp_only_with_exploration_first(self, method):
         def stamps(variant, rounds):
             return _cell_stamps(tiny_plan(out_methods=(MethodSpec(method, variant, exploration_first_rounds=rounds),)))
 
-        assert stamps("standard", -1) == stamps("standard", 2) == stamps("standard", 10)
-        assert (stamps("exploration_first", 2) == stamps("exploration_first", 10)) == (method == "bu")
+        for variant in ("standard", "exploration_first"):
+            if variant == "exploration_first" and method != "bu":
+                assert stamps(variant, 2) != stamps(variant, 10)
+                continue
+            # a spec that does not read its rounds cannot be given others
+            for rounds in (-1, 2):
+                with pytest.raises(ValueError, match=re.escape("does not read ['exploration_first_rounds']")):
+                    stamps(variant, rounds)
 
     @pytest.mark.parametrize("variant", ["standard", "exploration_first"])
     @pytest.mark.parametrize("method", ["maddm", "fna", "bc", "rv", "bu"])
     def test_warm_up_rounds_are_the_rounds_of_a_spec_that_reads_them(self, method, variant):
         # an exploration-first maddm, fna, bc or rv warms up; bu and every
-        # standard spec do not, whatever rounds they were given
+        # standard spec do not, and hold their rounds at the default
         reads = variant == "exploration_first" and method != "bu"
-        assert MethodSpec(method, variant, exploration_first_rounds=7).warm_up_rounds == (7 if reads else 0)
         assert MethodSpec(method, variant).warm_up_rounds == (10 if reads else 0)
+        if reads:
+            assert MethodSpec(method, variant, exploration_first_rounds=7).warm_up_rounds == 7
+        else:
+            with pytest.raises(ValueError, match=re.escape("does not read ['exploration_first_rounds']")):
+                MethodSpec(method, variant, exploration_first_rounds=7)
 
     @pytest.mark.parametrize("method", ["maddm", "fna", "bc", "rv"])
     def test_a_direct_runner_call_plays_its_specs_warm_up_and_carries_its_variant(self, template_world, method):
@@ -671,8 +701,7 @@ class TestMethodKnobs:
         ({"method": "bu", "exploration_first_rounds": -1}, ["exploration_first_rounds"]),
     ])
     def test_knob_the_spec_does_not_read_rejected_at_load(self, entry, keys):
-        with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
-            plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
+        assert_rejected_alike(entry, keys)
 
     def test_knob_the_spec_does_not_read_loads_at_its_default(self):
         # compared as loaded, so an integral float counts as its int
@@ -705,15 +734,14 @@ class TestMethodKnobs:
         ({"method": "maddm", "bc_budget_fraction": 0.5, "rv_k": 3}, ["bc_budget_fraction"]),
     ])
     def test_another_methods_knob_off_its_default_rejected_at_load(self, entry, keys):
-        with pytest.raises(ValueError, match=re.escape(f"does not read {keys}")):
-            plan_from_dict({**MINIMAL_PLAN, "methods": [entry]})
+        assert_rejected_alike(entry, keys)
 
     def test_the_spec_holds_and_checks_the_three_hiring_knobs(self):
         def hiring(spec):
             return spec.fna_k, spec.bc_budget_fraction, spec.rv_k
 
         assert hiring(MethodSpec("fna", fna_k=7)) == (7, 0.10, 3)
-        assert hiring(MethodSpec("bc", bc_budget_fraction=0.25, fna_k=7)) == (5, 0.25, 3)
+        assert hiring(MethodSpec("bc", bc_budget_fraction=0.25)) == (5, 0.25, 3)
         assert hiring(replace(MethodSpec("rv"), rv_k=2)) == (5, 0.10, 2)
         with pytest.raises(ValueError, match="budget fraction"):
             MethodSpec("bc", bc_budget_fraction=0.0)
@@ -721,9 +749,13 @@ class TestMethodKnobs:
             MethodSpec("fna", fna_k=0)
         with pytest.raises(ValueError, match="rv_k"):
             MethodSpec("rv", rv_k=0)
-        # a knob the method does not read is reset before it is checked
-        assert MethodSpec("maddm", fna_k=0) == MethodSpec("maddm")
-        assert MethodSpec("maddm", exploration_first_rounds=-1) == MethodSpec("maddm")
+        # a knob the method does not read is held to its default before any count is checked
+        with pytest.raises(ValueError, match=re.escape("bc:standard does not read ['fna_k']")):
+            MethodSpec("bc", bc_budget_fraction=0.25, fna_k=7)
+        with pytest.raises(ValueError, match=re.escape("maddm:standard does not read ['fna_k']")):
+            MethodSpec("maddm", fna_k=0)
+        with pytest.raises(ValueError, match=re.escape("maddm:standard does not read ['exploration_first_rounds']")):
+            MethodSpec("maddm", exploration_first_rounds=-1)
         # the three knobs have no section of their own in a plan
         with pytest.raises(ValueError, match="baseline"):
             plan_from_dict({**MINIMAL_PLAN, "methods": [{"method": "fna", "baseline": {"fna_k": 2}}]})
@@ -949,6 +981,21 @@ class TestPlanSerialization:
             with pytest.raises(ValueError, match="int"):
                 make(value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda value: MethodSpec("bc", bc_budget_fraction=value), "budget fraction"),
+        (lambda value: StrategyConfig(epsilon=value), "epsilon"),
+        (lambda value: ReviewConfig(threshold=value), "threshold"),
+        (lambda value: EnvironmentTemplate("x", value, 1.0), "mean and std"),
+        (lambda value: replace(tiny_plan(), accuracy_means=(value,)), "accuracy_means"),
+    ])
+    def test_float_knob_given_as_bool_rejected_from_python(self, make, message):
+        # a bool, Python's or numpy's, would be written as text that neither
+        # plan_from_dict nor read_results_csv reads back as a number
+        make(1.0)
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=message):
+                make(value)
+
     def test_integral_numbers_load_from_json_floats_and_csv_text(self, tmp_path):
         data = plan_to_dict(tiny_plan(out_methods=(MethodSpec(method="fna"),)))
         data["n_decisions"] = 1000.0
@@ -957,8 +1004,8 @@ class TestPlanSerialization:
         assert type(plan.n_decisions) is int and plan.n_decisions == 1000
         assert plan.methods[0].fna_k == 2
         # read_results_csv hands every field over as text, "1000" included
-        result = RunResult("fna", 1.5, 1000, 2.25, 1000, environment="env1",
-                           accuracy_mean=0.8, repetition=3)
+        result = RunResult(method="fna", utility=1.5, correct_count=1000, total_cost=2.25, n_decisions=1000,
+                           environment="env1", accuracy_mean=0.8, repetition=3)
         path = tmp_path / "results.csv"
         write_results_csv(path, [result])
         assert read_results_csv(path) == [result]
