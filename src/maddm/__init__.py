@@ -23,16 +23,9 @@ from maddm.ensemble import (
     ensemble_decide,
     weighted_voting_probabilities,
 )
-from maddm.environment import (
-    ENV_TEMPLATES,
-    Environment,
-    EnvironmentConfig,
-    ErgdParams,
-    ergd_sample,
-)
+from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentTemplate
 from maddm.harness import (
     ComparisonReport,
-    EnvironmentTemplate,
     ExperimentPlan,
     MethodSpec,
     default_plan,

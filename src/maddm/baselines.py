@@ -197,7 +197,7 @@ class EmAggregator:
 
     def __init__(self, n_advisors: int, tol: float = 1e-6, max_iterations: int = 100) -> None:
         checked_count(n_advisors, "n_advisors", 1)
-        if not (math.isfinite(tol) and tol > 0.0):
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
         checked_count(max_iterations, "max_iterations", 1)
         self.n_advisors = n_advisors

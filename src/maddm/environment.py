@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,64 +33,45 @@ TRUTH = 1
 #: its accuracy and spread COST_STD, clamped at zero.
 COST_MEAN_FACTOR = 20.0
 COST_STD = 10.0
+#: Advisor accuracies are normal draws around a world's accuracy mean with
+#: this spread, clamped into [0, 1] so genuinely bad advisors exist.
+ACCURACY_STD = 0.3
 
 
 @dataclass(frozen=True)
-class ErgdParams:
-    """Rectified Gaussian: a normal draw clamped into [lower, upper].
+class EnvironmentTemplate:
+    """A named value scale, which a plan sweeps its accuracy grid over.
 
-    Clamping piles point mass onto the touched bound instead of
-    resampling, so the tails fold onto the boundary values.
+    A world's profits and losses are normal draws of ``value_mean`` and
+    ``value_std``, clamped at 0.
     """
 
-    mean: float
-    std: float
-    lower: float | None = None
-    upper: float | None = None
+    name: str
+    value_mean: float
+    value_std: float
 
     def __post_init__(self) -> None:
-        if any(isinstance(x, (bool, np.bool_)) or not math.isfinite(x) for x in (self.mean, self.std)):
-            raise ValueError("mean and std must be finite")
-        if self.std < 0.0:
-            raise ValueError("std must be non-negative")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+        # a name keys the summary rows, so it must be text
+        if not isinstance(self.name, str):
+            raise ValueError(f"environment name must be a string, got {self.name!r}")
+        for name in ("value_mean", "value_std"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.value_std < 0.0:
+            raise ValueError(f"value_std must be non-negative, got {self.value_std!r}")
+
+    @classmethod
+    def named(cls, name: str) -> "EnvironmentTemplate":
+        if not isinstance(name, str) or name not in ENV_TEMPLATES:
+            raise ValueError(f"unknown environment template {name!r}; choose from {list(ENV_TEMPLATES)}")
+        return ENV_TEMPLATES[name]
 
 
-def accuracy_spread(mean: float) -> ErgdParams:
-    """Advisor accuracies spread around ``mean``, clamped into [0, 1]."""
-    return ErgdParams(mean, 0.3, lower=0.0, upper=1.0)
-
-
-def ergd_sample(params: ErgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` values from the rectified Gaussian."""
-    return np.clip(rng.normal(params.mean, params.std, size), params.lower, params.upper)
-
-
-@dataclass(frozen=True)
-class EnvironmentConfig:
-    """Knobs of the synthetic world.
-
-    Decision profits and losses are sampled independently from
-    ``value_params``; advisor accuracy from ``accuracy_params`` (clamped
-    to [0, 1] so genuinely bad advisors exist); each advisor's price from
-    a rectified Gaussian centered at ``accuracy * COST_MEAN_FACTOR``.
-    """
-
-    n_decisions: int = 1000
-    n_advisors: int = 30
-    value_params: ErgdParams = field(default=ErgdParams(100.0, 100.0, lower=0.0))
-    accuracy_params: ErgdParams = field(default=accuracy_spread(0.8))
-
-    def __post_init__(self) -> None:
-        for name in ("n_decisions", "n_advisors"):
-            checked_count(getattr(self, name), name, 1)
-
-
-#: Value-distribution templates: (mean, std) of decision profits and losses.
-ENV_TEMPLATES: dict[str, tuple[float, float]] = {
-    "env1": (100.0, 100.0),
-    "env2": (500.0, 500.0),
+#: The named value templates.
+ENV_TEMPLATES: dict[str, EnvironmentTemplate] = {
+    template.name: template
+    for template in (EnvironmentTemplate("env1", 100.0, 100.0), EnvironmentTemplate("env2", 500.0, 500.0))
 }
 
 
@@ -152,18 +133,30 @@ class Environment:
             object.__setattr__(self, f.name, view)
 
     @classmethod
-    def build(cls, config: EnvironmentConfig, rng: np.random.Generator) -> "Environment":
-        """Realize the world ``config`` describes from ``rng``.
+    def build(
+        cls,
+        template: EnvironmentTemplate,
+        accuracy_mean: float,
+        n_decisions: int,
+        n_advisors: int,
+        rng: np.random.Generator,
+    ) -> "Environment":
+        """Realize a world of ``template``'s stakes and advisors around ``accuracy_mean`` from ``rng``.
 
-        Draw order is pinned (profits, losses, accuracies, costs, then
-        answers) so a seeded generator reproduces the world bit for bit.
-        Raises ValueError, as any world does, if a value drawn is negative.
+        Profits and losses are normal draws of the template clamped at 0,
+        accuracies normal draws of ``accuracy_mean`` and :data:`ACCURACY_STD`
+        clamped into [0, 1], and each price a normal draw of
+        :data:`COST_MEAN_FACTOR` times its accuracy and :data:`COST_STD`
+        clamped at 0. Draw order is pinned (profits, losses, accuracies,
+        costs, then answers) so a seeded generator reproduces the world bit
+        for bit.
         """
-        profits = ergd_sample(config.value_params, rng, config.n_decisions)
-        losses = ergd_sample(config.value_params, rng, config.n_decisions)
-        accuracies = ergd_sample(config.accuracy_params, rng, config.n_advisors)
+        checked_count(n_decisions, "n_decisions", 1)
+        checked_count(n_advisors, "n_advisors", 1)
+        profits, losses = np.clip(rng.normal(template.value_mean, template.value_std, (2, n_decisions)), 0.0, None)
+        accuracies = np.clip(rng.normal(accuracy_mean, ACCURACY_STD, n_advisors), 0.0, 1.0)
         costs = np.clip(rng.normal(accuracies * COST_MEAN_FACTOR, COST_STD), 0.0, None)
-        correct = rng.random((profits.size, accuracies.size)) < accuracies[None, :]
+        correct = rng.random((n_decisions, n_advisors)) < accuracies[None, :]
         answers = np.where(correct, TRUTH, -TRUTH).astype(np.int8)
         return cls(profits=profits, losses=losses, accuracies=accuracies, costs=costs, answers=answers)
 

@@ -29,13 +29,7 @@ import numpy as np
 from maddm.answers import AnswerLog, AnswerSet, checked_count
 from maddm.baselines import StrategyConfig, run_baseline
 from maddm.ensemble import decide_and_update
-from maddm.environment import (
-    ENV_TEMPLATES,
-    Environment,
-    EnvironmentConfig,
-    ErgdParams,
-    accuracy_spread,
-)
+from maddm.environment import Environment, EnvironmentTemplate
 from maddm.results import RunResult, play
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import select_advisors
@@ -86,28 +80,6 @@ def run_maddm(
             trust = review_update(history, trust, config).trust
 
     return play(environment, spec, hire, decide, trace, after=review)
-
-
-@dataclass(frozen=True)
-class EnvironmentTemplate:
-    """Named value-scale template a plan sweeps the accuracy grid over."""
-
-    name: str
-    value_mean: float
-    value_std: float
-
-    def __post_init__(self) -> None:
-        # a name keys the summary rows, so it must be text
-        if not isinstance(self.name, str):
-            raise ValueError(f"environment name must be a string, got {self.name!r}")
-        # raises at load for a value distribution no cell could draw from
-        ErgdParams(self.value_mean, self.value_std, lower=0.0)
-
-    @classmethod
-    def named(cls, name: str) -> "EnvironmentTemplate":
-        if not isinstance(name, str) or name not in ENV_TEMPLATES:
-            raise ValueError(f"unknown environment template {name!r}; choose from {list(ENV_TEMPLATES)}")
-        return cls(name, *ENV_TEMPLATES[name])
 
 
 #: The plan-entry knobs each method reads, beside ``method`` and ``variant``;
@@ -245,14 +217,10 @@ def build_cell_environment(
     plan: ExperimentPlan, env_idx: int, grid_idx: int, rep: int
 ) -> Environment:
     """Realize the one world every method in this cell plays against."""
-    template = plan.environments[env_idx]
-    config = EnvironmentConfig(
-        n_decisions=plan.n_decisions,
-        n_advisors=plan.n_advisors,
-        value_params=ErgdParams(template.value_mean, template.value_std, lower=0.0),
-        accuracy_params=accuracy_spread(plan.accuracy_means[grid_idx]),
+    return Environment.build(
+        plan.environments[env_idx], plan.accuracy_means[grid_idx], plan.n_decisions, plan.n_advisors,
+        _environment_rng(plan, env_idx, grid_idx, rep),
     )
-    return Environment.build(config, _environment_rng(plan, env_idx, grid_idx, rep))
 
 
 def run_method(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
+from maddm.environment import ENV_TEMPLATES, Environment
 from maddm.trust import TAU_EPS
 
 settings.register_profile(
@@ -27,13 +27,10 @@ def rng() -> np.random.Generator:
 def template_world():
     """Build a named template's world at an accuracy mean from ``default_rng(seed)``."""
 
-    def build(name: str, accuracy_mean: float, seed: int, **sizes) -> Environment:
-        config = EnvironmentConfig(
-            value_params=ErgdParams(*ENV_TEMPLATES[name], lower=0.0),
-            accuracy_params=accuracy_spread(accuracy_mean),
-            **sizes,
+    def build(name: str, accuracy_mean: float, seed: int, n_decisions: int = 1000, n_advisors: int = 30) -> Environment:
+        return Environment.build(
+            ENV_TEMPLATES[name], accuracy_mean, n_decisions, n_advisors, np.random.default_rng(seed),
         )
-        return Environment.build(config, np.random.default_rng(seed))
 
     return build
 

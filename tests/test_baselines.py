@@ -275,6 +275,8 @@ class TestEmAggregate:
             ("tol", -1.0),
             ("tol", 0.0),
             ("tol", math.inf),
+            ("tol", True),
+            ("tol", np.True_),
         ],
     )
     def test_invalid_convergence_knobs_rejected_when_built(self, knob, value):

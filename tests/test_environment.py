@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from maddm.answers import AnswerLog, AnswerSet
-from maddm.environment import (
-    ENV_TEMPLATES,
-    TRUTH,
-    Environment,
-    EnvironmentConfig,
-    ErgdParams,
-    accuracy_spread,
-    ergd_sample,
-)
+from maddm.environment import ACCURACY_STD, ENV_TEMPLATES, TRUTH, Environment, EnvironmentTemplate
 from maddm.harness import build_cell_environment, default_plan
 
 
@@ -34,36 +26,36 @@ def rectified_gaussian_mean(mean: float, std: float, lower: float, upper: float)
 
 class TestErgd:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ErgdParams(0.0, -1.0)
-        with pytest.raises(ValueError):
-            ErgdParams(0.0, 1.0, lower=2.0, upper=1.0)
-        with pytest.raises(ValueError):
-            ErgdParams(math.nan, 1.0)
+        with pytest.raises(ValueError, match="value_std must be non-negative"):
+            EnvironmentTemplate("x", 0.0, -1.0)
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="value_mean must be a finite number"):
+                EnvironmentTemplate("x", mean, 1.0)
 
     def test_degenerate_std_returns_mean(self, rng):
-        assert np.array_equal(ergd_sample(ErgdParams(100.0, 0.0), rng, 5), np.full(5, 100.0))
+        world = Environment.build(EnvironmentTemplate("flat", 100.0, 0.0), 0.8, 5, 1, rng)
+        assert np.array_equal(world.profits, np.full(5, 100.0))
+        assert np.array_equal(world.losses, np.full(5, 100.0))
 
     def test_point_mass_accumulates_at_bound(self, rng):
-        draws = ergd_sample(ErgdParams(0.0, 1.0, lower=0.0), rng, size=100_000)
+        draws = Environment.build(EnvironmentTemplate("zero", 0.0, 1.0), 0.8, 100_000, 1, rng).profits
         assert abs((draws == 0.0).mean() - 0.5) < 0.01
         assert draws.min() == 0.0
 
     def test_clamped_unit_interval_mean_matches_quadrature(self, rng):
-        params = ErgdParams(0.8, 0.3, lower=0.0, upper=1.0)
         n = 100_000
-        draws = ergd_sample(params, rng, size=n)
+        draws = Environment.build(ENV_TEMPLATES["env1"], 0.8, 1, n, rng).accuracies
         assert draws.min() >= 0.0 and draws.max() <= 1.0
-        oracle = rectified_gaussian_mean(0.8, 0.3, 0.0, 1.0)
+        oracle = rectified_gaussian_mean(0.8, ACCURACY_STD, 0.0, 1.0)
         assert 0.74 <= oracle <= 0.80
         assert abs(draws.mean() - oracle) < 3.0 * draws.std() / math.sqrt(n)
 
 
 class TestGenerateEnvironment:
     def test_named_templates(self):
-        assert ENV_TEMPLATES["env1"] == (100.0, 100.0)
-        assert ENV_TEMPLATES["env2"] == (500.0, 500.0)
-        assert accuracy_spread(0.7) == ErgdParams(0.7, 0.3, lower=0.0, upper=1.0)
+        assert ENV_TEMPLATES["env1"] == EnvironmentTemplate("env1", 100.0, 100.0)
+        assert ENV_TEMPLATES["env2"] == EnvironmentTemplate("env2", 500.0, 500.0)
+        assert ACCURACY_STD == 0.3
 
     def test_sizes_and_bounds(self, template_world):
         env = template_world("env1", 0.6, 3, n_decisions=200, n_advisors=25)
@@ -76,38 +68,28 @@ class TestGenerateEnvironment:
         assert np.all((accuracies >= 0.0) & (accuracies <= 1.0))
         assert np.all(costs >= 0.0)
 
-    def test_seed_reproduces_world_exactly(self):
-        config = EnvironmentConfig(n_decisions=50)
-        first = Environment.build(config, np.random.default_rng(11))
-        second = Environment.build(config, np.random.default_rng(11))
+    def test_seed_reproduces_world_exactly(self, template_world):
+        first = template_world("env1", 0.8, 11, n_decisions=50)
+        second = template_world("env1", 0.8, 11, n_decisions=50)
         assert first.digest() == second.digest()
         assert np.array_equal(first.answers, second.answers)
-        different = Environment.build(config, np.random.default_rng(12))
+        different = template_world("env1", 0.8, 12, n_decisions=50)
         assert different.digest() != first.digest()
 
-    def test_pinned_world_digests(self):
+    def test_pinned_world_digests(self, template_world):
         # a world's bytes, answers included, are fixed by its generator
-        world = Environment.build(EnvironmentConfig(n_decisions=50), np.random.default_rng(11))
+        world = template_world("env1", 0.8, 11, n_decisions=50)
         assert world.digest() == "b96cba878fec31efc7192cd96341d9f8eb266675ef60c7f481f30a723b6de6d9"
         cell = build_cell_environment(default_plan(), 1, 5, 0)
         assert cell.digest() == "6c097c0885184abc5cdaec1c3498eb41ce6c0cbbc28e0589d234a148efb0ed21"
 
     def test_cost_tracks_accuracy(self):
-        config = EnvironmentConfig(
-            n_decisions=1,
-            n_advisors=10_000,
-            accuracy_params=ErgdParams(0.75, 0.3, lower=0.0, upper=1.0),
-        )
-        env = Environment.build(config, np.random.default_rng(21))
+        env = Environment.build(ENV_TEMPLATES["env1"], 0.75, 1, 10_000, np.random.default_rng(21))
         assert np.corrcoef(env.accuracies, env.costs)[0, 1] > 0.2
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            EnvironmentConfig(n_decisions=0)
-        # a value distribution with no lower bound draws negative profits
-        config = EnvironmentConfig(n_decisions=20, value_params=ErgdParams(-100.0, 1.0))
-        with pytest.raises(ValueError, match="non-negative"):
-            Environment.build(config, np.random.default_rng(0))
+            Environment.build(ENV_TEMPLATES["env1"], 0.8, 0, 30, np.random.default_rng(0))
 
 
 class TestEnvironment:
@@ -163,14 +145,10 @@ class TestEnvironment:
         assert str(error.value) == message
 
     def test_accuracy_governs_answer_frequency(self):
-        config = EnvironmentConfig(
-            n_decisions=4000,
-            n_advisors=2,
-            accuracy_params=ErgdParams(0.9, 0.0, lower=0.0, upper=1.0),
-        )
-        env = Environment.build(config, np.random.default_rng(8))
+        env = Environment.build(ENV_TEMPLATES["env1"], 0.9, 4000, 2, np.random.default_rng(8))
         freq = (env.answers == 1).mean(axis=0)
-        assert np.all(np.abs(freq - 0.9) < 3.0 * math.sqrt(0.9 * 0.1 / 4000))
+        accuracies = env.accuracies
+        assert np.all(np.abs(freq - accuracies) <= 3.0 * np.sqrt(accuracies * (1.0 - accuracies) / 4000))
 
     def test_json_audit_tables(self, template_world):
         env = template_world("env2", 0.7, 1, n_decisions=5, n_advisors=4)

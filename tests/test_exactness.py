@@ -37,7 +37,6 @@ from maddm.baselines import (
     select_fixed_number,
 )
 from maddm.ensemble import EnsembleSums
-from maddm.environment import Environment, EnvironmentConfig
 from maddm.harness import EnvironmentTemplate, ExperimentPlan, MethodSpec, run_cell, run_maddm
 from maddm.review import ReviewConfig, review_update
 from maddm.selection import _hypothetical_gain
@@ -486,10 +485,10 @@ def test_pinned_results_are_unchanged():
     assert got == PINNED
 
 
-def test_every_methods_warm_up_books_the_fsum_of_the_prices():
+def test_every_methods_warm_up_books_the_fsum_of_the_prices(template_world):
     # 30 advisors at 0.1 each: math.fsum books exactly 3.0 and numpy's
     # pairwise sum 3.000000000000001, and a tolerance could not tell them apart
-    env = Environment.build(EnvironmentConfig(n_decisions=12), np.random.default_rng(0))
+    env = template_world("env1", 0.8, 0, n_decisions=12)
     env = replace(env, costs=np.full(env.n_advisors, 0.1))
     fsum, numpy_sum = math.fsum(env.costs), float(env.costs.sum())
     assert fsum == 3.0 and numpy_sum != fsum

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from maddm import harness
 from maddm.baselines import StrategyConfig, run_baseline
-from maddm.environment import ENV_TEMPLATES, Environment, EnvironmentConfig, ErgdParams, accuracy_spread
+from maddm.environment import ENV_TEMPLATES, TRUTH, Environment
 from maddm.harness import (
     EnvironmentTemplate,
     ExperimentPlan,
@@ -135,25 +135,19 @@ class TestRunMaddm:
     def test_noiseless_free_pool_is_perfect_after_warmup(self):
         # stakes bounded away from zero: a worthless decision is correctly
         # answered blind, which would dilute the perfect count
-        config = EnvironmentConfig(
-            n_decisions=80,
-            n_advisors=6,
-            value_params=ErgdParams(100.0, 100.0, lower=5.0),
-            accuracy_params=ErgdParams(1.0, 0.0, lower=0.0, upper=1.0),
+        stakes = np.clip(np.random.default_rng(3).normal(100.0, 100.0, (2, 80)), 5.0, None)
+        env = Environment(
+            profits=stakes[0], losses=stakes[1], accuracies=np.ones(6), costs=np.zeros(6),
+            answers=np.full((80, 6), TRUTH),
         )
-        env = replace(Environment.build(config, np.random.default_rng(3)), costs=np.zeros(6))
         result = run_maddm(MethodSpec("maddm", "exploration_first"), env, np.random.default_rng(0))
         assert result.total_cost == 0.0
         assert result.correct_count == env.n_decisions
         assert result.utility == pytest.approx(math.fsum(env.profits), abs=1e-9)
 
     def test_adversarial_pool_keeps_accounting_identity(self):
-        config = EnvironmentConfig(
-            n_decisions=60,
-            n_advisors=8,
-            accuracy_params=ErgdParams(0.0, 0.0, lower=0.0, upper=1.0),
-        )
-        env = Environment.build(config, np.random.default_rng(5))
+        world = Environment.build(ENV_TEMPLATES["env1"], 0.0, 60, 8, np.random.default_rng(5))
+        env = replace(world, accuracies=np.zeros(8), answers=np.full((60, 8), -TRUTH))
         result = run_maddm(
             MethodSpec("maddm", review=ReviewConfig(frequency=5)), env,
             np.random.default_rng(1), trace=True,
@@ -205,14 +199,11 @@ class TestRunMaddm:
     @pytest.mark.parametrize("method", ["maddm", "bc"])
     def test_empty_hire_answers_negative_at_zero_cost(self, method):
         # all advisors cost more than any decision can be worth
-        config = EnvironmentConfig(
-            n_decisions=30,
-            n_advisors=5,
-            value_params=ErgdParams(10.0, 0.0, lower=0.0),
-            accuracy_params=ErgdParams(0.9, 0.0, lower=0.0, upper=1.0),
+        correct = np.random.default_rng(6).random((30, 5)) < 0.9
+        env = Environment(
+            profits=np.full(30, 10.0), losses=np.full(30, 10.0), accuracies=np.full(5, 0.9),
+            costs=np.full(5, 900.0), answers=np.where(correct, TRUTH, -TRUTH),
         )
-        env = Environment.build(config, np.random.default_rng(6))
-        env = replace(env, costs=1000.0 * env.accuracies)
         result = run_method(MethodSpec(method), env, np.random.default_rng(4), trace=True)
         assert result.total_cost == 0.0
         assert result.correct_count == 0
@@ -231,12 +222,7 @@ class TestRunMaddm:
         for accuracy in grid:
             counts = []
             for rep in range(reps):
-                config = EnvironmentConfig(
-                    n_decisions=60,
-                    n_advisors=10,
-                    accuracy_params=ErgdParams(accuracy, 0.3, lower=0.0, upper=1.0),
-                )
-                env = Environment.build(config, np.random.default_rng(100 + rep))
+                env = Environment.build(ENV_TEMPLATES["env1"], accuracy, 60, 10, np.random.default_rng(100 + rep))
                 env = replace(env, costs=np.zeros(env.n_advisors))
                 result = run_maddm(
                     MethodSpec(
@@ -282,13 +268,9 @@ class TestPairedDesign:
     @pytest.mark.parametrize("name", sorted(ENV_TEMPLATES))
     def test_cell_world_matches_named_template_config(self, name):
         plan = replace(tiny_plan(), environments=(EnvironmentTemplate.named(name),))
-        config = EnvironmentConfig(
-            n_decisions=plan.n_decisions,
-            n_advisors=plan.n_advisors,
-            value_params=ErgdParams(*ENV_TEMPLATES[name], lower=0.0),
-            accuracy_params=accuracy_spread(0.8),
+        expected = Environment.build(
+            ENV_TEMPLATES[name], 0.8, plan.n_decisions, plan.n_advisors, _environment_rng(plan, 0, 0, 1),
         )
-        expected = Environment.build(config, _environment_rng(plan, 0, 0, 1))
         assert build_cell_environment(plan, 0, 0, 1).digest() == expected.digest()
 
     @pytest.mark.parametrize("method", ["maddm", "fna"])
@@ -900,7 +882,7 @@ class TestPlanSerialization:
 
     @pytest.mark.parametrize("mean", [80, -0.5, 1.01])
     def test_accuracy_mean_outside_unit_interval_rejected_at_load(self, mean):
-        # accuracy_spread clamps every advisor into [0, 1], so a mean of 80
+        # Environment.build clamps every advisor into [0, 1], so a mean of 80
         # would otherwise run silently with every advisor at accuracy 1
         with pytest.raises(ValueError, match=r"accuracy_means must be finite and lie in \[0, 1\]"):
             plan_from_dict({**MINIMAL_PLAN, "accuracy_means": [mean]})
@@ -970,8 +952,8 @@ class TestPlanSerialization:
         lambda value: replace(tiny_plan(), base_seed=value),
         lambda value: replace(tiny_plan(), n_decisions=value),
         lambda value: replace(tiny_plan(out_methods=(MethodSpec(method="bu"),)), n_advisors=value),
-        lambda value: EnvironmentConfig(n_decisions=value),
-        lambda value: EnvironmentConfig(n_advisors=value),
+        lambda value: Environment.build(ENV_TEMPLATES["env1"], 0.8, value, 1, np.random.default_rng(0)),
+        lambda value: Environment.build(ENV_TEMPLATES["env1"], 0.8, 1, value, np.random.default_rng(0)),
     ])
     def test_fractional_count_or_bool_rejected_from_python(self, make):
         # a count is an int from Python too: only the plan loader converts an
@@ -985,7 +967,8 @@ class TestPlanSerialization:
         (lambda value: MethodSpec("bc", bc_budget_fraction=value), "budget fraction"),
         (lambda value: StrategyConfig(epsilon=value), "epsilon"),
         (lambda value: ReviewConfig(threshold=value), "threshold"),
-        (lambda value: EnvironmentTemplate("x", value, 1.0), "mean and std"),
+        (lambda value: EnvironmentTemplate("x", value, 1.0), "value_mean"),
+        (lambda value: EnvironmentTemplate("x", 1.0, value), "value_std"),
         (lambda value: replace(tiny_plan(), accuracy_means=(value,)), "accuracy_means"),
     ])
     def test_float_knob_given_as_bool_rejected_from_python(self, make, message):

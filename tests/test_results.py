@@ -7,13 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from maddm.environment import Environment, EnvironmentConfig
 from maddm.harness import MethodSpec
 from maddm.results import answer_for, play
 
 
-def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
-    env = Environment.build(EnvironmentConfig(n_decisions=8, n_advisors=4), np.random.default_rng(0))
+def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook(template_world):
+    env = template_world("env1", 0.8, 0, n_decisions=8, n_advisors=4)
     env = replace(env, costs=np.full(4, 2.25))  # a warm-up fee of 9.0
     decided, after = [], []
 
@@ -46,8 +45,8 @@ def test_play_owns_the_warm_up_the_empty_rule_and_the_after_hook():
     assert result.utility == math.fsum(values) - 22.5
 
 
-def test_play_without_hooks_or_trace():
-    env = Environment.build(EnvironmentConfig(n_decisions=5, n_advisors=3), np.random.default_rng(1))
+def test_play_without_hooks_or_trace(template_world):
+    env = template_world("env1", 0.8, 1, n_decisions=5, n_advisors=3)
     result = play(env, MethodSpec("rv"), lambda index: ((), 0.0, 1), lambda answers: 1.0)
     assert (result.method, result.variant) == ("rv", "standard")
     assert result.trace is None
